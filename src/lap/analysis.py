@@ -1,9 +1,9 @@
 """Expectation engines, performance ratios, bound checks, and paradox probes.
 
-Exact arithmetic is the default everywhere: expectations over enumerable
-priors are computed as Fraction sums, and the two headline inequalities are
-checked without rounding.  Monte Carlo estimators exist for the instances
-whose exact enumeration is out of reach; they are seeded and replayable.
+Exact arithmetic is the default everywhere: expectations are Fraction sums
+over the reachable (step, super candidate) states, and the two headline
+inequalities are checked without rounding.  Monte Carlo estimators exist for
+the priors whose support exceeds the budget; they are seeded and replayable.
 """
 
 import math
@@ -35,6 +35,7 @@ from .policies import (
     optimal_biased_policy,
     optimal_rational_policy,
     resolve_budget,
+    rule_expectation,
     run_rule,
     threshold_from_alpha,
     value_max_distribution,
@@ -128,21 +129,17 @@ class QualityParadoxReport:
 def exact_expectation(prior: ProductPrior, policy: Policy,
                       params: AgentParams, allow_no_selection: bool = True,
                       budget: Optional[int] = None) -> Number:
-    """Exact expected utility of a policy: mixing arms times realizations.
+    """Exact expected utility of a policy: mixing arms times each arm's
+    lattice pass over the reachable (step, super candidate) states.
 
-    Enumerates the full product support, so the prior's support size counts
-    against the state budget.
+    The prior's support size still counts against the state budget.
     """
     limit = resolve_budget(budget)
     compiled = compile_policy(policy, prior, params, allow_no_selection,
                               budget)
-    total = Fraction(0)
-    for weight, rule in compiled.arms:
-        acc = Fraction(0)
-        for sigma, p in prior.realizations(limit):
-            acc += p * run_rule(rule, sigma, params).utility
-        total += weight * acc
-    return total
+    prior.check_support(limit)
+    return sum((weight * rule_expectation(rule, prior, params)
+                for weight, rule in compiled.arms), Fraction(0))
 
 
 def _float_cums(dist: FiniteDistribution) -> Tuple[float, ...]:

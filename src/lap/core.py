@@ -28,8 +28,6 @@ Number = Union[int, float, Fraction]
 
 # distribution normalization slack in float mode
 FLOAT_PROB_TOL = 1e-12
-# generic float-mode comparison tolerance used by the verifiers
-FLOAT_TOL = 1e-9
 
 
 class InvalidInput(ValueError):
@@ -246,12 +244,18 @@ class ProductPrior:
     def support_size(self) -> int:
         return math.prod(len(d.atoms) for d in self.steps)
 
+    def check_support(self, budget: int) -> None:
+        """The support-size cap of every exact pass over the prior, whether
+        it lists realizations or walks super-candidate states."""
+        if self.support_size > budget:
+            raise ResourceLimit(
+                f"support size {self.support_size} exceeds budget {budget}")
+
     def realizations(self, budget: Optional[int] = None
                      ) -> Iterator[Tuple[Sequence, Number]]:
         """All (sequence, probability) pairs of the product support."""
-        if budget is not None and self.support_size > budget:
-            raise ResourceLimit(
-                f"support size {self.support_size} exceeds budget {budget}")
+        if budget is not None:
+            self.check_support(budget)
         for combo in itertools.product(*(d.atoms for d in self.steps)):
             p = 1
             for _, q in combo:
@@ -432,15 +436,33 @@ def sequence_to_json(sigma: Sequence) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidInput(
+            f"{what} must be an integer, got {type(x).__name__}")
+    return x
+
+
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InvalidInput(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
+def _vector_from_json(row, exact: bool, what: str) -> ValueVector:
+    return ValueVector(tuple(number_from_json(e, exact)
+                             for e in _json_list(row, what)))
+
+
 def sequence_from_json(obj: dict, exact: bool = True) -> Sequence:
     try:
         k = obj["k"]
         rows = obj["candidates"]
     except (TypeError, KeyError) as err:
         raise InvalidInput("sequence JSON needs 'k' and 'candidates'") from err
-    cands = tuple(
-        ValueVector(tuple(number_from_json(e, exact) for e in row))
-        for row in rows)
+    k = _json_int(k, "'k'")
+    cands = tuple(_vector_from_json(row, exact, "a candidate")
+                  for row in _json_list(rows, "'candidates'"))
     sigma = Sequence(cands)
     if sigma.k != k:
         raise InvalidInput(f"declared k={k} but candidates have k={sigma.k}")
@@ -457,10 +479,13 @@ def _dist_from_json(obj: dict, exact: bool) -> FiniteDistribution:
         atoms = obj["atoms"]
     except (TypeError, KeyError) as err:
         raise InvalidInput("step JSON needs 'atoms'") from err
-    return FiniteDistribution(tuple(
-        (ValueVector(tuple(number_from_json(e, exact) for e in a["v"])),
-         number_from_json(a["p"], exact))
-        for a in atoms))
+    pairs = []
+    for a in _json_list(atoms, "'atoms'"):
+        if not isinstance(a, dict) or "v" not in a or "p" not in a:
+            raise InvalidInput("an atom needs 'v' and 'p'")
+        pairs.append((_vector_from_json(a["v"], exact, "an atom's 'v'"),
+                      number_from_json(a["p"], exact)))
+    return FiniteDistribution(tuple(pairs))
 
 
 def prior_to_json(prior: ProductPrior) -> dict:
@@ -482,7 +507,10 @@ def prior_from_json(obj: dict, exact: bool = True) -> ProductPrior:
     except (TypeError, KeyError) as err:
         raise InvalidInput(
             "prior JSON needs 'k', 'n', 'iid', and 'steps'") from err
-    dists = [_dist_from_json(s, exact) for s in raw_steps]
+    k = _json_int(k, "'k'")
+    n = _json_int(n, "'n'")
+    dists = [_dist_from_json(s, exact)
+             for s in _json_list(raw_steps, "'steps'")]
     if iid and len(dists) == 1 and n > 1:
         dists = dists * n
     if len(dists) != n:

@@ -13,7 +13,10 @@ Three families of rules live here:
   induction; the biased DP is keyed on (step, super candidate), which is a
   sufficient statistic because the utility depends on history only through
   the reference point.
-* patience comparison between rules, realization by realization.
+* exact expectations and patience comparison of compiled rules.  Every
+  rule decides from (step, super candidate, candidate) alone, so both walk
+  the reachable (step, super candidate) states instead of every
+  realization; the prior's support size is still what the budget caps.
 """
 
 from __future__ import annotations
@@ -203,10 +206,10 @@ class _ValueStepRule:
     __slots__ = ("cont",)
 
     def __init__(self, cont):
-        self.cont = cont  # cont[t] = value of proceeding past step t
+        self.cont = cont  # cont[t] = optimal value on reaching step t
 
     def decide(self, t, prev, vec):
-        return vec.l1 >= self.cont[t]
+        return vec.l1 >= self.cont[t + 1]
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,34 @@ def run_rule(rule, sigma: Sequence, params: AgentParams) -> StoppingOutcome:
             return StoppingOutcome(t, v, v - params.lam * (s.l1 - v))
         prev = prev.join(vec)
     return StoppingOutcome(None, Fraction(0), -params.lam * prev.l1)
+
+
+def rule_expectation(rule, prior: ProductPrior, params: AgentParams) -> Number:
+    """Exact expected utility of one deterministic rule over the prior.
+
+    Probability mass moves forward keyed by the super candidate before each
+    step; where the rule stops, mass times the stop's utility is banked, and
+    mass still unstopped after step n scores -lambda * ||s^(n)||_1."""
+    lam = params.lam
+    mass = {ValueVector.zero(prior.k).entries: Fraction(1)}
+    total = Fraction(0)
+    for t, step in enumerate(prior.steps, 1):
+        atoms = [(v, v.entries, v.l1, p) for v, p in step.atoms]
+        nxt: Dict[tuple, Number] = {}
+        for s, m in mass.items():
+            prev = ValueVector(s)
+            banked = 0
+            for v, entries, val, p in atoms:
+                joined = tuple(map(max, s, entries))
+                if rule.decide(t, prev, v):
+                    banked += p * (val - lam * (sum(joined) - val))
+                else:
+                    nxt[joined] = nxt.get(joined, 0) + m * p
+            total += m * banked
+        mass = nxt
+    for s, m in mass.items():
+        total += m * -lam * sum(s)
+    return total
 
 
 def run_policy(policy: Policy, sigma: Sequence, params: AgentParams,
@@ -424,7 +455,7 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
 
 def _rational_dp(prior: ProductPrior):
     n = prior.n
-    cont = [Fraction(0)] * (n + 2)  # cont[t] = value of passing step t
+    cont = [Fraction(0)] * (n + 2)  # cont[t] = optimal value on reaching t
     for t in range(n, 0, -1):
         nxt = cont[t + 1]
         total = 0
@@ -447,11 +478,6 @@ def optimal_rational_policy(prior: ProductPrior,
     resolve_budget(budget)  # validates; the rational DP is O(n) regardless
     value, _, table = _rational_dp(prior)
     return DPResult(value, table, prior.n + 1)
-
-
-def _rational_dp_compiled(prior):
-    _, cont, _ = _rational_dp(prior)
-    return _ValueStepRule(cont)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +503,64 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
                      allow_no_selection: bool = True,
                      budget: Optional[int] = None) -> PatienceVerdict:
     """Does rule `a` stop at the same index or later than `b` on every
-    realization of the prior?  NoSelection counts as stopping at n + 1."""
+    realization of the prior?  NoSelection counts as stopping at n + 1.
+
+    The witness is the first realization in product order on which `a`
+    stops earlier.  An iterative depth-first search over (step, super
+    candidate, is `b` still running) states finds it without listing
+    realizations: states known to hold no witness are not entered again.
+    Once `b` has stopped, `a` is still followed until it stops, so a rule
+    that leaves its compiled support raises as it would on a realization
+    scan."""
     rule_a = _single_rule(a, prior, params, allow_no_selection, budget)
     rule_b = _single_rule(b, prior, params, allow_no_selection, budget)
-    late = prior.n + 1
-    for sigma, _ in prior.realizations(budget=resolve_budget(budget)):
-        ia = run_rule(rule_a, sigma, params).selection
-        ib = run_rule(rule_b, sigma, params).selection
-        if (ia or late) < (ib or late):
-            return PatienceVerdict("incomparable", (sigma, ia, ib))
+    prior.check_support(resolve_budget(budget))
+    steps = [step.atoms for step in prior.steps]
+    n = prior.n
+    clear = set()  # (t, super candidate entries, b running): no witness
+    # frame: [step t, super candidate before t, b running, next atom index]
+    stack = [[1, ValueVector.zero(prior.k), True, 0]]
+    path = []  # atom taken at each step above the top frame
+    while stack:
+        frame = stack[-1]
+        t, prev, b_running, i = frame
+        if i == len(steps[t - 1]):
+            clear.add((t, prev.entries, b_running))
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        frame[3] = i + 1
+        vec = steps[t - 1][i][0]
+        stop_a = rule_a.decide(t, prev, vec)
+        stop_b = b_running and rule_b.decide(t, prev, vec)
+        if stop_a:
+            if b_running and not stop_b:
+                return _witness(rule_b, steps, path + [vec], prev, t)
+            continue
+        if t == n:
+            continue
+        joined = tuple(map(max, prev.entries, vec.entries))
+        key = (t + 1, joined, b_running and not stop_b)
+        if key in clear:
+            continue
+        path.append(vec)
+        stack.append([t + 1, ValueVector(joined), key[2], 0])
     return PatienceVerdict("more-patient", None)
+
+
+def _witness(rule_b, steps, taken, prev, t) -> PatienceVerdict:
+    """`a` stopped at step t where `b` ran on: the first realization through
+    this prefix takes each later step's first atom, and `b` runs along it."""
+    ib = None
+    for u in range(t + 1, len(steps) + 1):
+        prev = prev.join(taken[-1])
+        taken.append(steps[u - 1][0][0])
+        if rule_b.decide(u, prev, taken[-1]):
+            ib = u
+            break
+    taken += [atoms[0][0] for atoms in steps[len(taken):]]
+    return PatienceVerdict("incomparable", (Sequence(tuple(taken)), t, ib))
 
 
 # ---------------------------------------------------------------------------

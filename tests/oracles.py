@@ -61,41 +61,109 @@ def realizations(steps):
         yield vecs, p
 
 
+def history_value(steps, lam, t, prefix, allow_no_selection=True):
+    """Best expected utility of facing step t after `prefix`, over every
+    history-dependent deterministic stopping rule, by direct recursion on
+    realized prefixes (no state reuse)."""
+    n = len(steps)
+    total = Fraction(0)
+    for vec, p in steps[t - 1]:
+        seen = prefix + (vec,)
+        smax = running_max(seen)
+        value = l1(vec)
+        accept = value - lam * (l1(smax) - value)
+        if t == n:
+            if allow_no_selection:
+                choice = max(accept, -lam * l1(smax))
+            else:
+                choice = accept
+        else:
+            choice = max(accept, history_value(steps, lam, t + 1, seen,
+                                               allow_no_selection))
+        total += p * choice
+    return total
+
+
 def history_optimal(steps, lam, allow_no_selection=True):
     """Best expected utility over every history-dependent deterministic
-    stopping rule, by direct recursion on realized prefixes (no state reuse)."""
-    n = len(steps)
+    stopping rule."""
+    return history_value(steps, lam, 1, (), allow_no_selection)
 
-    def best(t, prefix):
-        total = Fraction(0)
-        for vec, p in steps[t - 1]:
-            seen = prefix + (vec,)
-            smax = running_max(seen)
-            value = l1(vec)
-            accept = value - lam * (l1(smax) - value)
-            if t == n:
-                if allow_no_selection:
-                    choice = max(accept, -lam * l1(smax))
-                else:
-                    choice = accept
-            else:
-                choice = max(accept, best(t + 1, seen))
-            total += p * choice
-        return total
 
-    return best(1, ())
+def rational_value(steps, t):
+    """Optimal expected l1 value of facing step t (0 past the last step)."""
+    if t > len(steps):
+        return Fraction(0)
+    nxt = rational_value(steps, t + 1)
+    return sum(p * max(l1(vec), nxt) for vec, p in steps[t - 1])
 
 
 def rational_history_optimal(steps):
     """Classical optimal stopping on l1 values (utility = value, floor 0)."""
+    return rational_value(steps, 1)
+
+
+# Stopping rules as plain predicates stop(t, prefix) on the first t
+# candidates, and brute-force evaluation of them over the whole support.
+
+def threshold_stop(t_value, weak=True):
+    return lambda t, prefix: (l1(prefix[-1]) >= t_value if weak
+                              else l1(prefix[-1]) > t_value)
+
+
+def index_stop(index):
+    return lambda t, prefix: t == index
+
+
+def biased_optimal_stop(steps, lam, allow_no_selection=True):
+    """Stop when stopping is worth at least going on (ties stop); without
+    NoSelection the last step always stops."""
     n = len(steps)
 
-    def best(t):
-        # value-based rule needs no history at all; keep it anyway for shape
-        nxt = Fraction(0) if t == n else best(t + 1)
-        return sum(p * max(l1(vec), nxt) for vec, p in steps[t - 1])
+    def stop(t, prefix):
+        accept = gambler_utility(prefix, t, lam)
+        if t == n:
+            return (not allow_no_selection
+                    or accept >= no_selection(prefix, lam))
+        return accept >= history_value(steps, lam, t + 1, prefix,
+                                       allow_no_selection)
 
-    return best(1)
+    return stop
+
+
+def rational_optimal_stop(steps):
+    return lambda t, prefix: l1(prefix[-1]) >= rational_value(steps, t + 1)
+
+
+def first_stop(candidates, stop):
+    """1-based index where the rule first stops, or None."""
+    for t in range(1, len(candidates) + 1):
+        if stop(t, candidates[:t]):
+            return t
+    return None
+
+
+def rule_expected_utility(steps, lam, stop):
+    """Expected biased utility of a rule; never stopping scores NoSelection."""
+    total = Fraction(0)
+    for vecs, p in realizations(steps):
+        t = first_stop(vecs, stop)
+        u = no_selection(vecs, lam) if t is None else \
+            gambler_utility(vecs, t, lam)
+        total += p * u
+    return total
+
+
+def first_patience_witness(steps, stop_a, stop_b):
+    """First realization in product order where rule a stops strictly
+    before rule b (never stopping counts as n + 1), as (candidates, ia, ib);
+    None when there is none."""
+    late = len(steps) + 1
+    for vecs, _ in realizations(steps):
+        ia, ib = first_stop(vecs, stop_a), first_stop(vecs, stop_b)
+        if (ia or late) < (ib or late):
+            return vecs, ia, ib
+    return None
 
 
 def enumerate_policies_optimal(steps, lam, allow_no_selection=True):

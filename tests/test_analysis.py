@@ -105,6 +105,22 @@ class TestExactExpectation:
             assert exact_expectation(prior, Policy.optimal_biased(), params) \
                 == optimal_biased_policy(prior, params).expected_utility
 
+    def test_optimal_rational_matches_rational_dp(self):
+        # evaluated at lambda = 0, where biased utility is the value
+        from lap.policies import optimal_rational_policy
+        rng = random.Random(4242)
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            prior = prior_of(oracles.random_prior_steps(rng, k=k))
+            got = exact_expectation(prior, Policy.optimal_rational(),
+                                    AgentParams(F(0), k))
+            assert got == optimal_rational_policy(prior).expected_utility
+
+    def test_optimal_rational_one_step(self):
+        prior = prior_of([[((F(1),), F(1, 2)), ((F(3),), F(1, 2))]])
+        assert exact_expectation(prior, Policy.optimal_rational(),
+                                 AgentParams(F(0), 1)) == 2
+
     def test_fixed_index_against_oracle(self):
         rng = random.Random(3131)
         for _ in range(20):

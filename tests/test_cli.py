@@ -24,6 +24,9 @@ def run_cli(capsys, *argv):
 WCM_ARGS = ("--gen", "worstcase-mixed", "--w", "2", "--k", "2",
             "--lambda", "1/2", "--eps", "1/5")
 
+ONE_STEP_PRIOR = {"k": 1, "n": 1, "iid": True, "steps": [
+    {"atoms": [{"v": ["1"], "p": "1/2"}, {"v": ["3"], "p": "1/2"}]}]}
+
 
 class TestArgumentTypes:
     def test_grid_fractional_step(self):
@@ -134,6 +137,18 @@ class TestEvaluate:
         assert payload["expected_utility"] == 0.45
         assert payload["lambda"] == 0.5
 
+    def test_optimal_rational_one_step(self, capsys, tmp_path):
+        # accepting 1 beats the nothing that follows the only step
+        target = tmp_path / "one-step.json"
+        target.write_text(json.dumps(ONE_STEP_PRIOR))
+        common = ("--in", str(target), "--lambda", "0")
+        code, out, _ = run_cli(capsys, "evaluate", *common,
+                               "--policy", "optimal-rational")
+        assert code == 0
+        assert json.loads(out)["expected_utility"] == "2"
+        code, out, _ = run_cli(capsys, "ratio", *common)
+        assert json.loads(out)["e_ugr"] == "2"
+
     def test_missing_policy(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", *WCM_ARGS)
         assert code == 2
@@ -196,6 +211,47 @@ class TestRatio:
                                "--lambda", "1/2")
         assert code == 2
         assert "malformed JSON" in err
+
+    def _ratio_of(self, capsys, tmp_path, obj):
+        target = tmp_path / "instance.json"
+        target.write_text(json.dumps(obj))
+        return run_cli(capsys, "ratio", "--in", str(target),
+                       "--lambda", "1/2")
+
+    def test_float_n_rejected(self, capsys, tmp_path):
+        code, _, err = self._ratio_of(capsys, tmp_path,
+                                      dict(ONE_STEP_PRIOR, n=2.0))
+        assert code == 2
+        assert "'n' must be an integer" in err
+
+    def test_bool_n_rejected(self, capsys, tmp_path):
+        code, _, err = self._ratio_of(capsys, tmp_path,
+                                      dict(ONE_STEP_PRIOR, n=True))
+        assert code == 2
+        assert "'n' must be an integer" in err
+
+    def test_atom_without_p_rejected(self, capsys, tmp_path):
+        obj = dict(ONE_STEP_PRIOR, steps=[{"atoms": [{"v": ["1"]}]}])
+        code, _, err = self._ratio_of(capsys, tmp_path, obj)
+        assert code == 2
+        assert "needs 'v' and 'p'" in err
+
+    @pytest.mark.parametrize("obj", [
+        dict(ONE_STEP_PRIOR, k=True),
+        dict(ONE_STEP_PRIOR, steps=[{"atoms": {"v": ["1"], "p": "1"}}]),
+        dict(ONE_STEP_PRIOR, steps=[{"atoms": [{"p": "1"}]}]),
+        dict(ONE_STEP_PRIOR, steps=[{"atoms": ["1"]}]),
+        dict(ONE_STEP_PRIOR, steps=[{"atoms": [{"v": "1", "p": "1"}]}]),
+        {"k": 1, "candidates": "1"},
+        {"k": 1, "candidates": [1]},
+        {"k": 1.0, "candidates": [["1"]]},
+    ], ids=["bool-k", "object-atoms",
+            "atom-without-v", "string-atom", "string-v",
+            "string-candidates", "number-candidate", "float-k"])
+    def test_malformed_shapes_rejected(self, capsys, tmp_path, obj):
+        code, _, err = self._ratio_of(capsys, tmp_path, obj)
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_gen_and_in_conflict(self, capsys, tmp_path):
         target = tmp_path / "x.json"

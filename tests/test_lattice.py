@@ -1,0 +1,146 @@
+"""The lattice engines (exact expectation and patience over reachable
+(step, super candidate) states) against brute-force oracles that walk every
+realization."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import oracles
+from lap.analysis import exact_expectation
+from lap.core import (
+    AgentParams,
+    FiniteDistribution,
+    InvalidInput,
+    ProductPrior,
+    Sequence,
+    ValueVector,
+)
+from lap.policies import Policy, compile_policy, patience_compare
+
+
+def prior_of(steps):
+    return ProductPrior(tuple(
+        FiniteDistribution(tuple((ValueVector(v), p) for v, p in step))
+        for step in steps))
+
+
+def alpha_threshold(steps, alpha):
+    """(T, p) with Pr[V* > T] + p * Pr[V* = T] = alpha, from the oracle's
+    exact distribution of V*."""
+    _, _, dist = oracles.vstar_stats(steps)
+    for v in sorted(dist):
+        above = sum(q for w, q in dist.items() if w > v)
+        if above <= alpha:
+            return v, (alpha - above) / dist[v]
+    raise AssertionError("unreachable")
+
+
+def random_case(rng):
+    k = rng.randint(1, 3)
+    steps = oracles.random_prior_steps(rng, n_max=4, atoms_max=3, k=k)
+    lam = F(rng.randint(0, 6), 4)
+    return steps, lam, AgentParams(lam, k)
+
+
+def deterministic_pairs(steps, lam, rng):
+    """(lap policy, oracle stop rule) for every deterministic kind."""
+    n = len(steps)
+    t_value = rng.choice(oracles.VALUE_GRID) * 2
+    index = rng.randint(1, n)
+    return [
+        (Policy.accept_last(), oracles.index_stop(n)),
+        (Policy.fixed_index(index), oracles.index_stop(index)),
+        (Policy.threshold(t_value), oracles.threshold_stop(t_value, True)),
+        (Policy.threshold(t_value, F(0)),
+         oracles.threshold_stop(t_value, False)),
+        (Policy.optimal_biased(), oracles.biased_optimal_stop(steps, lam)),
+        (Policy.optimal_rational(), oracles.rational_optimal_stop(steps)),
+    ]
+
+
+class TestExpectationAgainstOracle:
+    def test_every_deterministic_kind(self):
+        rng = random.Random(101)
+        for _ in range(40):
+            steps, lam, params = random_case(rng)
+            prior = prior_of(steps)
+            for policy, stop in deterministic_pairs(steps, lam, rng):
+                assert exact_expectation(prior, policy, params) == \
+                    oracles.rule_expected_utility(steps, lam, stop), policy
+
+    def test_two_arm_thresholds(self):
+        rng = random.Random(103)
+        split = 0
+        for _ in range(40):
+            steps, lam, params = random_case(rng)
+            alpha = F(rng.randint(1, 7), 8)
+            t_value, p = alpha_threshold(steps, alpha)
+            split += 0 < p < 1
+            want = (p * oracles.rule_expected_utility(
+                        steps, lam, oracles.threshold_stop(t_value, True))
+                    + (1 - p) * oracles.rule_expected_utility(
+                        steps, lam, oracles.threshold_stop(t_value, False)))
+            assert exact_expectation(prior_of(steps), Policy.from_alpha(alpha),
+                                     params) == want
+        assert split > 10
+
+    def test_without_no_selection(self):
+        rng = random.Random(107)
+        for _ in range(40):
+            steps, lam, params = random_case(rng)
+            stop = oracles.biased_optimal_stop(steps, lam,
+                                               allow_no_selection=False)
+            got = exact_expectation(prior_of(steps), Policy.optimal_biased(),
+                                    params, allow_no_selection=False)
+            assert got == oracles.rule_expected_utility(steps, lam, stop)
+            assert got == oracles.history_optimal(steps, lam,
+                                                  allow_no_selection=False)
+
+
+class TestPatienceAgainstOracle:
+    def test_first_witness_in_product_order(self):
+        rng = random.Random(109)
+        incomparable = 0
+        for _ in range(40):
+            steps, lam, params = random_case(rng)
+            prior = prior_of(steps)
+            pairs = deterministic_pairs(steps, lam, rng)
+            for (pol_a, stop_a), (pol_b, stop_b) in zip(
+                    pairs, rng.sample(pairs, len(pairs))):
+                got = patience_compare(pol_a, pol_b, prior, params)
+                want = oracles.first_patience_witness(steps, stop_a, stop_b)
+                if want is None:
+                    assert got.verdict == "more-patient"
+                    assert got.witness is None
+                    continue
+                incomparable += 1
+                sigma, ia, ib = got.witness
+                assert got.verdict == "incomparable"
+                assert (tuple(c.entries for c in sigma.candidates), ia, ib) \
+                    == want
+        assert incomparable > 40
+
+    def test_deep_deterministic_prior(self):
+        n = 3000
+        sigma = Sequence(tuple(ValueVector((F(t % 7),)) for t in range(n)))
+        prior = ProductPrior.deterministic(sigma)
+        params = AgentParams(F(1, 2), 1)
+        same = patience_compare(Policy.accept_last(), Policy.fixed_index(n),
+                                prior, params)
+        assert same.verdict == "more-patient"
+        early = patience_compare(Policy.fixed_index(n - 1),
+                                 Policy.accept_last(), prior, params)
+        assert early.verdict == "incomparable"
+        assert early.witness == (sigma, n - 1, n)
+
+    def test_rule_off_its_support_raises_after_other_stops(self):
+        # compiled where step 1 plays 1, the rule declines 2 at step 1 and
+        # has no decision for the state that follows
+        params = AgentParams(F(0), 1)
+        other = prior_of([[((F(1),), F(1))], [((F(5),), F(1))]])
+        prior = prior_of([[((F(2),), F(1))], [((F(5),), F(1))]])
+        rule = compile_policy(Policy.optimal_biased(), other, params)
+        with pytest.raises(InvalidInput, match="leaves the compiled"):
+            patience_compare(rule, Policy.fixed_index(1), prior, params)
