@@ -11,6 +11,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Dict, Optional, Tuple
 
 from .core import (
@@ -20,7 +21,6 @@ from .core import (
     Number,
     ProductPrior,
     Sequence,
-    ValueVector,
     higher_quality,
     number_to_json,
     offline_optimal_biased,
@@ -32,6 +32,7 @@ from .policies import (
     Policy,
     compile_policy,
     guarantee_alphas,
+    max_distribution,
     optimal_biased_policy,
     optimal_rational_policy,
     resolve_budget,
@@ -216,19 +217,10 @@ def _expectation_of(dist: Dict[Number, Number]) -> Number:
 
 
 def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
-    """E[sum_j S_j*]: per-dimension max convolution, summed by linearity."""
-    total = Fraction(0)
-    for j in range(prior.k):
-        dist: Dict[Number, Number] = {Fraction(0): Fraction(1)}
-        for step in prior.steps:
-            nxt: Dict[Number, Number] = {}
-            for cur, p in dist.items():
-                for v, q in step.atoms:
-                    key = max(cur, v.entries[j])
-                    nxt[key] = nxt.get(key, Fraction(0)) + p * q
-            dist = nxt
-        total += _expectation_of(dist)
-    return total
+    """E[sum_j S_j*]: each dimension's maximum distribution, summed by
+    linearity."""
+    return sum((_expectation_of(max_distribution(prior, itemgetter(j)))
+                for j in range(prior.k)), Fraction(0))
 
 
 def _ratio_or_sentinel(num: Number, den: Number):
@@ -243,10 +235,12 @@ def ratio_report(prior: ProductPrior, params: AgentParams,
     gambler on one prior, all at their respective optima."""
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
-    e_upr = _expectation_of(value_max_distribution(prior))
-    e_ugr = optimal_rational_policy(prior, budget).expected_utility
+    # the budgeted DP goes first, so an over-budget prior stops before the
+    # unbudgeted passes run
     e_ugb = optimal_biased_policy(prior, params, True,
                                   budget).expected_utility
+    e_upr = _expectation_of(value_max_distribution(prior))
+    e_ugr = optimal_rational_policy(prior, budget).expected_utility
     return RatioReport(
         e_prophet_rational=e_upr,
         e_gambler_rational_opt=e_ugr,

@@ -8,6 +8,7 @@ numbers are printed.  Exit codes: 0 success, 1 a verification check failed
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -506,7 +507,9 @@ def _add_output_flags(sp, default_format="json"):
                       help="print numbers as floats")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lap",
         description="Loss-averse prophet instances, policies, and bounds.")

@@ -13,10 +13,16 @@ Three families of rules live here:
   induction; the biased DP is keyed on (step, super candidate), which is a
   sufficient statistic because the utility depends on history only through
   the reference point.
-* exact expectations and patience comparison of compiled rules.  Every
-  rule decides from (step, super candidate, candidate) alone, so both walk
-  the reachable (step, super candidate) states instead of every
-  realization; the prior's support size is still what the budget caps.
+* exact expectations and patience comparison of compiled rules.  A rule
+  is a plain function (t, super candidate, entries, L1 value) -> stop?, so
+  both walk the reachable (step, super candidate) states instead of every
+  realization; the prior's support size is still what their budget caps.
+
+All of these run on one tuple lattice core: a per-step atom table of plain
+values read once from the validated prior, one join, one stop-utility
+formula and one reachable-layer builder that counts states against the
+budget.  The V* and per-dimension maximum distributions are one scalar
+max-convolution, `max_distribution`, under two keys.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .core import (
     AgentParams,
@@ -35,7 +41,6 @@ from .core import (
     ResourceLimit,
     Sequence,
     StoppingOutcome,
-    ValueVector,
     number_from_json,
     number_to_json,
 )
@@ -145,71 +150,67 @@ class PatienceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# deterministic decision rules (one per compiled arm)
+# the lattice core; a state is the super candidate's entries before a step
 # ---------------------------------------------------------------------------
 
-
-class _ThresholdRule:
-    __slots__ = ("t_value", "weak")
-
-    def __init__(self, t_value, weak):
-        self.t_value = t_value
-        self.weak = weak
-
-    def decide(self, t, prev, vec):
-        v = vec.l1
-        return v >= self.t_value if self.weak else v > self.t_value
+Rule = Callable[[int, tuple, tuple, Number], bool]
 
 
-class _FixedIndexRule:
-    __slots__ = ("index",)
-
-    def __init__(self, index):
-        self.index = index
-
-    def decide(self, t, prev, vec):
-        return t == self.index
-
-
-class _AcceptLastRule:
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = n
-
-    def decide(self, t, prev, vec):
-        return t == self.n
+def _atom_table(prior: ProductPrior):
+    """Per step, each atom as (entries, l1, p, vector), read once from the
+    validated prior.  Steps that are one object (an iid prior's) share one
+    row, so a long iid prior costs one row, not n."""
+    rows = {}
+    for step in prior.steps:
+        if id(step) not in rows:
+            rows[id(step)] = tuple((v.entries, v.l1, p, v)
+                                   for v, p in step.atoms)
+    return [rows[id(step)] for step in prior.steps]
 
 
-class _TableRule:
-    __slots__ = ("accept", "n", "force_last")
+def _zero(k: int) -> tuple:
+    return (Fraction(0),) * k
 
-    def __init__(self, accept, n, force_last):
-        self.accept = accept
-        self.n = n
-        self.force_last = force_last
 
-    def decide(self, t, prev, vec):
-        if self.force_last and t == self.n:
+def _join(s: tuple, entries: tuple) -> tuple:
+    """Coordinatewise maximum: the super candidate after seeing `entries`."""
+    return tuple(map(max, s, entries))
+
+
+def _utility(lam: Number, val: Number, s_l1: Number) -> Number:
+    """Stopping on L1 value `val` against a super candidate of L1 norm
+    `s_l1`; declining everything scores as a zero-valued pick."""
+    return val - lam * (s_l1 - val)
+
+
+def _layers(steps, k: int, budget: Optional[int]):
+    """Reachable super candidates before each step (sorted) and their total
+    count, which the state budget caps."""
+    budget = resolve_budget(budget)
+    layers = [(_zero(k),)]
+    count = 1
+    for atoms in steps[:-1]:
+        nxt = {_join(s, atom[0]) for s in layers[-1] for atom in atoms}
+        count += len(nxt)
+        if count > budget:
+            raise ResourceLimit(
+                f"state budget {budget} exceeded ({count}+ states)")
+        layers.append(tuple(sorted(nxt)))
+    return layers, count
+
+
+def _table_rule(accept, n: int, force_last: bool) -> Rule:
+    """Stop on the atoms the biased DP accepts from this state."""
+    def decide(t, s, entries, val):
+        if force_last and t == n:
             return True
         try:
-            acc = self.accept[(t, prev.entries)]
+            acc = accept[(t, s)]
         except KeyError as err:
             raise InvalidInput(
                 "realization leaves the compiled prior's support") from err
-        return vec.entries in acc
-
-
-class _ValueStepRule:
-    """Rational rule: accept when the value meets the continuation value."""
-
-    __slots__ = ("cont",)
-
-    def __init__(self, cont):
-        self.cont = cont  # cont[t] = optimal value on reaching step t
-
-    def decide(self, t, prev, vec):
-        return vec.l1 >= self.cont[t + 1]
+        return entries in acc
+    return decide
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class CompiledPolicy:
     """A policy bound to a prior: one or two deterministic arms with mixing
     probabilities (two only for atom-splitting thresholds)."""
 
-    arms: Tuple[Tuple[Number, object], ...]
+    arms: Tuple[Tuple[Number, Rule], ...]
     n: int
     seed: Optional[int] = None
 
@@ -225,7 +226,7 @@ class CompiledPolicy:
     def deterministic(self) -> bool:
         return len(self.arms) == 1
 
-    def draw_rule(self, rng: random.Random):
+    def draw_rule(self, rng: random.Random) -> Rule:
         if self.deterministic:
             return self.arms[0][1]
         u = rng.random()
@@ -247,70 +248,69 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
         if policy.alpha is not None:
             policy = threshold_from_alpha(prior, policy.alpha, policy.seed)
         t_value, p = policy.threshold, policy.atom_accept_prob
+        weak = lambda t, s, entries, val: val >= t_value
+        strict = lambda t, s, entries, val: val > t_value
         if p == 1:
-            arms = ((Fraction(1), _ThresholdRule(t_value, True)),)
+            arms = ((Fraction(1), weak),)
         elif p == 0:
-            arms = ((Fraction(1), _ThresholdRule(t_value, False)),)
+            arms = ((Fraction(1), strict),)
         else:
-            arms = ((p, _ThresholdRule(t_value, True)),
-                    (1 - p, _ThresholdRule(t_value, False)))
+            arms = ((p, weak), (1 - p, strict))
         return CompiledPolicy(arms, n, policy.seed)
     if policy.kind == "fixed-index":
-        return CompiledPolicy(
-            ((Fraction(1), _FixedIndexRule(policy.index)),), n, policy.seed)
-    if policy.kind == "accept-last":
-        return CompiledPolicy(
-            ((Fraction(1), _AcceptLastRule(n)),), n, policy.seed)
-    if policy.kind == "optimal-rational":
-        _, cont, _ = _rational_dp(prior)
-        return CompiledPolicy(
-            ((Fraction(1), _ValueStepRule(cont)),), n, policy.seed)
-    # optimal-biased
-    lam = policy.lam if policy.lam is not None else params.lam
-    _, table, _ = _biased_dp(prior, AgentParams(lam, params.k),
-                             allow_no_selection, budget)
-    rule = _TableRule(table, n, force_last=not allow_no_selection)
+        index = policy.index
+        rule = lambda t, s, entries, val: t == index
+    elif policy.kind == "accept-last":
+        rule = lambda t, s, entries, val: t == n
+    elif policy.kind == "optimal-rational":
+        _, cont, _ = _rational_dp(prior)  # cont[t]: value on reaching t
+        rule = lambda t, s, entries, val: val >= cont[t + 1]
+    else:  # optimal-biased
+        lam = policy.lam if policy.lam is not None else params.lam
+        _, table, _ = _biased_dp(prior, AgentParams(lam, params.k),
+                                 allow_no_selection, budget)
+        rule = _table_rule(table, n, force_last=not allow_no_selection)
     return CompiledPolicy(((Fraction(1), rule),), n, policy.seed)
 
 
-def run_rule(rule, sigma: Sequence, params: AgentParams) -> StoppingOutcome:
+def run_rule(rule: Rule, sigma: Sequence,
+             params: AgentParams) -> StoppingOutcome:
     """Online scan of one deterministic rule over one realization."""
-    prev = ValueVector.zero(sigma.k)
-    for t in range(1, sigma.n + 1):
-        vec = sigma.candidates[t - 1]
-        if rule.decide(t, prev, vec):
-            s = prev.join(vec)
-            v = vec.l1
-            return StoppingOutcome(t, v, v - params.lam * (s.l1 - v))
-        prev = prev.join(vec)
-    return StoppingOutcome(None, Fraction(0), -params.lam * prev.l1)
+    s = _zero(sigma.k)
+    for t, vec in enumerate(sigma.candidates, 1):
+        entries, val = vec.entries, vec.l1
+        joined = _join(s, entries)
+        if rule(t, s, entries, val):
+            return StoppingOutcome(t, val,
+                                   _utility(params.lam, val, sum(joined)))
+        s = joined
+    return StoppingOutcome(None, Fraction(0), _utility(params.lam, 0, sum(s)))
 
 
-def rule_expectation(rule, prior: ProductPrior, params: AgentParams) -> Number:
+def rule_expectation(rule: Rule, prior: ProductPrior,
+                     params: AgentParams) -> Number:
     """Exact expected utility of one deterministic rule over the prior.
 
     Probability mass moves forward keyed by the super candidate before each
     step; where the rule stops, mass times the stop's utility is banked, and
     mass still unstopped after step n scores -lambda * ||s^(n)||_1."""
     lam = params.lam
-    mass = {ValueVector.zero(prior.k).entries: Fraction(1)}
+    mass = {_zero(prior.k): Fraction(1)}
     total = Fraction(0)
-    for t, step in enumerate(prior.steps, 1):
-        atoms = [(v, v.entries, v.l1, p) for v, p in step.atoms]
+    for t, atoms in enumerate(_atom_table(prior), 1):
         nxt: Dict[tuple, Number] = {}
         for s, m in mass.items():
-            prev = ValueVector(s)
             banked = 0
-            for v, entries, val, p in atoms:
-                joined = tuple(map(max, s, entries))
-                if rule.decide(t, prev, v):
-                    banked += p * (val - lam * (sum(joined) - val))
+            for entries, val, p, _ in atoms:
+                joined = _join(s, entries)
+                if rule(t, s, entries, val):
+                    banked += p * _utility(lam, val, sum(joined))
                 else:
                     nxt[joined] = nxt.get(joined, 0) + m * p
             total += m * banked
         mass = nxt
     for s, m in mass.items():
-        total += m * -lam * sum(s)
+        total += m * _utility(lam, 0, sum(s))
     return total
 
 
@@ -333,24 +333,32 @@ def run_policy(policy: Policy, sigma: Sequence, params: AgentParams,
 # ---------------------------------------------------------------------------
 
 
-def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
-    """Exact distribution of V* = max_t ||sigma^(t)||_1, step by step."""
+def max_distribution(prior: ProductPrior,
+                     key: Callable[[tuple], Number]) -> Dict[Number, Number]:
+    """Exact distribution of max_t key(sigma^(t)) for a scalar `key` of a
+    candidate's entries: the first step's law, then one max-convolution per
+    later step."""
     dist: Optional[Dict[Number, Number]] = None
-    for step in prior.steps:
-        step_vals: Dict[Number, Number] = {}
-        for v, p in step.atoms:
-            val = v.l1
-            step_vals[val] = step_vals.get(val, 0) + p
+    for atoms in _atom_table(prior):
+        law: Dict[Number, Number] = {}
+        for entries, _, p, _ in atoms:
+            x = key(entries)
+            law[x] = law.get(x, 0) + p
         if dist is None:
-            dist = step_vals
+            dist = law
             continue
         new: Dict[Number, Number] = {}
         for m, pm in dist.items():
-            for val, pv in step_vals.items():
-                key = m if m >= val else val
-                new[key] = new.get(key, 0) + pm * pv
+            for x, px in law.items():
+                y = m if m >= x else x
+                new[y] = new.get(y, 0) + pm * px
         dist = new
     return dist
+
+
+def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
+    """Exact distribution of V* = max_t ||sigma^(t)||_1."""
+    return max_distribution(prior, sum)
 
 
 def threshold_from_alpha(prior: ProductPrior, alpha: Number,
@@ -390,53 +398,37 @@ def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:
 
 def _biased_dp(prior: ProductPrior, params: AgentParams,
                allow_no_selection: bool, budget: Optional[int]):
-    budget = resolve_budget(budget)
     lam = params.lam
+    steps = _atom_table(prior)
+    layers, count = _layers(steps, prior.k, budget)
     n = prior.n
-    zero = ValueVector.zero(prior.k)
-
-    # forward pass: reachable reference points before each step
-    layers = [(zero.entries,)]
-    count = 1
-    for d in prior.steps[:-1]:
-        nxt = set()
-        for s in layers[-1]:
-            sv = ValueVector(s)
-            for v, _ in d.atoms:
-                nxt.add(sv.join(v).entries)
-        count += len(nxt)
-        if count > budget:
-            raise ResourceLimit(
-                f"state budget {budget} exceeded ({count}+ states)")
-        layers.append(tuple(sorted(nxt)))
-
     table: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
     values: Dict[tuple, Number] = {}
     for t in range(n, 0, -1):
-        step = prior.steps[t - 1]
         newvals: Dict[tuple, Number] = {}
-        for s_entries in layers[t - 1]:
-            sv = ValueVector(s_entries)
+        for s in layers[t - 1]:
             total = 0
             accepted = []
-            for v, p in step.atoms:
-                joined = sv.join(v)
-                val = v.l1
-                u = val - lam * (joined.l1 - val)
-                if t == n:
-                    cont = -lam * joined.l1 if allow_no_selection else None
+            for entries, val, p, _ in steps[t - 1]:
+                joined = _join(s, entries)
+                s_l1 = sum(joined)
+                u = _utility(lam, val, s_l1)
+                if t < n:
+                    cont = values[joined]
+                elif allow_no_selection:
+                    cont = _utility(lam, 0, s_l1)
                 else:
-                    cont = values[joined.entries]
+                    cont = None
                 if cont is None or u >= cont:
-                    accepted.append(v.entries)
+                    accepted.append(entries)
                     choice = u
                 else:
                     choice = cont
                 total = total + p * choice
-            newvals[s_entries] = total
-            table[(t, s_entries)] = tuple(sorted(accepted))
+            newvals[s] = total
+            table[(t, s)] = tuple(sorted(accepted))
         values = newvals
-    return values[zero.entries], table, count
+    return values[layers[0][0]], table, count
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
@@ -454,21 +446,20 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
 
 
 def _rational_dp(prior: ProductPrior):
+    steps = _atom_table(prior)
     n = prior.n
     cont = [Fraction(0)] * (n + 2)  # cont[t] = optimal value on reaching t
     for t in range(n, 0, -1):
         nxt = cont[t + 1]
         total = 0
-        for v, p in prior.steps[t - 1].atoms:
-            val = v.l1
+        for _, val, p, _ in steps[t - 1]:
             total = total + p * (val if val >= nxt else nxt)
         cont[t] = total
     table = {}
     for t in range(1, n + 1):
-        accepted = tuple(sorted(
-            v.entries for v, _ in prior.steps[t - 1].atoms
-            if v.l1 >= cont[t + 1]))
-        table[(t, ())] = accepted
+        table[(t, ())] = tuple(sorted(
+            entries for entries, val, _, _ in steps[t - 1]
+            if val >= cont[t + 1]))
     return cont[1], cont, table
 
 
@@ -485,7 +476,7 @@ def optimal_rational_policy(prior: ProductPrior,
 # ---------------------------------------------------------------------------
 
 
-def _single_rule(policy, prior, params, allow_no_selection, budget):
+def _single_rule(policy, prior, params, allow_no_selection, budget) -> Rule:
     if isinstance(policy, CompiledPolicy):
         compiled = policy
     else:
@@ -515,52 +506,54 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     rule_a = _single_rule(a, prior, params, allow_no_selection, budget)
     rule_b = _single_rule(b, prior, params, allow_no_selection, budget)
     prior.check_support(resolve_budget(budget))
-    steps = [step.atoms for step in prior.steps]
+    steps = _atom_table(prior)
     n = prior.n
-    clear = set()  # (t, super candidate entries, b running): no witness
+    clear = set()  # (t, super candidate, b running): no witness
     # frame: [step t, super candidate before t, b running, next atom index]
-    stack = [[1, ValueVector.zero(prior.k), True, 0]]
+    stack = [[1, _zero(prior.k), True, 0]]
     path = []  # atom taken at each step above the top frame
     while stack:
         frame = stack[-1]
-        t, prev, b_running, i = frame
+        t, s, b_running, i = frame
         if i == len(steps[t - 1]):
-            clear.add((t, prev.entries, b_running))
+            clear.add((t, s, b_running))
             stack.pop()
             if path:
                 path.pop()
             continue
         frame[3] = i + 1
-        vec = steps[t - 1][i][0]
-        stop_a = rule_a.decide(t, prev, vec)
-        stop_b = b_running and rule_b.decide(t, prev, vec)
+        atom = steps[t - 1][i]
+        entries, val = atom[0], atom[1]
+        stop_a = rule_a(t, s, entries, val)
+        stop_b = b_running and rule_b(t, s, entries, val)
         if stop_a:
             if b_running and not stop_b:
-                return _witness(rule_b, steps, path + [vec], prev, t)
+                return _witness(rule_b, steps, path + [atom], s, t)
             continue
         if t == n:
             continue
-        joined = tuple(map(max, prev.entries, vec.entries))
+        joined = _join(s, entries)
         key = (t + 1, joined, b_running and not stop_b)
         if key in clear:
             continue
-        path.append(vec)
-        stack.append([t + 1, ValueVector(joined), key[2], 0])
+        path.append(atom)
+        stack.append([t + 1, joined, key[2], 0])
     return PatienceVerdict("more-patient", None)
 
 
-def _witness(rule_b, steps, taken, prev, t) -> PatienceVerdict:
+def _witness(rule_b, steps, taken, s, t) -> PatienceVerdict:
     """`a` stopped at step t where `b` ran on: the first realization through
     this prefix takes each later step's first atom, and `b` runs along it."""
     ib = None
     for u in range(t + 1, len(steps) + 1):
-        prev = prev.join(taken[-1])
-        taken.append(steps[u - 1][0][0])
-        if rule_b.decide(u, prev, taken[-1]):
+        s = _join(s, taken[-1][0])
+        taken.append(steps[u - 1][0])
+        if rule_b(u, s, taken[-1][0], taken[-1][1]):
             ib = u
             break
-    taken += [atoms[0][0] for atoms in steps[len(taken):]]
-    return PatienceVerdict("incomparable", (Sequence(tuple(taken)), t, ib))
+    taken += [atoms[0] for atoms in steps[len(taken):]]
+    sigma = Sequence(tuple(atom[3] for atom in taken))
+    return PatienceVerdict("incomparable", (sigma, t, ib))
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,18 @@ class TestRatioReport:
         assert row["prophet_ratio"] == "NonPositiveDenominator"
         assert row["seed"] is None
 
+    def test_budget_stops_before_unbudgeted_passes(self, monkeypatch):
+        # 12 reachable states exceed the budget of 10; neither the V*
+        # distribution nor the rational DP may run first
+        def unbudgeted(*args, **kwargs):
+            raise AssertionError("ran before the budgeted DP")
+
+        for name in ("value_max_distribution", "optimal_rational_policy"):
+            monkeypatch.setattr(f"lap.analysis.{name}", unbudgeted)
+        dist = FiniteDistribution(((vec(1, 0), F(1)),))
+        with pytest.raises(ResourceLimit):
+            ratio_report(ProductPrior.iid_prior(dist, 12), HALF, budget=10)
+
 
 # ---------------------------------------------------------------------------
 # bound verifiers

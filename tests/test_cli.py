@@ -468,6 +468,17 @@ class TestReduce:
 
 
 class TestEntryPoint:
+    def test_parser_built_once_and_reusable(self, capsys):
+        argv = ("evaluate", *WCM_ARGS, "--policy", "alpha:4/5")
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        with pytest.raises(SystemExit) as rejected:
+            cli.main(["evaluate", *WCM_ARGS, "--policy", "best"])
+        assert rejected.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == (0, first, "")
+        assert cli._build_parser() is cli._build_parser()
+
     def test_module_help(self):
         proc = subprocess.run([sys.executable, "-m", "lap.cli", "--help"],
                               capture_output=True, text=True)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from lap.analysis import exact_expectation
+from lap.analysis import exact_expectation, monte_carlo
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -17,7 +17,12 @@ from lap.core import (
     Sequence,
     ValueVector,
 )
-from lap.policies import Policy, compile_policy, patience_compare
+from lap.policies import (
+    Policy,
+    compile_policy,
+    optimal_biased_policy,
+    patience_compare,
+)
 
 
 def prior_of(steps):
@@ -144,3 +149,38 @@ class TestPatienceAgainstOracle:
         rule = compile_policy(Policy.optimal_biased(), other, params)
         with pytest.raises(InvalidInput, match="leaves the compiled"):
             patience_compare(rule, Policy.fixed_index(1), prior, params)
+
+
+class TestLeanCore:
+    """Once the prior is built, the exact passes and the Monte Carlo rule
+    scan run on its plain values and construct no value vector."""
+
+    @pytest.fixture
+    def vectors_built(self, monkeypatch):
+        built = []
+        init = ValueVector.__post_init__
+
+        def counted(vector):
+            built.append(vector)
+            init(vector)
+
+        monkeypatch.setattr(ValueVector, "__post_init__", counted)
+        return built
+
+    def test_exact_passes_build_no_vectors(self, vectors_built):
+        step = [((F(1), F(2)), F(1, 3)), ((F(3), F(0)), F(2, 3))]
+        prior = prior_of([step, step[::-1], step])
+        params = AgentParams(F(1, 2), 2)
+        vectors_built.clear()
+        optimal_biased_policy(prior, params)
+        for policy in (Policy.from_alpha(F(1, 2)), Policy.fixed_index(2),
+                       Policy.optimal_biased(), Policy.optimal_rational(),
+                       Policy.accept_last()):
+            exact_expectation(prior, policy, params)
+        last, first = Policy.accept_last(), Policy.fixed_index(1)
+        assert patience_compare(last, first, prior, params).verdict == \
+            "more-patient"
+        early = patience_compare(first, last, prior, params)
+        assert early.verdict == "incomparable"
+        monte_carlo(prior, Policy.optimal_biased(), params, 200, seed=3)
+        assert vectors_built == []
