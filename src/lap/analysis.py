@@ -51,20 +51,27 @@ ROW_FIELDS = ("lambda", "k", "bias", "n", "e_upr", "e_ugr", "e_ugb",
 
 
 class _NonPositiveDenominator:
-    """Singleton marker for ratios whose denominator is not positive."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker for ratios whose denominator is not positive; the module
+    makes its one instance below."""
 
     def __repr__(self):
         return "NonPositiveDenominator"
 
 
 NonPositiveDenominator = _NonPositiveDenominator()
+
+
+def render(x, as_float: bool = False):
+    """A reported value as printed: the sentinel's name, a float for a
+    Fraction under as_float, number_to_json for any other number, and
+    anything else (bool included) unchanged."""
+    if x is NonPositiveDenominator:
+        return repr(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+        return x
+    if as_float and isinstance(x, Fraction):
+        return float(x)
+    return number_to_json(x)
 
 
 @dataclass(frozen=True)
@@ -252,26 +259,20 @@ def ratio_report(prior: ProductPrior, params: AgentParams,
     )
 
 
-def _cell(x):
-    if x is NonPositiveDenominator:
-        return "NonPositiveDenominator"
-    return number_to_json(x)
-
-
 def ratio_row(report: RatioReport, params: AgentParams, n: int,
-              instance_id: str, seed: Optional[int] = None
-              ) -> Dict[str, Any]:
+              instance_id: str, seed: Optional[int] = None,
+              as_float: bool = False) -> Dict[str, Any]:
     """Flatten a report into the one row shape shared by CSV and JSON."""
     return {
-        "lambda": _cell(params.lam),
+        "lambda": render(params.lam, as_float),
         "k": params.k,
-        "bias": _cell(report.bias),
+        "bias": render(report.bias, as_float),
         "n": n,
-        "e_upr": _cell(report.e_prophet_rational),
-        "e_ugr": _cell(report.e_gambler_rational_opt),
-        "e_ugb": _cell(report.e_gambler_biased_opt),
-        "prophet_ratio": _cell(report.prophet_ratio),
-        "online_ratio": _cell(report.online_ratio),
+        "e_upr": render(report.e_prophet_rational, as_float),
+        "e_ugr": render(report.e_gambler_rational_opt, as_float),
+        "e_ugb": render(report.e_gambler_biased_opt, as_float),
+        "prophet_ratio": render(report.prophet_ratio, as_float),
+        "online_ratio": render(report.online_ratio, as_float),
         "regime": report.regime,
         "instance_id": instance_id,
         "seed": seed,

@@ -1,9 +1,13 @@
 """Command line front end.
 
 Subcommands: generate, evaluate, ratio, verify, sweep, monte-carlo, reduce.
-All computation runs on exact rationals; --float only changes how report
-numbers are printed.  Exit codes: 0 success, 1 a verification check failed
-(the report is still emitted), 2 invalid input or resource limit.
+Each accepts only the flags it reads (see _SUBCOMMANDS); an unknown or
+abbreviated flag is a usage error.  --seed is taken by ratio, verify, sweep
+and monte-carlo; --format (json or csv) by ratio and sweep; --budget-states
+and --float by every subcommand but generate.  All computation runs on exact
+rationals; --float only changes how report numbers are printed.  Exit codes:
+0 success, 1 a verification check failed (the report is still emitted), 2
+invalid input, resource limit or usage error.
 """
 
 import argparse
@@ -22,7 +26,6 @@ from .core import (
     ProductPrior,
     ResourceLimit,
     Sequence,
-    number_to_json,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
     prior_from_json,
@@ -45,13 +48,13 @@ from .instances import (
 from .policies import Policy, policy_to_json
 from .analysis import (
     CheckResult,
-    NonPositiveDenominator,
     ROW_FIELDS,
     detect_quality_paradox,
     exact_expectation,
     monte_carlo,
     ratio_report,
     ratio_row,
+    render,
     verify_online_bound,
     verify_prophet_bound,
 )
@@ -113,29 +116,6 @@ def policy_spec(text: str) -> Policy:
 # ---------------------------------------------------------------------------
 
 
-def _num(x, as_float: bool):
-    if x is NonPositiveDenominator:
-        return "NonPositiveDenominator"
-    if as_float and isinstance(x, Fraction):
-        return float(x)
-    return number_to_json(x)
-
-
-_ROW_NUMERIC = ("lambda", "bias", "e_upr", "e_ugr", "e_ugb",
-                "prophet_ratio", "online_ratio")
-
-
-def _render_row(row: Dict[str, Any], as_float: bool) -> Dict[str, Any]:
-    if not as_float:
-        return row
-    out = dict(row)
-    for key in _ROW_NUMERIC:
-        cell = out[key]
-        if isinstance(cell, str) and cell and cell != "NonPositiveDenominator":
-            out[key] = float(Fraction(cell))
-    return out
-
-
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -151,16 +131,13 @@ def _dump_csv(rows: List[Dict[str, Any]]) -> str:
 
 
 def _check_json(check: CheckResult, as_float: bool) -> Dict[str, Any]:
-    detail = {key: _num(value, as_float)
-              if isinstance(value, (Fraction, int)) or
-              value is NonPositiveDenominator else value
-              for key, value in check.detail.items()}
     return {
         "name": check.name,
         "passed": check.passed,
-        "lhs": _num(check.lhs, as_float),
-        "rhs": _num(check.rhs, as_float),
-        "detail": detail,
+        "lhs": render(check.lhs, as_float),
+        "rhs": render(check.rhs, as_float),
+        "detail": {key: render(value, as_float)
+                   for key, value in check.detail.items()},
         "counterexample": check.counterexample,
     }
 
@@ -230,13 +207,19 @@ def _load_instance(path: str):
     raise InvalidInput(f"{path} holds neither a sequence nor a prior")
 
 
+def _generated(args, k, lam):
+    """The --gen instance; k and lambda come apart because sweep takes
+    them from its grids."""
+    return _build_generated(args.gen, n=args.n, k=k, lam=lam,
+                            beta=args.beta, eps=args.eps, w=args.w,
+                            q=args.q, a=args.a)
+
+
 def _instance_from_args(args):
     if args.gen and args.infile:
         raise InvalidInput("give either --gen or --in, not both")
     if args.gen:
-        return _build_generated(
-            args.gen, n=args.n, k=args.k, lam=args.lam, beta=args.beta,
-            eps=args.eps, w=args.w, q=args.q, a=args.a)
+        return _generated(args, args.k, args.lam)
     if args.infile:
         return _load_instance(args.infile), args.infile
     raise InvalidInput("an instance is required: --gen NAME or --in FILE")
@@ -273,7 +256,7 @@ def _require(args, **fields):
 def _cmd_generate(args) -> Tuple[str, bool]:
     if not args.gen:
         raise InvalidInput("generate needs --gen NAME")
-    obj, _ = _instance_from_args(args)
+    obj, _ = _generated(args, args.k, args.lam)
     return _dump_json(_instance_json(obj)), False
 
 
@@ -287,9 +270,9 @@ def _cmd_evaluate(args) -> Tuple[str, bool]:
         "instance_id": ident,
         "n": prior.n,
         "k": prior.k,
-        "lambda": _num(args.lam, args.as_float),
+        "lambda": render(args.lam, args.as_float),
         "policy": policy_to_json(args.policy),
-        "expected_utility": _num(value, args.as_float),
+        "expected_utility": render(value, args.as_float),
     }
     return _dump_json(payload), False
 
@@ -300,8 +283,8 @@ def _cmd_ratio(args) -> Tuple[str, bool]:
     _require(args, **{"lambda": args.lam})
     params = AgentParams(args.lam, prior.k)
     report = ratio_report(prior, params, args.budget)
-    row = _render_row(ratio_row(report, params, prior.n, ident, args.seed),
-                      args.as_float)
+    row = ratio_row(report, params, prior.n, ident, args.seed,
+                    args.as_float)
     if args.format == "csv":
         return _dump_csv([row]), False
     return _dump_json(row), False
@@ -361,7 +344,7 @@ def _cmd_verify(args) -> Tuple[str, bool]:
     failures = [c for c in checks if not c.passed]
     payload = {
         "suite": args.suite,
-        "lambda": _num(args.lam, args.as_float),
+        "lambda": render(args.lam, args.as_float),
         "k": args.k,
         "seed": args.seed,
         "instances": count,
@@ -373,12 +356,13 @@ def _cmd_verify(args) -> Tuple[str, bool]:
     return _dump_json(payload), bool(failures)
 
 
-def _blank_row(params: AgentParams, ident: str, seed) -> Dict[str, Any]:
+def _blank_row(params: AgentParams, ident: str, seed,
+               as_float: bool) -> Dict[str, Any]:
     row = dict.fromkeys(ROW_FIELDS, "")
     row.update({
-        "lambda": number_to_json(params.lam),
+        "lambda": render(params.lam, as_float),
         "k": params.k,
-        "bias": number_to_json(params.bias),
+        "bias": render(params.bias, as_float),
         "regime": params.regime,
         "instance_id": ident,
         "seed": seed,
@@ -400,17 +384,16 @@ def _cmd_sweep(args) -> Tuple[str, bool]:
         for k in ks:
             params = AgentParams(lam, k)
             try:
-                obj, ident = _build_generated(
-                    args.gen, n=args.n, k=k, lam=lam, beta=args.beta,
-                    eps=args.eps, w=args.w, q=args.q, a=args.a)
+                obj, ident = _generated(args, k, lam)
                 prior = _as_prior(obj)
                 report = ratio_report(prior, params, args.budget)
-                row = ratio_row(report, params, prior.n, ident, args.seed)
+                row = ratio_row(report, params, prior.n, ident, args.seed,
+                                args.as_float)
             except InvalidInput:
                 # unconstructible cell: keep the grid point, tag the regime
                 ident = f"{args.gen}(unconstructible,k={k},lambda={lam})"
-                row = _blank_row(params, ident, args.seed)
-            rows.append(_render_row(row, args.as_float))
+                row = _blank_row(params, ident, args.seed, args.as_float)
+            rows.append(row)
     if args.format == "json":
         return _dump_json(rows), False
     return _dump_csv(rows), False
@@ -428,7 +411,7 @@ def _cmd_monte_carlo(args) -> Tuple[str, bool]:
         "instance_id": ident,
         "n": prior.n,
         "k": prior.k,
-        "lambda": _num(args.lam, args.as_float),
+        "lambda": render(args.lam, args.as_float),
         "policy": policy_to_json(args.policy),
         "trials": est.trials,
         "seed": est.seed,
@@ -450,10 +433,10 @@ def _cmd_reduce(args) -> Tuple[str, bool]:
         "instance_id": ident,
         "meta": {
             "m": meta.m,
-            "x": _num(meta.x, args.as_float),
+            "x": render(meta.x, args.as_float),
             "alpha_exp": meta.alpha_exp,
             "nominal_n": meta.nominal_n,
-            "epsilon": _num(meta.epsilon, args.as_float),
+            "epsilon": render(meta.epsilon, args.as_float),
             "log_base": meta.log_base,
         },
         "prior": prior_to_json(prior),
@@ -477,34 +460,55 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_instance_flags(sp):
-    sp.add_argument("--gen", choices=GENERATORS, help="instance family")
-    sp.add_argument("--in", dest="infile", metavar="FILE",
-                    help="instance JSON produced by generate")
-    sp.add_argument("--n", type=int, help="candidate count / override")
-    sp.add_argument("--k", type=int, help="value dimension")
-    sp.add_argument("--lambda", dest="lam", type=Fraction,
-                    help="loss-aversion weight")
-    sp.add_argument("--beta", type=Fraction, help="growth ratio")
-    sp.add_argument("--eps", type=Fraction, help="tail probability / slack")
-    sp.add_argument("--w", type=int, help="row count")
-    sp.add_argument("--q", type=Fraction, help="base value")
-    sp.add_argument("--a", type=Fraction, help="shared feature value")
+_FLAGS = {
+    "gen": dict(choices=GENERATORS, help="instance family"),
+    "in": dict(dest="infile", metavar="FILE",
+               help="instance JSON produced by generate"),
+    "n": dict(type=int, help="candidate count / override"),
+    "k": dict(type=int, help="value dimension"),
+    "lambda": dict(dest="lam", type=Fraction, help="loss-aversion weight"),
+    "beta": dict(type=Fraction, help="growth ratio"),
+    "eps": dict(type=Fraction, help="tail probability / slack"),
+    "w": dict(type=int, help="row count"),
+    "q": dict(type=Fraction, help="base value"),
+    "a": dict(type=Fraction, help="shared feature value"),
+    "policy": dict(type=policy_spec),
+    "suite": dict(choices=("bounds", "paradoxes", "all"), default="all"),
+    "trials": dict(type=int, help="trials; for verify, instances per suite "
+                                  f"(default {VERIFY_INSTANCES})"),
+    "lambda-grid": dict(type=grid, metavar="START:STOP:STEP"),
+    "k-grid": dict(type=grid, metavar="START:STOP[:STEP]"),
+    "seed": dict(type=int, help="rng seed"),
+    "budget-states": dict(dest="budget", type=int,
+                          help="state/enumeration budget "
+                               "(env LAP_BUDGET_STATES, default 10^6)"),
+    "out": dict(metavar="FILE", help="write output here"),
+    "format": dict(choices=("json", "csv")),
+    "float": dict(dest="as_float", action="store_true",
+                  help="print numbers as floats, not exact rationals"),
+}
 
+_GENERATOR = ("gen", "n", "k", "lambda", "beta", "eps", "w", "q", "a")
+_INSTANCE = _GENERATOR + ("in",)
+_REPORT = ("budget-states", "out", "float")
 
-def _add_output_flags(sp, default_format="json"):
-    sp.add_argument("--seed", type=int, help="rng seed")
-    sp.add_argument("--budget-states", dest="budget", type=int,
-                    help="state/enumeration budget "
-                         "(env LAP_BUDGET_STATES, default 10^6)")
-    sp.add_argument("--out", metavar="FILE", help="write output here")
-    sp.add_argument("--format", choices=("json", "csv"),
-                    default=default_format)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="print numbers as exact rationals (default)")
-    mode.add_argument("--float", dest="as_float", action="store_true",
-                      help="print numbers as floats")
+# name, help, the flags its _cmd_* reads, defaults
+_SUBCOMMANDS = (
+    ("generate", "emit an instance as JSON", _GENERATOR + ("out",), {}),
+    ("evaluate", "exact expected utility of a policy",
+     _INSTANCE + ("policy",) + _REPORT, {}),
+    ("ratio", "benchmark expectations and ratios",
+     _INSTANCE + ("seed", "format") + _REPORT, {"format": "json"}),
+    ("verify", "run seeded inequality sweeps",
+     ("suite", "k", "lambda", "trials", "seed") + _REPORT, {}),
+    ("sweep", "ratio table over a parameter grid",
+     ("gen", "n", "beta", "eps", "w", "q", "a", "lambda-grid", "k-grid",
+      "seed", "format") + _REPORT, {"format": "csv"}),
+    ("monte-carlo", "sampled expected utility",
+     _INSTANCE + ("policy", "trials", "seed") + _REPORT, {}),
+    ("reduce", "deterministic sequence to iid prior", _INSTANCE + _REPORT,
+     {}),
+)
 
 
 @functools.cache
@@ -514,46 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lap",
         description="Loss-averse prophet instances, policies, and bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("generate", help="emit an instance as JSON")
-    _add_instance_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("evaluate", help="exact expected utility of a policy")
-    _add_instance_flags(sp)
-    sp.add_argument("--policy", type=policy_spec)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("ratio", help="benchmark expectations and ratios")
-    _add_instance_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("verify", help="run seeded inequality sweeps")
-    sp.add_argument("--suite", choices=("bounds", "paradoxes", "all"),
-                    default="all")
-    sp.add_argument("--k", type=int, help="value dimension")
-    sp.add_argument("--lambda", dest="lam", type=Fraction,
-                    help="loss-aversion weight")
-    sp.add_argument("--trials", type=int,
-                    help=f"instances per suite (default {VERIFY_INSTANCES})")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("sweep", help="ratio table over a parameter grid")
-    _add_instance_flags(sp)
-    sp.add_argument("--lambda-grid", type=grid, metavar="START:STOP:STEP")
-    sp.add_argument("--k-grid", type=grid, metavar="START:STOP[:STEP]")
-    _add_output_flags(sp, default_format="csv")
-
-    sp = sub.add_parser("monte-carlo", help="sampled expected utility")
-    _add_instance_flags(sp)
-    sp.add_argument("--policy", type=policy_spec)
-    sp.add_argument("--trials", type=int)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("reduce", help="deterministic sequence to iid prior")
-    _add_instance_flags(sp)
-    _add_output_flags(sp)
-
+    for name, help_text, flags, defaults in _SUBCOMMANDS:
+        # no abbreviations: sweep --lambda must not mean --lambda-grid
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.set_defaults(**defaults)
     return parser
 
 

@@ -246,10 +246,15 @@ class ProductPrior:
 
     def check_support(self, budget: int) -> None:
         """The support-size cap of every exact pass over the prior, whether
-        it lists realizations or walks super-candidate states."""
-        if self.support_size > budget:
-            raise ResourceLimit(
-                f"support size {self.support_size} exceeds budget {budget}")
+        it lists realizations or walks super-candidate states.  The product
+        stops once it passes the budget, so a long prior's support size is
+        never built (nor printed) in full."""
+        size = 1
+        for d in self.steps:
+            size *= len(d.atoms)
+            if size > budget:
+                raise ResourceLimit(
+                    f"support size {size}+ exceeds budget {budget}")
 
     def realizations(self, budget: Optional[int] = None
                      ) -> Iterator[Tuple[Sequence, Number]]:

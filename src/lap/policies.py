@@ -219,7 +219,6 @@ class CompiledPolicy:
     probabilities (two only for atom-splitting thresholds)."""
 
     arms: Tuple[Tuple[Number, Rule], ...]
-    n: int
     seed: Optional[int] = None
 
     @property
@@ -256,7 +255,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
             arms = ((Fraction(1), strict),)
         else:
             arms = ((p, weak), (1 - p, strict))
-        return CompiledPolicy(arms, n, policy.seed)
+        return CompiledPolicy(arms, policy.seed)
     if policy.kind == "fixed-index":
         index = policy.index
         rule = lambda t, s, entries, val: t == index
@@ -270,7 +269,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
         _, table, _ = _biased_dp(prior, AgentParams(lam, params.k),
                                  allow_no_selection, budget)
         rule = _table_rule(table, n, force_last=not allow_no_selection)
-    return CompiledPolicy(((Fraction(1), rule),), n, policy.seed)
+    return CompiledPolicy(((Fraction(1), rule),), policy.seed)
 
 
 def run_rule(rule: Rule, sigma: Sequence,

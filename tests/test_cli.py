@@ -165,6 +165,18 @@ class TestEvaluate:
         monkeypatch.delenv("LAP_BUDGET_STATES")
         assert run_cli(capsys, *argv)[0] == 0
 
+    def test_support_cap_on_long_iid_prior(self, capsys, tmp_path):
+        # 2^20000 has more digits than Python will turn into a string
+        target = tmp_path / "long.json"
+        target.write_text(json.dumps({**ONE_STEP_PRIOR, "n": 20000}))
+        code, out, err = run_cli(capsys, "evaluate", "--in", str(target),
+                                 "--lambda", "1/2", "--policy",
+                                 "accept-last", "--budget-states", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: resource limit")
+        assert "Traceback" not in err
+
 
 class TestRatio:
     def test_motivating_example(self, capsys):
@@ -303,13 +315,14 @@ class TestVerify:
         assert "--seed" in err
 
     def test_failure_exits_one_with_report(self, capsys, monkeypatch):
-        bad = CheckResult("prophet-bound", False, F(0), F(1), {},
+        bad = CheckResult("prophet-bound", False, F(0), F(1),
+                          {"flag": True, "q": F(3, 2)},
                           {"prior": {"k": 1}, "rhs": "1"})
         monkeypatch.setattr(cli, "verify_prophet_bound",
                             lambda *a, **kw: bad)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "bounds",
-                               "--lambda", "1/2", "--k", "2",
-                               "--seed", "1", "--trials", "2")
+        argv = ("verify", "--suite", "bounds", "--lambda", "1/2", "--k", "2",
+                "--seed", "1", "--trials", "2")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         payload = json.loads(out)
         assert payload["checks"] == 4
@@ -317,7 +330,13 @@ class TestVerify:
         first = payload["failures"][0]
         assert first["name"] == "prophet-bound"
         assert first["lhs"] == "0"
+        assert first["detail"] == {"flag": True, "q": "3/2"}
         assert first["counterexample"] == {"prior": {"k": 1}, "rhs": "1"}
+        code, out, _ = run_cli(capsys, *argv, "--float")
+        assert code == 1
+        first = json.loads(out)["failures"][0]
+        assert first["lhs"] == 0.0
+        assert first["detail"] == {"flag": True, "q": 1.5}
 
 
 class TestSweep:
@@ -478,6 +497,20 @@ class TestEntryPoint:
         capsys.readouterr()
         assert run_cli(capsys, *argv) == (0, first, "")
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", *WCM_ARGS, "--policy", "accept-last", "--format", "csv"),
+        ("evaluate", *WCM_ARGS, "--policy", "accept-last", "--seed", "1"),
+        ("sweep", "--gen", "worstcase-mixed", "--w", "2", "--eps", "1/5",
+         "--lambda-grid", "1/4", "--k-grid", "1:2", "--lambda", "1/2"),
+        ("generate", *WCM_ARGS, "--float"),
+        ("ratio", *WCM_ARGS, "--exact"),
+    ])
+    def test_unread_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_module_help(self):
         proc = subprocess.run([sys.executable, "-m", "lap.cli", "--help"],
