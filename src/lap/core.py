@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 Number = Union[int, float, Fraction]
@@ -74,8 +75,10 @@ class ValueVector:
     def k(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def l1(self) -> Number:
+        # computed on first read and kept in the instance dict; dataclass
+        # equality, hash and repr see only `entries`
         return sum(self.entries)
 
     def _check_dim(self, other: "ValueVector") -> None:

@@ -21,8 +21,12 @@ Three families of rules live here:
 All of these run on one tuple lattice core: a per-step atom table of plain
 values read once from the validated prior, one join, one stop-utility
 formula and one reachable-layer builder that counts states against the
-budget.  The V* and per-dimension maximum distributions are one scalar
-max-convolution, `max_distribution`, under two keys.
+budget.  The biased DP's states are rank tuples: each coordinate's values
+are replaced by their rank among that coordinate's distinct values, so
+joins compare small ints, and a state is decoded to its values once, for
+its table key and its L1 norm.  The V* and per-dimension maximum
+distributions are one scalar max-convolution, `max_distribution`, under
+two keys.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import (
@@ -168,6 +173,34 @@ def _atom_table(prior: ProductPrior):
     return [rows[id(step)] for step in prior.steps]
 
 
+def _rank_table(steps, k: int):
+    """The atom table with each atom's entries also as ranks, per atom
+    (entries, l1, p, ranks), and per coordinate the sorted values its ranks
+    index.  Steps that share a row still share one.
+
+    Rank 0 of every coordinate is Fraction(0), the value the empty history
+    starts from (an equal 0.0 is the same value, and `max` would keep the
+    Fraction).  Ranks order a coordinate's values as the values do, so the
+    join of rank tuples decodes to the join of the values."""
+    rows = {id(atoms): atoms for atoms in steps}
+    levels = []
+    for j in range(k):
+        seen = {Fraction(0)}
+        seen.update(atom[0][j] for atoms in rows.values() for atom in atoms)
+        levels.append(tuple(sorted(seen)))
+    rank_of = [{x: i for i, x in enumerate(level)} for level in levels]
+    ranked = {key: tuple((entries, val, p,
+                          tuple(map(dict.__getitem__, rank_of, entries)))
+                         for entries, val, p, _ in atoms)
+              for key, atoms in rows.items()}
+    return [ranked[id(atoms)] for atoms in steps], levels
+
+
+def _decode(levels, ranks: tuple) -> tuple:
+    """The values a rank tuple stands for."""
+    return tuple(map(getitem, levels, ranks))
+
+
 def _zero(k: int) -> tuple:
     return (Fraction(0),) * k
 
@@ -183,18 +216,18 @@ def _utility(lam: Number, val: Number, s_l1: Number) -> Number:
     return val - lam * (s_l1 - val)
 
 
-def _layers(steps, k: int, budget: Optional[int]):
-    """Reachable super candidates before each step (sorted) and their total
-    count, which the state budget caps."""
+def _layers(ranked, k: int, budget: Optional[int]):
+    """Reachable super candidates before each step as sorted rank tuples,
+    and their total count, which the state budget caps."""
     budget = resolve_budget(budget)
-    layers = [(_zero(k),)]
+    layers = [((0,) * k,)]
     count = 1
-    for atoms in steps[:-1]:
-        nxt = {_join(s, atom[0]) for s in layers[-1] for atom in atoms}
+    for t, atoms in enumerate(ranked[:-1], 2):
+        nxt = {_join(s, atom[3]) for s in layers[-1] for atom in atoms}
         count += len(nxt)
         if count > budget:
-            raise ResourceLimit(
-                f"state budget {budget} exceeded ({count}+ states)")
+            raise ResourceLimit(f"state budget {budget} exceeded "
+                                f"({count}+ states by step {t})")
         layers.append(tuple(sorted(nxt)))
     return layers, count
 
@@ -397,25 +430,34 @@ def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:
 
 def _biased_dp(prior: ProductPrior, params: AgentParams,
                allow_no_selection: bool, budget: Optional[int]):
+    """Backward induction over rank-tuple states.  A state is decoded to its
+    values once, for its table key, and a joined state once, for its L1
+    norm (and, after the last step, its no-selection utility)."""
     lam = params.lam
-    steps = _atom_table(prior)
+    steps, levels = _rank_table(_atom_table(prior), prior.k)
     layers, count = _layers(steps, prior.k, budget)
     n = prior.n
     table: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
     values: Dict[tuple, Number] = {}
+    norms: Dict[tuple, Number] = {}  # joined state -> its L1 norm
+    declines: Dict[tuple, Number] = {}  # after step n: U of no selection
     for t in range(n, 0, -1):
         newvals: Dict[tuple, Number] = {}
         for s in layers[t - 1]:
             total = 0
             accepted = []
-            for entries, val, p, _ in steps[t - 1]:
-                joined = _join(s, entries)
-                s_l1 = sum(joined)
+            for entries, val, p, ranks in steps[t - 1]:
+                joined = _join(s, ranks)
+                s_l1 = norms.get(joined)
+                if s_l1 is None:
+                    s_l1 = norms[joined] = sum(_decode(levels, joined))
                 u = _utility(lam, val, s_l1)
                 if t < n:
                     cont = values[joined]
                 elif allow_no_selection:
-                    cont = _utility(lam, 0, s_l1)
+                    cont = declines.get(joined)
+                    if cont is None:
+                        cont = declines[joined] = _utility(lam, 0, s_l1)
                 else:
                     cont = None
                 if cont is None or u >= cont:
@@ -425,7 +467,7 @@ def _biased_dp(prior: ProductPrior, params: AgentParams,
                     choice = cont
                 total = total + p * choice
             newvals[s] = total
-            table[(t, s)] = tuple(sorted(accepted))
+            table[(t, _decode(levels, s))] = tuple(sorted(accepted))
         values = newvals
     return values[layers[0][0]], table, count
 

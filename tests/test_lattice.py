@@ -2,6 +2,7 @@
 (step, super candidate) states) against brute-force oracles that walk every
 realization."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,12 +15,15 @@ from lap.core import (
     FiniteDistribution,
     InvalidInput,
     ProductPrior,
+    ResourceLimit,
     Sequence,
     ValueVector,
+    prior_from_json,
 )
 from lap.policies import (
     Policy,
     compile_policy,
+    dp_result_to_json,
     optimal_biased_policy,
     patience_compare,
 )
@@ -184,3 +188,80 @@ class TestLeanCore:
         assert early.verdict == "incomparable"
         monte_carlo(prior, Policy.optimal_biased(), params, 200, seed=3)
         assert vectors_built == []
+
+
+class TestRankStates:
+    """The biased DP runs on per-coordinate ranks; what it returns is keyed
+    on the super candidates' own values."""
+
+    # the second coordinate stays 0 on every realization
+    PRIOR = {"k": 2, "n": 3, "iid": False, "steps": [
+        {"atoms": [{"v": ["3", "0"], "p": "1/4"},
+                   {"v": ["1", "0"], "p": "3/4"}]},
+        {"atoms": [{"v": ["2", "0"], "p": "1/2"},
+                   {"v": ["1/2", "0"], "p": "1/2"}]},
+        {"atoms": [{"v": ["5/2", "0"], "p": "1/3"},
+                   {"v": ["0", "0"], "p": "2/3"}]}]}
+
+    def test_states_are_the_reachable_super_candidates(self):
+        rng = random.Random(113)
+        for _ in range(40):
+            steps, lam, params = random_case(rng)
+            res = optimal_biased_policy(prior_of(steps), params)
+            states = {(1, (F(0),) * params.k)}
+            for candidates, _ in oracles.realizations(steps):
+                states.update((t, oracles.running_max(candidates[:t - 1]))
+                              for t in range(2, len(steps) + 1))
+            assert set(res.policy_table) == states
+            assert res.state_count == len(states)
+            assert res.expected_utility == oracles.history_optimal(steps, lam)
+
+    @pytest.mark.parametrize("exact, lam, expected", [
+        (True, F(1, 2),
+         '{"expected_utility": "27/16", "state_count": 6, "policy_table": '
+         '[{"step": 1, "state": ["0", "0"], "accept": [["3", "0"]]}, '
+         '{"step": 2, "state": ["1", "0"], "accept": [["2", "0"]]}, '
+         '{"step": 2, "state": ["3", "0"], "accept": [["2", "0"]]}, '
+         '{"step": 3, "state": ["1", "0"], '
+         '"accept": [["0", "0"], ["5/2", "0"]]}, '
+         '{"step": 3, "state": ["2", "0"], '
+         '"accept": [["0", "0"], ["5/2", "0"]]}, '
+         '{"step": 3, "state": ["3", "0"], '
+         '"accept": [["0", "0"], ["5/2", "0"]]}]}'),
+        # a coordinate no atom raises stays the exact 0 the DP starts from
+        (False, 0.5,
+         '{"expected_utility": 1.6875, "state_count": 6, "policy_table": '
+         '[{"step": 1, "state": ["0", "0"], "accept": [[3.0, 0.0]]}, '
+         '{"step": 2, "state": [1.0, "0"], "accept": [[2.0, 0.0]]}, '
+         '{"step": 2, "state": [3.0, "0"], "accept": [[2.0, 0.0]]}, '
+         '{"step": 3, "state": [1.0, "0"], '
+         '"accept": [[0.0, 0.0], [2.5, 0.0]]}, '
+         '{"step": 3, "state": [2.0, "0"], '
+         '"accept": [[0.0, 0.0], [2.5, 0.0]]}, '
+         '{"step": 3, "state": [3.0, "0"], '
+         '"accept": [[0.0, 0.0], [2.5, 0.0]]}]}'),
+    ])
+    def test_table_json_pinned(self, exact, lam, expected):
+        res = optimal_biased_policy(prior_from_json(self.PRIOR, exact),
+                                    AgentParams(lam, 2))
+        assert json.dumps(dp_result_to_json(res)) == expected
+
+    def test_budget_error_names_the_step(self):
+        # states per step: 1, then {1, 2} at steps 2, 3 and 4
+        step = [((F(1),), F(1, 2)), ((F(2),), F(1, 2))]
+        prior = prior_of([step] * 4)
+        params = AgentParams(F(1, 2), 1)
+        with pytest.raises(ResourceLimit) as err:
+            optimal_biased_policy(prior, params, budget=3)
+        assert str(err.value) == \
+            "state budget 3 exceeded (5+ states by step 3)"
+        assert optimal_biased_policy(prior, params, budget=7).state_count == 7
+
+
+def test_l1_is_read_once_and_leaves_the_vector_unchanged():
+    a, b = ValueVector((F(1), F(5, 2))), ValueVector((F(1), F(5, 2)))
+    before = (repr(a), hash(a))
+    assert a.l1 == F(7, 2)
+    assert a.l1 is a.l1
+    assert (repr(a), hash(a)) == before
+    assert a == b and hash(a) == hash(b)
