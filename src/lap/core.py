@@ -259,6 +259,16 @@ class ProductPrior:
                 raise ResourceLimit(
                     f"support size {size}+ exceeds budget {budget}")
 
+    def memoized(self, build, *args):
+        """`build(self, *args)`, kept in the instance dict (like
+        ValueVector.l1) per equal arguments of equal types.  An exception
+        is not kept; a kept result is shared, so it is read-only."""
+        memo = self.__dict__.setdefault("_memo", {})
+        key = (build, args, tuple(map(type, args)))
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
+
     def realizations(self, budget: Optional[int] = None
                      ) -> Iterator[Tuple[Sequence, Number]]:
         """All (sequence, probability) pairs of the product support."""
@@ -346,7 +356,6 @@ def offline_optimal_biased(sigma: Sequence, params: AgentParams,
                            allow_no_selection: bool = False) -> StoppingOutcome:
     """Arg-max of the biased gambler utility over stops; ties resolve to the
     smallest index, and any selection beats an equal-utility NoSelection."""
-    _check_dims(sigma, params)
     best: Optional[StoppingOutcome] = None
     for t in range(1, sigma.n + 1):
         u = biased_gambler_utility(sigma, t, params)
@@ -362,7 +371,6 @@ def offline_optimal_biased(sigma: Sequence, params: AgentParams,
 def offline_optimal_prophet_utility(sigma: Sequence,
                                     params: AgentParams) -> Number:
     """Best biased-prophet utility over all picks (the offline agent)."""
-    _check_dims(sigma, params)
     return max(biased_prophet_utility(sigma, t, params)
                for t in range(1, sigma.n + 1))
 
@@ -427,10 +435,12 @@ def number_from_json(x, exact: bool = True) -> Number:
     if isinstance(x, str):
         try:
             return Fraction(x) if exact else float(Fraction(x))
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise InvalidInput(f"bad number literal {x!r}") from err
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidInput(f"expected a number, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InvalidInput(f"expected a finite number, got {x!r}")
     if exact:
         return Fraction(x)
     return float(x)

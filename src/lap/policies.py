@@ -19,14 +19,15 @@ Three families of rules live here:
   realization; the prior's support size is still what their budget caps.
 
 All of these run on one tuple lattice core: a per-step atom table of plain
-values read once from the validated prior, one join, one stop-utility
-formula and one reachable-layer builder that counts states against the
-budget.  The biased DP's states are rank tuples: each coordinate's values
-are replaced by their rank among that coordinate's distinct values, so
-joins compare small ints, and a state is decoded to its values once, for
-its table key and its L1 norm.  The V* and per-dimension maximum
-distributions are one scalar max-convolution, `max_distribution`, under
-two keys.
+values, one join and one stop-utility formula.  The biased DP's states are
+rank tuples (each coordinate's values replaced by their rank among its
+distinct values), so joins compare small ints, and it counts them against
+the state budget.  V* and the per-dimension maxima are one max-convolution,
+`max_distribution`.  Each prior binds these once: `ProductPrior.memoized`
+keeps the atom and rank tables, the V* distribution, the rational DP and
+the biased DP per (lambda and its type, allow_no_selection, resolved
+budget), so a float lambda never gets an exact lambda's result and a budget
+still binds.  Kept results are shared, so read-only; errors are not kept.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .core import (
     ResourceLimit,
     Sequence,
     StoppingOutcome,
+    _json_int,
     number_from_json,
     number_to_json,
 )
@@ -173,7 +175,7 @@ def _atom_table(prior: ProductPrior):
     return [rows[id(step)] for step in prior.steps]
 
 
-def _rank_table(steps, k: int):
+def _rank_table(prior: ProductPrior):
     """The atom table with each atom's entries also as ranks, per atom
     (entries, l1, p, ranks), and per coordinate the sorted values its ranks
     index.  Steps that share a row still share one.
@@ -182,9 +184,10 @@ def _rank_table(steps, k: int):
     starts from (an equal 0.0 is the same value, and `max` would keep the
     Fraction).  Ranks order a coordinate's values as the values do, so the
     join of rank tuples decodes to the join of the values."""
+    steps = prior.memoized(_atom_table)
     rows = {id(atoms): atoms for atoms in steps}
     levels = []
-    for j in range(k):
+    for j in range(prior.k):
         seen = {Fraction(0)}
         seen.update(atom[0][j] for atoms in rows.values() for atom in atoms)
         levels.append(tuple(sorted(seen)))
@@ -214,22 +217,6 @@ def _utility(lam: Number, val: Number, s_l1: Number) -> Number:
     """Stopping on L1 value `val` against a super candidate of L1 norm
     `s_l1`; declining everything scores as a zero-valued pick."""
     return val - lam * (s_l1 - val)
-
-
-def _layers(ranked, k: int, budget: Optional[int]):
-    """Reachable super candidates before each step as sorted rank tuples,
-    and their total count, which the state budget caps."""
-    budget = resolve_budget(budget)
-    layers = [((0,) * k,)]
-    count = 1
-    for t, atoms in enumerate(ranked[:-1], 2):
-        nxt = {_join(s, atom[3]) for s in layers[-1] for atom in atoms}
-        count += len(nxt)
-        if count > budget:
-            raise ResourceLimit(f"state budget {budget} exceeded "
-                                f"({count}+ states by step {t})")
-        layers.append(tuple(sorted(nxt)))
-    return layers, count
 
 
 def _table_rule(accept, n: int, force_last: bool) -> Rule:
@@ -295,12 +282,12 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
     elif policy.kind == "accept-last":
         rule = lambda t, s, entries, val: t == n
     elif policy.kind == "optimal-rational":
-        _, cont, _ = _rational_dp(prior)  # cont[t]: value on reaching t
+        cont = prior.memoized(_rational_dp)[1]  # cont[t]: value on reaching t
         rule = lambda t, s, entries, val: val >= cont[t + 1]
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
-        _, table, _ = _biased_dp(prior, AgentParams(lam, params.k),
-                                 allow_no_selection, budget)
+        table = optimal_biased_policy(prior, AgentParams(lam, params.k),
+                                      allow_no_selection, budget).policy_table
         rule = _table_rule(table, n, force_last=not allow_no_selection)
     return CompiledPolicy(((Fraction(1), rule),), policy.seed)
 
@@ -329,7 +316,7 @@ def rule_expectation(rule: Rule, prior: ProductPrior,
     lam = params.lam
     mass = {_zero(prior.k): Fraction(1)}
     total = Fraction(0)
-    for t, atoms in enumerate(_atom_table(prior), 1):
+    for t, atoms in enumerate(prior.memoized(_atom_table), 1):
         nxt: Dict[tuple, Number] = {}
         for s, m in mass.items():
             banked = 0
@@ -371,7 +358,7 @@ def max_distribution(prior: ProductPrior,
     candidate's entries: the first step's law, then one max-convolution per
     later step."""
     dist: Optional[Dict[Number, Number]] = None
-    for atoms in _atom_table(prior):
+    for atoms in prior.memoized(_atom_table):
         law: Dict[Number, Number] = {}
         for entries, _, p, _ in atoms:
             x = key(entries)
@@ -390,7 +377,7 @@ def max_distribution(prior: ProductPrior,
 
 def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
     """Exact distribution of V* = max_t ||sigma^(t)||_1."""
-    return max_distribution(prior, sum)
+    return prior.memoized(max_distribution, sum)
 
 
 def threshold_from_alpha(prior: ProductPrior, alpha: Number,
@@ -428,15 +415,24 @@ def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:
 # ---------------------------------------------------------------------------
 
 
-def _biased_dp(prior: ProductPrior, params: AgentParams,
-               allow_no_selection: bool, budget: Optional[int]):
-    """Backward induction over rank-tuple states.  A state is decoded to its
-    values once, for its table key, and a joined state once, for its L1
-    norm (and, after the last step, its no-selection utility)."""
-    lam = params.lam
-    steps, levels = _rank_table(_atom_table(prior), prior.k)
-    layers, count = _layers(steps, prior.k, budget)
+def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
+               budget: int) -> DPResult:
+    """The reachable super candidates before each step as sorted rank
+    tuples, whose total count the state budget caps, then backward
+    induction over them.  A state is decoded to its values once, for its
+    table key, and a joined state once, for its L1 norm (and, after the last
+    step, its no-selection utility)."""
+    steps, levels = prior.memoized(_rank_table)
     n = prior.n
+    layers = [((0,) * prior.k,)]
+    count = 1
+    for t, atoms in zip(range(2, n + 1), steps):  # no copy of steps
+        nxt = {_join(s, atom[3]) for s in layers[-1] for atom in atoms}
+        count += len(nxt)
+        if count > budget:
+            raise ResourceLimit(f"state budget {budget} exceeded "
+                                f"({count}+ states by step {t})")
+        layers.append(tuple(sorted(nxt)))
     table: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
     values: Dict[tuple, Number] = {}
     norms: Dict[tuple, Number] = {}  # joined state -> its L1 norm
@@ -469,7 +465,7 @@ def _biased_dp(prior: ProductPrior, params: AgentParams,
             newvals[s] = total
             table[(t, _decode(levels, s))] = tuple(sorted(accepted))
         values = newvals
-    return values[layers[0][0]], table, count
+    return DPResult(values[layers[0][0]], table, count)
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
@@ -482,12 +478,12 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
     """
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
-    value, table, count = _biased_dp(prior, params, allow_no_selection, budget)
-    return DPResult(value, table, count)
+    return prior.memoized(_biased_dp, params.lam, allow_no_selection,
+                          resolve_budget(budget))
 
 
 def _rational_dp(prior: ProductPrior):
-    steps = _atom_table(prior)
+    steps = prior.memoized(_atom_table)
     n = prior.n
     cont = [Fraction(0)] * (n + 2)  # cont[t] = optimal value on reaching t
     for t in range(n, 0, -1):
@@ -501,15 +497,14 @@ def _rational_dp(prior: ProductPrior):
         table[(t, ())] = tuple(sorted(
             entries for entries, val, _, _ in steps[t - 1]
             if val >= cont[t + 1]))
-    return cont[1], cont, table
+    return DPResult(cont[1], table, n + 1), cont
 
 
 def optimal_rational_policy(prior: ProductPrior,
                             budget: Optional[int] = None) -> DPResult:
     """Classical optimal stopping on L1 values (lambda = 0)."""
     resolve_budget(budget)  # validates; the rational DP is O(n) regardless
-    value, _, table = _rational_dp(prior)
-    return DPResult(value, table, prior.n + 1)
+    return prior.memoized(_rational_dp)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +542,7 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     rule_a = _single_rule(a, prior, params, allow_no_selection, budget)
     rule_b = _single_rule(b, prior, params, allow_no_selection, budget)
     prior.check_support(resolve_budget(budget))
-    steps = _atom_table(prior)
+    steps = prior.memoized(_atom_table)
     n = prior.n
     clear = set()  # (t, super candidate, b running): no witness
     # frame: [step t, super candidate before t, b running, next atom index]
@@ -626,13 +621,12 @@ def policy_from_json(obj: dict, exact: bool = True) -> Policy:
         raise InvalidInput(f"unknown policy kind {kind!r}")
     num = lambda key: (number_from_json(obj[key], exact)
                        if key in obj and obj[key] is not None else None)
-    seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InvalidInput("seed must be an integer")
+    whole = lambda key: (_json_int(obj[key], f"'{key}'")
+                         if obj.get(key) is not None else None)
     return Policy(kind=kind, threshold=num("threshold"),
                   atom_accept_prob=num("atom_accept_prob"),
-                  alpha=num("alpha"), index=obj.get("index"),
-                  lam=num("lambda"), seed=seed)
+                  alpha=num("alpha"), index=whole("index"),
+                  lam=num("lambda"), seed=whole("seed"))
 
 
 def dp_result_to_json(res: DPResult) -> dict:

@@ -248,6 +248,23 @@ class TestRatio:
         assert code == 2
         assert "needs 'v' and 'p'" in err
 
+    @pytest.mark.parametrize("where", ["entry", "p"])
+    @pytest.mark.parametrize("literal", ["1e999", "Infinity", "NaN"])
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path, where,
+                                         literal):
+        # JSON numbers that parse to inf or nan, which Fraction cannot hold
+        entry, p = (literal, '"1/2"') if where == "entry" else ('"1"', literal)
+        target = tmp_path / "instance.json"
+        target.write_text(
+            '{"k": 1, "n": 1, "iid": true, "steps": [{"atoms": ['
+            f'{{"v": [{entry}], "p": {p}}}, {{"v": ["3"], "p": "1/2"}}]}}]}}')
+        code, out, err = run_cli(capsys, "ratio", "--in", str(target),
+                                 "--lambda", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("obj", [
         dict(ONE_STEP_PRIOR, k=True),
         dict(ONE_STEP_PRIOR, steps=[{"atoms": {"v": ["1"], "p": "1"}}]),

@@ -24,6 +24,7 @@ from lap.core import (
     higher_quality,
     is_succinct,
     max_value,
+    number_from_json,
     no_selection_utility,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
@@ -374,6 +375,15 @@ class TestSerialization:
         prior = ProductPrior((d1, d2))
         back = prior_from_json(prior_to_json(prior))
         assert back == prior
+
+    # the string "1e999" is an exact rational, but past the float range
+    @pytest.mark.parametrize("x, exact", [
+        (float("inf"), True), (float("inf"), False),
+        (float("-inf"), True), (float("nan"), True), (float("nan"), False),
+        ("1e999", False)])
+    def test_non_finite_numbers_rejected(self, x, exact):
+        with pytest.raises(InvalidInput):
+            number_from_json(x, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from lap import cli, policies
 from lap.analysis import exact_expectation, monte_carlo
 from lap.core import (
     AgentParams,
@@ -256,6 +257,73 @@ class TestRankStates:
         assert str(err.value) == \
             "state budget 3 exceeded (5+ states by step 3)"
         assert optimal_biased_policy(prior, params, budget=7).state_count == 7
+
+
+class TestPriorMemo:
+    """Each prior memoizes its passes; a memo hit must give what a fresh
+    prior gives, value and type, and must not outlive a budget."""
+
+    STEPS = [[((F(1), F(2)), F(1, 3)), ((F(3), F(0)), F(2, 3))],
+             [((F(2), F(1)), F(1, 2)), ((F(0), F(5, 2)), F(1, 2))],
+             [((F(1), F(1)), F(1, 4)), ((F(5, 2), F(1, 2)), F(3, 4))]]
+
+    def passes(self, prior, lam):
+        params = AgentParams(lam, 2)
+        res = optimal_biased_policy(prior, params)
+        value = exact_expectation(prior, Policy.optimal_biased(), params)
+        return res.expected_utility, repr(res.policy_table), value
+
+    @pytest.mark.parametrize("order", [(F(1, 2), 0.5), (0.5, F(1, 2))])
+    def test_exact_and_float_lambda_are_two_keys(self, order):
+        prior = prior_of(self.STEPS)
+        for lam in order + order:
+            got = self.passes(prior, lam)
+            fresh = self.passes(prior_of(self.STEPS), lam)
+            assert got == fresh
+            assert [type(x) for x in got] == [type(x) for x in fresh]
+            assert type(got[0]) is type(lam)
+
+    def test_budget_binds_on_a_memoized_prior(self, monkeypatch):
+        params = AgentParams(F(1, 2), 2)
+
+        def limit_message(prior, budget=None):
+            with pytest.raises(ResourceLimit) as err:
+                optimal_biased_policy(prior, params, budget=budget)
+            return str(err.value)
+
+        prior = prior_of(self.STEPS)
+        count = optimal_biased_policy(prior, params).state_count
+        assert limit_message(prior, count - 1) == \
+            limit_message(prior_of(self.STEPS), count - 1)
+        monkeypatch.setenv("LAP_BUDGET_STATES", str(count - 1))
+        assert limit_message(prior) == limit_message(prior_of(self.STEPS))
+        monkeypatch.delenv("LAP_BUDGET_STATES")
+        assert optimal_biased_policy(prior, params).state_count == count
+
+    def test_verify_builds_each_table_once_per_prior(self, monkeypatch,
+                                                      capsys):
+        built = {name: [] for name in ("atoms", "vstar", "biased",
+                                       "rational")}
+
+        def counted(name, build, only_key=None):
+            def wrapper(prior, *args):
+                if only_key is None or args == (only_key,):
+                    built[name].append(prior)
+                return build(prior, *args)
+            return wrapper
+
+        for name, attr, key in (("atoms", "_atom_table", None),
+                                ("vstar", "max_distribution", sum),
+                                ("biased", "_biased_dp", None),
+                                ("rational", "_rational_dp", None)):
+            monkeypatch.setattr(policies, attr, counted(
+                name, getattr(policies, attr), key))
+        assert cli.main(["verify", "--suite", "bounds", "--lambda", "1/3",
+                         "--k", "2", "--seed", "7", "--trials", "3"]) == 0
+        assert '"passed": 6' in capsys.readouterr().out
+        for name, priors in built.items():
+            assert len(priors) == 3, name
+            assert len({id(prior) for prior in priors}) == 3, name
 
 
 def test_l1_is_read_once_and_leaves_the_vector_unchanged():

@@ -397,6 +397,16 @@ class TestPolicyJson:
         with pytest.raises(InvalidInput):
             policy_from_json({"kind": "nope"})
 
+    @pytest.mark.parametrize("obj", [
+        {"kind": "fixed-index", "index": True},
+        {"kind": "threshold", "alpha": "1/2", "seed": True},
+        {"kind": "threshold", "alpha": "1/2", "seed": "7"},
+        {"kind": "fixed-index", "index": 2.0},
+    ], ids=["bool-index", "bool-seed", "string-seed", "float-index"])
+    def test_integer_fields_reject_other_types(self, obj):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            policy_from_json(obj)
+
     def test_alpha_policy_resolves_against_prior(self):
         pol = policy_from_json({"kind": "threshold", "alpha": "3/4"})
         out = run_policy(pol, seq((1,), (3,)), AgentParams(F(0), 1),
