@@ -282,7 +282,7 @@ def gamma_of(prior: ProductPrior) -> Number:
     e_v = _expectation_of(value_max_distribution(prior))
     if e_v <= 0:
         raise InvalidInput("gamma needs a positive expected best value")
-    return prior.memoized(_e_sum_dim_maxima) / e_v
+    return _e_sum_dim_maxima(prior) / e_v
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,9 @@ def gamma_of(prior: ProductPrior) -> Number:
 # ---------------------------------------------------------------------------
 
 
-def _require_subcritical(params: AgentParams) -> None:
+def _require_subcritical(prior: ProductPrior, params: AgentParams) -> None:
+    if prior.k != params.k:
+        raise InvalidInput("prior and params dimensions differ")
     if params.bias >= 1:
         raise InvalidInput(
             f"bound needs subcritical bias, got {params.bias}")
@@ -304,10 +306,10 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
     optimal biased policy, must reach
     (1 - bias) * max(E[sum_j S_j*] / (1+lam+k), E[V*] / (2+lam)).
     """
-    _require_subcritical(params)
+    _require_subcritical(prior, params)
     lam, k = params.lam, params.k
     e_v = _expectation_of(value_max_distribution(prior))
-    e_sum = prior.memoized(_e_sum_dim_maxima)
+    e_sum = _e_sum_dim_maxima(prior)
     alphas = sorted(guarantee_alphas(params))
     exps = [exact_expectation(prior, Policy.from_alpha(a), params,
                               budget=budget) for a in alphas]
@@ -348,7 +350,7 @@ def verify_online_bound(prior: ProductPrior, params: AgentParams,
                         budget: Optional[int] = None) -> CheckResult:
     """Check (1 - bias) * E[U_gr*] <= (1 + lam) * E[U_gb*], the
     cross-multiplied cap on how much bias can cost an optimal gambler."""
-    _require_subcritical(params)
+    _require_subcritical(prior, params)
     e_gr = optimal_rational_policy(prior, budget).expected_utility
     e_gb = optimal_biased_policy(prior, params, True,
                                  budget).expected_utility

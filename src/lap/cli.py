@@ -198,7 +198,7 @@ def _load_instance(path: str):
         raise InvalidInput(f"cannot read {path}: {err}")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a decode error, or an int past 4,300 digits
         raise InvalidInput(f"malformed JSON in {path}: {err}")
     if isinstance(obj, dict) and "candidates" in obj:
         return sequence_from_json(obj)
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     except InvalidInput as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ResourceLimit as err:
+    except (ResourceLimit, OverflowError) as err:  # a float past its range
         print(f"error: resource limit: {err}", file=sys.stderr)
         return 2
     _write_output(text, args.out)

@@ -432,18 +432,15 @@ def number_to_json(x: Number):
 
 
 def number_from_json(x, exact: bool = True) -> Number:
-    if isinstance(x, str):
-        try:
-            return Fraction(x) if exact else float(Fraction(x))
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
-            raise InvalidInput(f"bad number literal {x!r}") from err
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
         raise InvalidInput(f"expected a number, got {x!r}")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InvalidInput(f"expected a finite number, got {x!r}")
-    if exact:
-        return Fraction(x)
-    return float(x)
+    if not exact and isinstance(x, float) and math.isfinite(x):
+        return x
+    try:  # Fraction rejects inf and nan, float() an int past its range
+        value = Fraction(x)
+        return value if exact else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        raise InvalidInput(f"expected a finite number, got {x!r}") from err
 
 
 def sequence_to_json(sigma: Sequence) -> dict:

@@ -23,9 +23,9 @@ values, one join and one stop-utility formula.  The biased DP's states are
 rank tuples (each coordinate's values replaced by their rank among its
 distinct values), so joins compare small ints, and it counts them against
 the state budget.  V* and the per-dimension maxima are one max-convolution,
-`max_distribution`.  Each prior binds these once: `ProductPrior.memoized`
-keeps the atom and rank tables, the V* distribution, the rational DP and
-the biased DP per (lambda and its type, allow_no_selection, resolved
+`max_distribution`.  A pass with two readers on one prior runs once:
+`ProductPrior.memoized` keeps the atom and rank tables, the V* distribution
+and the biased DP per (lambda and its type, allow_no_selection, resolved
 budget), so a float lambda never gets an exact lambda's result and a budget
 still binds.  Kept results are shared, so read-only; errors are not kept.
 """
@@ -282,7 +282,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
     elif policy.kind == "accept-last":
         rule = lambda t, s, entries, val: t == n
     elif policy.kind == "optimal-rational":
-        cont = prior.memoized(_rational_dp)[1]  # cont[t]: value on reaching t
+        cont = _rational_dp(prior)[1]  # cont[t]: value on reaching t
         rule = lambda t, s, entries, val: val >= cont[t + 1]
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
@@ -504,7 +504,7 @@ def optimal_rational_policy(prior: ProductPrior,
                             budget: Optional[int] = None) -> DPResult:
     """Classical optimal stopping on L1 values (lambda = 0)."""
     resolve_budget(budget)  # validates; the rational DP is O(n) regardless
-    return prior.memoized(_rational_dp)[0]
+    return _rational_dp(prior)[0]
 
 
 # ---------------------------------------------------------------------------

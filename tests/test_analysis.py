@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from lap import analysis
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -408,6 +409,22 @@ class TestVerifyOnlineBound:
     def test_supercritical_rejected(self):
         with pytest.raises(InvalidInput):
             verify_online_bound(WCM, AgentParams(F(3, 2), 2))
+
+
+@pytest.mark.parametrize("verify", [verify_prophet_bound,
+                                    verify_online_bound])
+def test_verifier_rejects_dimension_mismatch_first(monkeypatch, verify):
+    # the check comes before any pass: none of them may run
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before the dimension check")
+
+    for name in ("value_max_distribution", "optimal_rational_policy",
+                 "optimal_biased_policy", "_e_sum_dim_maxima"):
+        monkeypatch.setattr(analysis, name, no_pass)
+    with pytest.raises(InvalidInput, match="dimensions differ"):
+        verify(WCM, AgentParams(F(1, 2), 3))
+    with pytest.raises(InvalidInput, match="dimensions differ"):
+        verify(WCM, AgentParams(F(2), 3))  # before the bias check too
 
 
 # ---------------------------------------------------------------------------

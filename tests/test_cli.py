@@ -265,6 +265,40 @@ class TestRatio:
         assert err.startswith("error: ") and "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("ratio", "--lambda", "1/2", "--float"),
+        ("evaluate", "--lambda", "1/2", "--policy", "accept-last",
+         "--float"),
+        ("monte-carlo", "--lambda", "1/2", "--policy", "accept-last",
+         "--trials", "5", "--seed", "1"),
+    ], ids=["ratio-float", "evaluate-float", "monte-carlo"])
+    def test_value_past_float_range_exits_two(self, capsys, tmp_path, argv):
+        # a JSON integer entry is exact as a Fraction, but these commands
+        # need it, or a value built from it, as a float
+        target = tmp_path / "instance.json"
+        target.write_text(
+            '{"k": 1, "n": 2, "iid": true, "steps": [{"atoms": ['
+            f'{{"v": [1{"0" * 400}], "p": "1/2"}}, '
+            '{"v": ["3"], "p": "1/2"}]}]}')
+        code, out, err = run_cli(capsys, *argv, "--in", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: resource limit: ")
+        assert "Traceback" not in err
+
+    def test_int_past_the_digit_limit_rejected(self, capsys, tmp_path):
+        # json.loads refuses integer literals past 4,300 digits
+        target = tmp_path / "instance.json"
+        target.write_text(
+            '{"k": 1, "n": 1, "iid": true, "steps": [{"atoms": ['
+            f'{{"v": [{"1" * 5000}], "p": "1"}}]}}]}}')
+        code, out, err = run_cli(capsys, "ratio", "--in", str(target),
+                                 "--lambda", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed JSON")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("obj", [
         dict(ONE_STEP_PRIOR, k=True),
         dict(ONE_STEP_PRIOR, steps=[{"atoms": {"v": ["1"], "p": "1"}}]),

@@ -380,10 +380,14 @@ class TestSerialization:
     @pytest.mark.parametrize("x, exact", [
         (float("inf"), True), (float("inf"), False),
         (float("-inf"), True), (float("nan"), True), (float("nan"), False),
-        ("1e999", False)])
+        ("1e999", False),
+        pytest.param(10 ** 400, False, id="int-past-float-range")])
     def test_non_finite_numbers_rejected(self, x, exact):
         with pytest.raises(InvalidInput):
             number_from_json(x, exact)
+
+    def test_int_past_float_range_is_exact(self):
+        assert number_from_json(10 ** 400) == F(10 ** 400)
 
 
 # ---------------------------------------------------------------------------

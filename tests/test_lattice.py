@@ -10,7 +10,13 @@ import pytest
 
 import oracles
 from lap import cli, policies
-from lap.analysis import exact_expectation, monte_carlo
+from lap.analysis import (
+    exact_expectation,
+    monte_carlo,
+    ratio_report,
+    verify_online_bound,
+    verify_prophet_bound,
+)
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -324,6 +330,18 @@ class TestPriorMemo:
         for name, priors in built.items():
             assert len(priors) == 3, name
             assert len({id(prior) for prior in priors}) == 3, name
+
+    def test_memo_keeps_only_tables_read_twice(self):
+        # the rational DP and E[sum_j S_j*] have one reader per prior, so a
+        # long prior does not hold their tables after the pass
+        prior = prior_of(self.STEPS)
+        params = AgentParams(F(1, 2), 2)
+        verify_prophet_bound(prior, params)
+        verify_online_bound(prior, params)
+        ratio_report(prior, params)
+        kept = {key[0].__name__ for key in prior.__dict__["_memo"]}
+        assert kept == {"_atom_table", "_rank_table", "max_distribution",
+                        "_biased_dp"}
 
 
 def test_l1_is_read_once_and_leaves_the_vector_unchanged():
