@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -424,11 +425,14 @@ def higher_quality(a: Sequence, b: Sequence) -> bool:
 
 
 def number_to_json(x: Number):
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return x
-    return str(Fraction(x))
+    try:
+        return str(x if isinstance(x, Fraction) else Fraction(x))
+    except ValueError as err:  # past the interpreter's int-to-str limit
+        raise ResourceLimit(
+            f"a number past {sys.get_int_max_str_digits()} digits "
+            "cannot be printed") from err
 
 
 def number_from_json(x, exact: bool = True) -> Number:

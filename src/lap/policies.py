@@ -28,16 +28,30 @@ the state budget.  V* and the per-dimension maxima are one max-convolution,
 and the biased DP per (lambda and its type, allow_no_selection, resolved
 budget), so a float lambda never gets an exact lambda's result and a budget
 still binds.  Kept results are shared, so read-only; errors are not kept.
+
+The biased DP, the rational DP and the max-convolution compute on an
+integer view of the prior, built with the rank table once per distinct
+step: entries times L, the lcm of every entry's denominator, and each
+step's probabilities as int weights over D_t, their lcm.  Sums of products
+of those ints, and lambda = a/b applied as b*v - a*(s - v), stay ints over
+one positive scale per step, so every comparison is the Fraction one and
+no gcd is paid along the way.  Ints are decoded to Fractions only for the
+final values, the rational DP's continuation values and the distributions
+returned; table keys and accepted entries are the prior's own values.  When
+any entry, probability or lambda is a float, the same loops run on the
+identity view (L = b = D_t = 1, weights the probabilities), which performs
+the float operations in the order the Fraction formulas did.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core import (
     AgentParams,
@@ -104,7 +118,7 @@ class Policy:
                 elif not 0 <= p <= 1:
                     raise InvalidInput("atom_accept_prob must lie in [0, 1]")
         elif self.kind == "fixed-index":
-            if not isinstance(self.index, int) or self.index < 1:
+            if self.index is None or _json_int(self.index, "index") < 1:
                 raise InvalidInput("fixed-index policy needs index >= 1")
         elif self.kind == "optimal-biased":
             if self.lam is not None and self.lam < 0:
@@ -175,28 +189,92 @@ def _atom_table(prior: ProductPrior):
     return [rows[id(step)] for step in prior.steps]
 
 
+class _Row(NamedTuple):
+    """One distinct step of the rank table.  Each view lists the step's
+    atoms, in the prior's order, as (entries, L1 value, weight, ranks, bit):
+    entries and value at the view's scale, and `bit` 1 << the atom's place
+    in `ordered`, so that a mask of bits names a sorted set of entries."""
+
+    plain: tuple  # the prior's own numbers; weights are the probabilities
+    exact: Optional[tuple]  # ints: entries times L, weights over `den`
+    den: int  # D_t, the lcm of the step's probability denominators
+    ordered: tuple  # the step's entries, sorted
+
+
 def _rank_table(prior: ProductPrior):
-    """The atom table with each atom's entries also as ranks, per atom
-    (entries, l1, p, ranks), and per coordinate the sorted values its ranks
-    index.  Steps that share a row still share one.
+    """Per step a `_Row`, and per coordinate the sorted values its ranks
+    index, as the prior's own numbers and as ints times L, the lcm of every
+    entry's denominator.  The ints (and every row's exact view) are None
+    when any entry or probability is a float.  One pass over the distinct
+    rows builds both views; steps that share a row still share one.
 
     Rank 0 of every coordinate is Fraction(0), the value the empty history
     starts from (an equal 0.0 is the same value, and `max` would keep the
     Fraction).  Ranks order a coordinate's values as the values do, so the
-    join of rank tuples decodes to the join of the values."""
+    join of rank tuples decodes to the join of the values, and sorting by
+    ranks sorts by values.  An exact prior's values are keyed by their
+    scaled ints, which hash and compare faster than Fractions."""
     steps = prior.memoized(_atom_table)
     rows = {id(atoms): atoms for atoms in steps}
-    levels = []
+    atoms = [atom for row in rows.values() for atom in row]
+    exact = all(isinstance(x, Fraction)
+                for entries, _, p, _ in atoms for x in (p, *entries))
+    scale = math.lcm(*(e.denominator for atom in atoms for e in atom[0])
+                     ) if exact else 1
+    keyed = {id(atom): tuple(e.numerator * (scale // e.denominator)
+                             for e in atom[0]) if exact else atom[0]
+             for atom in atoms}
+    levels, scaled, rank_of = [], [], []
     for j in range(prior.k):
-        seen = {Fraction(0)}
-        seen.update(atom[0][j] for atoms in rows.values() for atom in atoms)
-        levels.append(tuple(sorted(seen)))
-    rank_of = [{x: i for i, x in enumerate(level)} for level in levels]
-    ranked = {key: tuple((entries, val, p,
-                          tuple(map(dict.__getitem__, rank_of, entries)))
-                         for entries, val, p, _ in atoms)
-              for key, atoms in rows.items()}
-    return [ranked[id(atoms)] for atoms in steps], levels
+        seen = {0: Fraction(0)}  # key -> the first value with that key
+        for atom in atoms:
+            seen.setdefault(keyed[id(atom)][j], atom[0][j])
+        order = sorted(seen)
+        levels.append(tuple(map(seen.__getitem__, order)))
+        scaled.append(tuple(order))
+        rank_of.append({x: i for i, x in enumerate(order)})
+    built = {}
+    for key, row in rows.items():
+        ranks = [tuple(map(dict.__getitem__, rank_of, keyed[id(atom)]))
+                 for atom in row]
+        order = sorted(range(len(row)), key=ranks.__getitem__)
+        bit = [0] * len(row)
+        for place, i in enumerate(order):
+            bit[i] = 1 << place
+        plain = tuple(atom[:3] + (ranks[i], bit[i])
+                      for i, atom in enumerate(row))
+        den, view = 1, None
+        if exact:
+            den = math.lcm(*(p.denominator for _, _, p, _ in row))
+            view = tuple((keyed[id(atom)], sum(keyed[id(atom)]),
+                          atom[2].numerator * (den // atom[2].denominator),
+                          ranks[i], bit[i]) for i, atom in enumerate(row))
+        built[key] = _Row(plain, view, den, tuple(row[i][0] for i in order))
+    return ([built[id(atoms)] for atoms in steps], levels,
+            scaled if exact else None, scale)
+
+
+def _view(row: _Row, exact: bool):
+    """A step's atoms and weight denominator in the integer view, or in the
+    identity view, which reads the prior's own numbers."""
+    return (row.exact, row.den) if exact else (row.plain, 1)
+
+
+def _unscaled(exact: bool, x: Number, den: int) -> Number:
+    """A scaled int as the Fraction it stands for; the identity view's
+    numbers are the values already."""
+    return Fraction(x, den) if exact else x
+
+
+def _picked(cache: dict, row: _Row, mask: int) -> tuple:
+    """The sorted entries a mask of `row`'s bits names; one tuple per (row,
+    mask), shared by every state that accepts that set."""
+    key = (id(row), mask)
+    acc = cache.get(key)
+    if acc is None:
+        acc = cache[key] = tuple(entries for i, entries
+                                 in enumerate(row.ordered) if mask >> i & 1)
+    return acc
 
 
 def _decode(levels, ranks: tuple) -> tuple:
@@ -356,11 +434,17 @@ def max_distribution(prior: ProductPrior,
                      key: Callable[[tuple], Number]) -> Dict[Number, Number]:
     """Exact distribution of max_t key(sigma^(t)) for a scalar `key` of a
     candidate's entries: the first step's law, then one max-convolution per
-    later step."""
+    later step.  `key` reads the entries at the view's scale, so it must
+    commute with scaling them (a sum, or one coordinate, does)."""
+    rows, _, scaled, unit = prior.memoized(_rank_table)
+    exact = scaled is not None
     dist: Optional[Dict[Number, Number]] = None
-    for atoms in prior.memoized(_atom_table):
+    scale = 1  # the weights' denominator: prod D_u over the steps so far
+    for row in rows:
+        atoms, den = _view(row, exact)
+        scale *= den
         law: Dict[Number, Number] = {}
-        for entries, _, p, _ in atoms:
+        for entries, _, p, _, _ in atoms:
             x = key(entries)
             law[x] = law.get(x, 0) + p
         if dist is None:
@@ -372,7 +456,9 @@ def max_distribution(prior: ProductPrior,
                 y = m if m >= x else x
                 new[y] = new.get(y, 0) + pm * px
         dist = new
-    return dist
+    if not exact:
+        return dist
+    return {Fraction(x, unit): Fraction(p, scale) for x, p in dist.items()}
 
 
 def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
@@ -419,53 +505,69 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
                budget: int) -> DPResult:
     """The reachable super candidates before each step as sorted rank
     tuples, whose total count the state budget caps, then backward
-    induction over them.  A state is decoded to its values once, for its
-    table key, and a joined state once, for its L1 norm (and, after the last
-    step, its no-selection utility)."""
-    steps, levels = prior.memoized(_rank_table)
+    induction over them in the integer view (the identity view when lambda
+    or the prior has a float).  With lambda = a/b, a stop's utility
+    b*v - a*(s - v) is an int over b*L, and V_t(state) one int over
+    b*L*prod_{u>=t} D_u; the stop utility is raised to the continuation's
+    scale before `u >= cont`, so every decision is the Fraction one.  A
+    state is decoded to its values once, for its table key, and a joined
+    state's scaled L1 norm is summed once."""
+    rows, levels, scaled, unit = prior.memoized(_rank_table)
     n = prior.n
     layers = [((0,) * prior.k,)]
     count = 1
-    for t, atoms in zip(range(2, n + 1), steps):  # no copy of steps
-        nxt = {_join(s, atom[3]) for s in layers[-1] for atom in atoms}
+    for t, row in zip(range(2, n + 1), rows):  # no copy of rows
+        nxt = {_join(s, atom[3]) for s in layers[-1] for atom in row.plain}
         count += len(nxt)
         if count > budget:
             raise ResourceLimit(f"state budget {budget} exceeded "
                                 f"({count}+ states by step {t})")
         layers.append(tuple(sorted(nxt)))
+    exact = scaled is not None and not isinstance(lam, float)
+    if exact:
+        a, b, norm_levels, unit = (lam.numerator, lam.denominator, scaled,
+                                   lam.denominator * unit)
+    else:
+        a, b, norm_levels, unit = lam, 1, levels, 1
     table: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
     values: Dict[tuple, Number] = {}
-    norms: Dict[tuple, Number] = {}  # joined state -> its L1 norm
+    norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
     declines: Dict[tuple, Number] = {}  # after step n: U of no selection
+    picked: dict = {}
+    scale = 1  # prod_{u>t} D_u: lifts a stop utility to V_{t+1}'s scale
     for t in range(n, 0, -1):
+        row = rows[t - 1]
+        atoms, den = _view(row, exact)
         newvals: Dict[tuple, Number] = {}
         for s in layers[t - 1]:
             total = 0
-            accepted = []
-            for entries, val, p, ranks in steps[t - 1]:
+            mask = 0
+            for _, val, p, ranks, bit in atoms:
                 joined = _join(s, ranks)
                 s_l1 = norms.get(joined)
                 if s_l1 is None:
-                    s_l1 = norms[joined] = sum(_decode(levels, joined))
-                u = _utility(lam, val, s_l1)
+                    s_l1 = norms[joined] = sum(_decode(norm_levels, joined))
+                u = (b * val - a * (s_l1 - val)) * scale
                 if t < n:
                     cont = values[joined]
                 elif allow_no_selection:
                     cont = declines.get(joined)
                     if cont is None:
-                        cont = declines[joined] = _utility(lam, 0, s_l1)
+                        cont = declines[joined] = 0 - a * s_l1
                 else:
                     cont = None
                 if cont is None or u >= cont:
-                    accepted.append(entries)
+                    mask |= bit
                     choice = u
                 else:
                     choice = cont
                 total = total + p * choice
             newvals[s] = total
-            table[(t, _decode(levels, s))] = tuple(sorted(accepted))
+            table[(t, _decode(levels, s))] = _picked(picked, row, mask)
         values = newvals
-    return DPResult(values[layers[0][0]], table, count)
+        scale *= den
+    return DPResult(_unscaled(exact, values[layers[0][0]], unit * scale),
+                    table, count)
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
@@ -483,20 +585,35 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
 
 
 def _rational_dp(prior: ProductPrior):
-    steps = prior.memoized(_atom_table)
+    """Backward induction on L1 values in the integer view: cont[t], the
+    optimal value on reaching t, is one int over L*prod_{u>=t} D_u until it
+    is decoded."""
+    rows, _, scaled, unit = prior.memoized(_rank_table)
+    exact = scaled is not None
     n = prior.n
     cont = [Fraction(0)] * (n + 2)  # cont[t] = optimal value on reaching t
+    masks = [0] * (n + 1)  # masks[t]: the atoms step t accepts
+    nxt = 0  # cont[t + 1] at its scale
+    scale = 1  # prod_{u>t} D_u
     for t in range(n, 0, -1):
-        nxt = cont[t + 1]
+        atoms, den = _view(rows[t - 1], exact)
         total = 0
-        for _, val, p, _ in steps[t - 1]:
-            total = total + p * (val if val >= nxt else nxt)
-        cont[t] = total
-    table = {}
-    for t in range(1, n + 1):
-        table[(t, ())] = tuple(sorted(
-            entries for entries, val, _, _ in steps[t - 1]
-            if val >= cont[t + 1]))
+        mask = 0
+        for _, val, p, _, bit in atoms:
+            u = val * scale
+            if u >= nxt:
+                mask |= bit
+                choice = u
+            else:
+                choice = nxt
+            total = total + p * choice
+        nxt = total
+        scale *= den
+        cont[t] = _unscaled(exact, total, unit * scale)
+        masks[t] = mask
+    picked: dict = {}
+    table = {(t, ()): _picked(picked, rows[t - 1], masks[t])
+             for t in range(1, n + 1)}
     return DPResult(cont[1], table, n + 1), cont
 
 

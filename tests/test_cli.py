@@ -286,6 +286,23 @@ class TestRatio:
         assert err.startswith("error: resource limit: ")
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    def test_result_past_the_digit_limit_exits_two(self, capsys, tmp_path):
+        # "1e5000" is an exact 5,001-digit int; the results built from it
+        # are too long for str() to print
+        target = tmp_path / "instance.json"
+        target.write_text(
+            '{"k": 1, "n": 2, "iid": true, "steps": [{"atoms": ['
+            '{"v": ["1e5000"], "p": "1/2"}, {"v": ["1"], "p": "1/2"}]}]}')
+        code, out, err = run_cli(capsys, "ratio", "--in", str(target),
+                                 "--lambda", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: resource limit: a number past "
+                       f"{sys.get_int_max_str_digits()} digits cannot be "
+                       "printed\n")
+
     def test_int_past_the_digit_limit_rejected(self, capsys, tmp_path):
         # json.loads refuses integer literals past 4,300 digits
         target = tmp_path / "instance.json"

@@ -1,0 +1,205 @@
+"""The integer exact kernel against the Fraction formulas it replaced.
+
+`_biased_dp`, `_rational_dp` and `max_distribution` run on scaled ints for
+exact priors and exact lambda, and on the prior's own numbers otherwise.
+The reference passes below are the earlier formulas, kept here on value
+tuples: every comparison and sum in the order the library used to make it,
+so exact results must be equal and float results bit-identical, with the
+same types, table keys and table order."""
+
+import random
+from fractions import Fraction as F
+from operator import itemgetter
+
+import pytest
+
+import oracles
+from lap import policies
+from lap.analysis import _e_sum_dim_maxima
+from lap.core import (
+    AgentParams,
+    FiniteDistribution,
+    ProductPrior,
+    ValueVector,
+    prior_from_json,
+    prior_to_json,
+)
+
+GRID = tuple(sorted({F(a, b) for a in range(7) for b in (1, 2, 3, 5)}))
+
+
+def join(s, v):
+    return tuple(map(max, s, v))
+
+
+def ref_biased(steps, lam, allow_no_selection):
+    """Backward induction over value-tuple states (the pre-kernel formula);
+    returns the value, the table items in insertion order and the count."""
+    n, k = len(steps), len(steps[0][0][0])
+    layers = [{(F(0),) * k}]
+    for step in steps[:-1]:
+        layers.append({join(s, v) for s in layers[-1] for v, _ in step})
+    table, values = {}, {}
+    for t in range(n, 0, -1):
+        newvals = {}
+        for s in sorted(layers[t - 1]):
+            total, accepted = 0, []
+            for v, p in steps[t - 1]:
+                joined = join(s, v)
+                s_l1, val = sum(joined), sum(v)
+                u = val - lam * (s_l1 - val)
+                if t < n:
+                    cont = values[joined]
+                elif allow_no_selection:
+                    cont = 0 - lam * (s_l1 - 0)
+                else:
+                    cont = None
+                if cont is None or u >= cont:
+                    accepted.append(v)
+                    choice = u
+                else:
+                    choice = cont
+                total = total + p * choice
+            newvals[s] = total
+            table[(t, s)] = tuple(sorted(accepted))
+        values = newvals
+    count = sum(len(layer) for layer in layers)
+    return values[(F(0),) * k], list(table.items()), count
+
+
+def ref_rational(steps):
+    n = len(steps)
+    cont = [F(0)] * (n + 2)
+    for t in range(n, 0, -1):
+        nxt, total = cont[t + 1], 0
+        for v, p in steps[t - 1]:
+            val = sum(v)
+            total = total + p * (val if val >= nxt else nxt)
+        cont[t] = total
+    table = [((t, ()), tuple(sorted(v for v, _ in steps[t - 1]
+                                    if sum(v) >= cont[t + 1])))
+             for t in range(1, n + 1)]
+    return cont[1], table, cont
+
+
+def ref_max_distribution(steps, key):
+    dist = None
+    for step in steps:
+        law = {}
+        for v, p in step:
+            x = key(v)
+            law[x] = law.get(x, 0) + p
+        if dist is None:
+            dist = law
+            continue
+        new = {}
+        for m, pm in dist.items():
+            for x, px in law.items():
+                y = m if m >= x else x
+                new[y] = new.get(y, 0) + pm * px
+        dist = new
+    return list(dist.items())
+
+
+def typed(obj):
+    """Numbers as (type, repr), so that 1.0 != Fraction(1) and a float
+    must match to the last bit; containers keep their shape and order."""
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(typed(x) for x in obj)
+    if isinstance(obj, (int, float, F)):
+        return type(obj).__name__, repr(obj)
+    return obj
+
+
+def random_steps(rng):
+    k = rng.randint(1, 3)
+    n = rng.randint(1, 4)
+    atoms_max = 1 if rng.random() < 0.1 else 4
+    zero = k > 1 and rng.random() < 0.25  # coordinate 0 is 0 everywhere
+    steps = []
+    for _ in range(n):
+        support, size = [], rng.randint(1, atoms_max)
+        while len(support) < size:
+            v = tuple(F(0) if zero and j == 0 else rng.choice(GRID)
+                      for j in range(k))
+            if v not in support:
+                support.append(v)
+        weights = [rng.randint(1, 7) for _ in support]
+        steps.append([(v, F(w, sum(weights)))
+                      for v, w in zip(support, weights)])
+    return steps
+
+
+def prior_of(steps, prob=lambda p: p):
+    return ProductPrior(tuple(
+        FiniteDistribution(tuple((ValueVector(v), prob(p)) for v, p in step))
+        for step in steps))
+
+
+def own_steps(prior):
+    """The prior's own numbers in the oracles' list-of-steps form."""
+    return [[(v.entries, p) for v, p in step.atoms] for step in prior.steps]
+
+
+def check(prior, lam, allow_no_selection=True):
+    steps = own_steps(prior)
+    res = policies.optimal_biased_policy(prior, AgentParams(lam, prior.k),
+                                         allow_no_selection)
+    value, table, count = ref_biased(steps, lam, allow_no_selection)
+    assert typed(res.expected_utility) == typed(value)
+    assert typed(list(res.policy_table.items())) == typed(table)
+    assert res.state_count == count
+    rational, cont = policies._rational_dp(prior)
+    ref_value, ref_table, ref_cont = ref_rational(steps)
+    assert typed(rational.expected_utility) == typed(ref_value)
+    assert typed(list(rational.policy_table.items())) == typed(ref_table)
+    assert typed(cont) == typed(ref_cont)
+    assert typed(list(policies.value_max_distribution(prior).items())) == \
+        typed(ref_max_distribution(steps, sum))
+    e_sum = sum((sum((x * p for x, p in ref_max_distribution(
+        steps, itemgetter(j))), F(0)) for j in range(prior.k)), F(0))
+    assert typed(_e_sum_dim_maxima(prior)) == typed(e_sum)
+    return res.expected_utility
+
+
+@pytest.mark.parametrize("flavor", ["exact", "no-selection", "float-prior",
+                                    "float-lambda", "float-probabilities"])
+def test_kernel_matches_the_fraction_formulas(flavor):
+    rng = random.Random(f"kernel/{flavor}")
+    for _ in range(64):
+        steps = random_steps(rng)
+        lam = F(rng.randint(0, 8), rng.choice((1, 2, 3, 4)))
+        prior = prior_of(steps)
+        allow = flavor != "no-selection"
+        if flavor == "float-prior":
+            prior = prior_from_json(prior_to_json(prior), exact=False)
+        elif flavor == "float-lambda":
+            lam = float(lam)
+        elif flavor == "float-probabilities":
+            prior = prior_of(steps, float)
+        value = check(prior, lam, allow)
+        if flavor in ("exact", "no-selection"):
+            assert type(value) is F
+            assert value == oracles.history_optimal(steps, lam, allow)
+            assert policies._rational_dp(prior)[0].expected_utility == \
+                oracles.rational_history_optimal(steps)
+            _, e_sum, dist = oracles.vstar_stats(steps)
+            assert policies.value_max_distribution(prior) == dist
+            assert _e_sum_dim_maxima(prior) == e_sum
+        elif flavor == "float-lambda":
+            assert type(value) is float
+
+
+@pytest.mark.parametrize("lam", [F(1, 3), 0.25])
+def test_long_iid_prior(lam):
+    # the scales grow by D = 3 per step and are never reduced on the way
+    step = [((F(1), F(0)), F(1, 3)), ((F(0), F(5, 2)), F(2, 3))]
+    prior = ProductPrior.iid_prior(prior_of([step]).steps[0], 300)
+    assert type(check(prior, lam)) is type(lam)
+
+
+def test_one_row_per_distinct_step():
+    step = prior_of([[((F(1),), F(1, 2)), ((F(2),), F(1, 2))]]).steps[0]
+    rows = policies._rank_table(ProductPrior.iid_prior(step, 50))[0]
+    assert len(rows) == 50
+    assert len({id(row) for row in rows}) == 1

@@ -397,6 +397,11 @@ class TestPolicyJson:
         with pytest.raises(InvalidInput):
             policy_from_json({"kind": "nope"})
 
+    def test_fixed_index_rejects_bool(self):
+        # True == 1, but it is not a step index
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            Policy.fixed_index(True)
+
     @pytest.mark.parametrize("obj", [
         {"kind": "fixed-index", "index": True},
         {"kind": "threshold", "alpha": "1/2", "seed": True},
