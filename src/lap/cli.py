@@ -7,7 +7,8 @@ and monte-carlo; --format (json or csv) by ratio and sweep; --budget-states
 and --float by every subcommand but generate.  All computation runs on exact
 rationals; --float only changes how report numbers are printed.  Exit codes:
 0 success, 1 a verification check failed (the report is still emitted), 2
-invalid input, resource limit or usage error.
+invalid input, resource limit, usage error or an internal error (any other
+exception, reported as `error: internal error: <type>: <message>`).
 """
 
 import argparse
@@ -529,8 +530,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_output(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise InvalidInput(f"cannot write {out_path}: {err}")
     else:
         sys.stdout.write(text)
 
@@ -539,13 +543,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, failed = _COMMANDS[args.command](args)
+        _write_output(text, args.out)
     except InvalidInput as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ResourceLimit, OverflowError) as err:  # a float past its range
         print(f"error: resource limit: {err}", file=sys.stderr)
         return 2
-    _write_output(text, args.out)
+    except Exception as err:  # a defect; exit 1 would read as a counterexample
+        print(f"error: internal error: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return 2
     return 1 if failed else 0
 
 

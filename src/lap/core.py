@@ -40,6 +40,20 @@ class ResourceLimit(RuntimeError):
     """An enumeration or DP would exceed its configured budget."""
 
 
+def _digit_limit() -> str:
+    return (f"a number past {sys.get_int_max_str_digits()} digits "
+            "cannot be printed")
+
+
+def _shown(x) -> str:
+    """str(x) for a message, or a note in its place when x holds a number
+    past the interpreter's int-to-str digit limit (which is not lifted)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{_digit_limit()}>"
+
+
 def _coerce(x: Number, what: str = "value") -> Number:
     if isinstance(x, bool):
         raise InvalidInput(f"{what} must be a number, got bool")
@@ -183,13 +197,15 @@ class FiniteDistribution:
             if p <= 0:
                 raise InvalidInput("probabilities must be strictly positive")
             if v.entries in seen:
-                raise InvalidInput(f"duplicate support point {v.entries}")
+                raise InvalidInput(
+                    f"duplicate support point {_shown(v.entries)}")
             seen.add(v.entries)
             exact = exact and isinstance(p, Fraction)
             total = total + p
         if exact:
             if total != 1:
-                raise InvalidInput(f"probabilities sum to {total}, not 1")
+                raise InvalidInput(
+                    f"probabilities sum to {_shown(total)}, not 1")
         elif abs(total - 1) > FLOAT_PROB_TOL:
             raise InvalidInput(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", atoms)
@@ -430,9 +446,7 @@ def number_to_json(x: Number):
     try:
         return str(x if isinstance(x, Fraction) else Fraction(x))
     except ValueError as err:  # past the interpreter's int-to-str limit
-        raise ResourceLimit(
-            f"a number past {sys.get_int_max_str_digits()} digits "
-            "cannot be printed") from err
+        raise ResourceLimit(_digit_limit()) from err
 
 
 def number_from_json(x, exact: bool = True) -> Number:

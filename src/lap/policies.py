@@ -323,16 +323,21 @@ class CompiledPolicy:
     def deterministic(self) -> bool:
         return len(self.arms) == 1
 
-    def draw_rule(self, rng: random.Random) -> Rule:
+    def draw_arm(self, rng: random.Random) -> int:
+        """The index of the arm one draw picks; a deterministic policy
+        makes no rng call."""
         if self.deterministic:
-            return self.arms[0][1]
+            return 0
         u = rng.random()
         acc = 0.0
-        for p, rule in self.arms[:-1]:
+        for i, (p, _) in enumerate(self.arms[:-1]):
             acc += float(p)
             if u < acc:
-                return rule
-        return self.arms[-1][1]
+                return i
+        return len(self.arms) - 1
+
+    def draw_rule(self, rng: random.Random) -> Rule:
+        return self.arms[self.draw_arm(rng)][1]
 
 
 def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,

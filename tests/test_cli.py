@@ -1,13 +1,17 @@
 """End-to-end command line tests, run in process."""
 
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lap import cli
 from lap.analysis import CheckResult, ratio_report
@@ -303,6 +307,25 @@ class TestRatio:
                        f"{sys.get_int_max_str_digits()} digits cannot be "
                        "printed\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    @pytest.mark.parametrize("atoms, message", [
+        ([{"v": ["1"], "p": "1e-5000"}, {"v": ["2"], "p": "1/2"}],
+         "probabilities sum to {}, not 1"),
+        ([{"v": ["1e-5000"], "p": "1/2"}, {"v": ["1e-5000"], "p": "1/2"}],
+         "duplicate support point {}"),
+    ], ids=["probability-sum", "duplicate-point"])
+    def test_message_past_the_digit_limit_exits_two(self, capsys, tmp_path,
+                                                    atoms, message):
+        # the message would print a 5,000-digit denominator
+        code, out, err = self._ratio_of(
+            capsys, tmp_path, dict(ONE_STEP_PRIOR, steps=[{"atoms": atoms}]))
+        assert code == 2
+        assert out == ""
+        note = (f"<a number past {sys.get_int_max_str_digits()} digits "
+                "cannot be printed>")
+        assert err == f"error: {message.format(note)}\n"
+
     def test_int_past_the_digit_limit_rejected(self, capsys, tmp_path):
         # json.loads refuses integer literals past 4,300 digits
         target = tmp_path / "instance.json"
@@ -369,6 +392,14 @@ class TestVerify:
                                "--lambda", "2", "--k", "2", "--seed", "1")
         assert code == 2
         assert "subcritical" in err
+
+    def test_bias_past_the_digit_limit_rejected(self, capsys):
+        # the message notes a 5,001-digit bias instead of printing it
+        code, _, err = run_cli(capsys, "verify", "--suite", "bounds",
+                               "--lambda", "1e5000", "--k", "2",
+                               "--seed", "1")
+        assert code == 2
+        assert err.startswith("error: bound needs subcritical bias, got ")
 
     def test_paradoxes_need_width(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "paradoxes",
@@ -512,6 +543,18 @@ class TestMonteCarlo:
         assert code == 2
         assert "--seed" in err
 
+    @pytest.mark.parametrize("raw", ["many", "0"])
+    def test_budget_env_var_read_for_every_policy(self, capsys, monkeypatch,
+                                                  raw):
+        # the state budget also caps the trial memo, so accept-last reads it
+        monkeypatch.setenv("LAP_BUDGET_STATES", raw)
+        code, out, err = run_cli(capsys, *self.ARGS)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        monkeypatch.setenv("LAP_BUDGET_STATES", "1")
+        assert run_cli(capsys, *self.ARGS)[0] == 0
+
 
 class TestReduce:
     def make_sequence(self, capsys, tmp_path):
@@ -580,6 +623,22 @@ class TestEntryPoint:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_internal_error_exits_two(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("no such state")
+
+        monkeypatch.setitem(cli._COMMANDS, "ratio", broken)
+        code, out, err = run_cli(capsys, "ratio", *WCM_ARGS)
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: no such state\n"
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "ratio", *WCM_ARGS,
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}")
+
     def test_module_help(self):
         proc = subprocess.run([sys.executable, "-m", "lap.cli", "--help"],
                               capture_output=True, text=True)
@@ -590,3 +649,81 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "lap.cli"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+# ---------------------------------------------------------------------------
+
+ENTRY = st.sampled_from([*range(13), "5/2", "1/3", "0.1", 0.5, "1e400",
+                         "1e5000", "1e-5000"])
+ODD = st.one_of(st.sampled_from(
+    [None, True, [], {}, "abc", "1/0", "", -1, "-1/2", "nan", "inf", 7,
+     "1e-5000", [[]]]), st.floats(width=32))
+
+
+@st.composite
+def prior_json(draw):
+    """A well-formed prior JSON of a few steps (n at most 3, so an iid
+    prior expands to 3 steps), then at most one field replaced by an odd
+    value or deleted."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    iid = n == 1 or draw(st.booleans())
+    steps = []
+    for _ in range(1 if iid else n):
+        m = draw(st.integers(1, 3))
+        steps.append({"atoms": [{"v": [draw(ENTRY) for _ in range(k)],
+                                 "p": f"1/{m}"} for _ in range(m)]})
+    obj = {"k": k, "n": n, "iid": iid, "steps": steps}
+    # the containers holding a field that may be broken, with their keys
+    holders = [(obj, key) for key in obj]
+    for step in steps:
+        holders.append((step, "atoms"))
+        for atom in step["atoms"]:
+            holders += [(atom, "v"), (atom, "p")]
+            holders += [(atom["v"], j) for j in range(k)]
+    if draw(st.booleans()):
+        holder, key = draw(st.sampled_from(holders))
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(ODD)
+    return obj
+
+
+COMMAND = st.sampled_from([
+    ("ratio",),
+    ("ratio", "--float"),
+    ("evaluate", "--policy", "accept-last"),
+    ("evaluate", "--policy", "optimal-biased", "--float"),
+    ("evaluate", "--policy", "alpha:1/2"),
+    ("evaluate", "--policy", "fixed:2"),
+    ("monte-carlo", "--policy", "optimal-rational", "--trials", "20",
+     "--seed", "1"),
+    ("monte-carlo", "--policy", "alpha:1/3", "--trials", "20", "--seed",
+     "2"),
+    ("monte-carlo", "--policy", "optimal-biased", "--trials", "20",
+     "--seed", "3"),
+])
+
+
+class TestFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(obj=prior_json(), command=COMMAND,
+           lam=st.sampled_from(["0", "1/2", "3"]))
+    def test_prior_json_exits_zero_or_two(self, obj, command, lam):
+        # in process, so a crash fails here rather than exiting 1; the main
+        # guard would turn it into exit 2, so its line is asserted absent
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prior.json")
+            with open(path, "w") as handle:
+                json.dump(obj, handle)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([*command, "--in", path, "--lambda", lam,
+                                 "--budget-states", "500"])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")
