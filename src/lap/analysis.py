@@ -4,11 +4,11 @@ Exact arithmetic is the default everywhere: expectations are Fraction sums
 over the reachable (step, super candidate) states, and the two headline
 inequalities are checked without rounding.  Monte Carlo estimators exist for
 the priors whose support exceeds the budget; they are seeded and replayable.
-A policy's Monte Carlo trials walk drawn atom indices over interned
-super-candidate rank states and compute each (step, state, atom) outcome
-once, with the rule's exact stop utility converted by float(); the rng
-makes the calls a scan of sampled sequences would make, so estimates are
-the same to the last bit.
+A policy's Monte Carlo trials draw atom indices here and hand them to
+`policies._trial_walk`, which walks them over interned super-candidate rank
+states and computes each (step, state, atom) outcome once, with the rule's
+exact stop utility converted by float(); the rng makes the calls a scan of
+sampled sequences would make, so estimates are the same to the last bit.
 """
 
 import math
@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .core import (
     AgentParams,
@@ -35,11 +35,7 @@ from .core import (
 )
 from .policies import (
     Policy,
-    Rule,
-    _decode,
-    _join,
-    _rank_table,
-    _utility,
+    _trial_walk,
     compile_policy,
     guarantee_alphas,
     max_distribution,
@@ -160,17 +156,21 @@ def exact_expectation(prior: ProductPrior, policy: Policy,
                 for weight, rule in compiled.arms), Fraction(0))
 
 
-def _float_cums(probs) -> Tuple[float, ...]:
-    """Running float sums of a step's probabilities, the last replaced by
-    infinity, so that a uniform draw at or past the rounded float total
-    still picks the last atom."""
-    acc = 0.0
-    cums = []
-    for p in probs:
-        acc += float(p)
-        cums.append(acc)
-    cums[-1] = math.inf
-    return tuple(cums)
+def _step_cums(prior: ProductPrior) -> list:
+    """Per step, running float sums of its probabilities, the last replaced
+    by infinity, so that a uniform draw at or past the rounded float total
+    still picks the last atom.  Steps that are one object (an iid prior's)
+    share one tuple."""
+    tables = {}
+    for step in prior.steps:
+        if id(step) not in tables:
+            acc, cums = 0.0, []
+            for _, p in step.atoms:
+                acc += float(p)
+                cums.append(acc)
+            cums[-1] = math.inf
+            tables[id(step)] = tuple(cums)
+    return [tables[id(step)] for step in prior.steps]
 
 
 def _pick(cums, rng: random.Random) -> int:
@@ -186,99 +186,6 @@ def _finish_estimate(total: float, total_sq: float, trials: int,
     else:
         var = 0.0
     return EstimateWithCI(mean, CI_Z * math.sqrt(var / trials), trials, seed)
-
-
-class _State:
-    """An interned (step, super candidate) state of a Monte Carlo walk: the
-    super candidate's rank tuple, its values, and per atom of the step what
-    a trial drawing that atom does next.  A slot holds None until computed,
-    then the stop utility as a float, the next _State, or the next state's
-    rank tuple while that state has been reached only once."""
-
-    __slots__ = ("ranks", "values", "next")
-
-    def __init__(self, ranks: tuple, values: tuple, width: int):
-        self.ranks = ranks
-        self.values = values
-        self.next = [None] * width
-
-
-def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
-    """One deterministic rule's trials as a function of the drawn atom
-    indices (one per step) to the utility as a float.
-
-    A slot is computed once, by calling `rule` on the decoded state, and
-    read back by every later trial that draws the same atom from the same
-    state.  A state is interned the second time a stored slot leads to it,
-    so states that never repeat cost one slot each.  At most `limit`
-    states are interned; a trial that leaves them computes its remaining
-    steps without storing them.  Every stored result sits in a slot of an
-    interned state, so the memo is bounded by `limit` times the atoms per
-    step.  The end-of-stream utility is kept per final state."""
-    rows, levels, _, _ = prior.memoized(_rank_table)
-    n = len(rows)
-    states: Dict[Tuple[int, tuple], _State] = {}  # (t, ranks) before step t
-    finals: Dict[tuple, float] = {}  # ranks after step n -> its utility
-
-    def intern(t, ranks):
-        state = states.get((t, ranks))
-        if state is None and len(states) < limit:
-            state = states[(t, ranks)] = _State(
-                ranks, _decode(levels, ranks), len(rows[t - 1].plain))
-        return state
-
-    def outcome(t, ranks, values, i):
-        """Atom i at step t from the state `ranks` (decoded: `values`): the
-        stop utility as a float when the rule stops, else the next ranks."""
-        entries, val, _, atom_ranks, _ = rows[t - 1].plain[i]
-        joined = _join(ranks, atom_ranks)
-        if rule(t, values, entries, val):
-            return float(_utility(lam, val, sum(_decode(levels, joined))))
-        return joined
-
-    def end(ranks):  # every candidate declined
-        return float(_utility(lam, 0, sum(_decode(levels, ranks))))
-
-    def unstored(t, ranks, picks):
-        for t in range(t, n + 1):
-            r = outcome(t, ranks, _decode(levels, ranks), picks[t - 1])
-            if r.__class__ is float:
-                return r
-            ranks = r
-        return end(ranks)
-
-    root = intern(1, (0,) * prior.k)
-
-    def walk(picks) -> float:
-        state = root
-        for t, i in enumerate(picks, 1):
-            r = state.next[i]
-            if r.__class__ is _State:
-                state = r
-                continue
-            if r.__class__ is float:
-                return r
-            if r is None:
-                r = outcome(t, state.ranks, state.values, i)
-                if t == n and r.__class__ is not float:
-                    u = finals.get(r)
-                    if u is None:
-                        u = finals[r] = end(r)
-                    r = u
-                if r.__class__ is float:
-                    state.next[i] = r
-                    return r
-                state.next[i] = following = states.get((t + 1, r), r)
-            else:  # the second time this slot leads to the state `r`
-                following = intern(t + 1, r)
-                if following is not None:
-                    state.next[i] = following
-            if following.__class__ is not _State:
-                return unstored(t + 1, r, picks)
-            state = following
-        raise AssertionError("unreachable: step n always ends the trial")
-
-    return walk
 
 
 def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
@@ -303,10 +210,7 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
                               budget)
     walks = [_trial_walk(rule, prior, params.lam, limit)
              for _, rule in compiled.arms]
-    rows = prior.memoized(_rank_table)[0]
-    cums = {id(row): _float_cums(atom[2] for atom in row.plain)
-            for row in rows}
-    steps = [cums[id(row)] for row in rows]
+    steps = _step_cums(prior)
     rng = random.Random(seed)
     draw = rng.random
     walk = walks[0]
@@ -551,12 +455,9 @@ def _code_tables(prior: ProductPrior, target: Sequence):
     """Per step: cumulative weights plus each atom's role relative to the
     target representation (its index there, -1 for zero, -2 for foreign)."""
     index_of = {c.entries: i for i, c in enumerate(target.candidates)}
-    tables = []
-    for dist in prior.steps:
-        codes = tuple(-1 if v.is_zero else index_of.get(v.entries, -2)
-                      for v, _ in dist.atoms)
-        tables.append((codes, _float_cums(p for _, p in dist.atoms)))
-    return tables
+    return [(tuple(-1 if v.is_zero else index_of.get(v.entries, -2)
+                   for v, _ in dist.atoms), cums)
+            for dist, cums in zip(prior.steps, _step_cums(prior))]
 
 
 def representation_match_rate(prior: ProductPrior, sigma: Sequence,

@@ -13,21 +13,23 @@ Three families of rules live here:
   induction; the biased DP is keyed on (step, super candidate), which is a
   sufficient statistic because the utility depends on history only through
   the reference point.
-* exact expectations and patience comparison of compiled rules.  A rule
-  is a plain function (t, super candidate, entries, L1 value) -> stop?, so
-  both walk the reachable (step, super candidate) states instead of every
-  realization; the prior's support size is still what their budget caps.
+* exact expectations, patience comparison and Monte Carlo trial walks of
+  compiled rules.  A rule is a plain function (t, super candidate, entries,
+  L1 value) -> stop?, so each walks the reachable (step, super candidate)
+  states instead of every realization; the prior's support size is still
+  what the exact passes' budget caps.
 
-All of these run on one tuple lattice core: a per-step atom table of plain
-values, one join and one stop-utility formula.  The biased DP's states are
-rank tuples (each coordinate's values replaced by their rank among its
-distinct values), so joins compare small ints, and it counts them against
-the state budget.  V* and the per-dimension maxima are one max-convolution,
-`max_distribution`.  A pass with two readers on one prior runs once:
-`ProductPrior.memoized` keeps the atom and rank tables, the V* distribution
-and the biased DP per (lambda and its type, allow_no_selection, resolved
-budget), so a float lambda never gets an exact lambda's result and a budget
-still binds.  Kept results are shared, so read-only; errors are not kept.
+All of these run on one lattice core: one per-prior rank table, one join
+and one stop-utility formula.  Every walk keys its states on rank tuples
+(each coordinate's values replaced by their rank among its distinct
+values), so joins compare small ints; a state is decoded to its values for
+a rule and for a stop's utility.  V* and the per-dimension maxima are one
+max-convolution, `max_distribution`.  A pass with two readers on one prior
+runs once: `ProductPrior.memoized` keeps the rank table, the V*
+distribution and the biased DP per (lambda and its type,
+allow_no_selection, resolved budget), so a float lambda never gets an exact
+lambda's result and a budget still binds.  Kept results are shared, so
+read-only; errors are not kept.
 
 The biased DP, the rational DP and the max-convolution compute on an
 integer view of the prior, built with the rank table once per distinct
@@ -171,22 +173,10 @@ class PatienceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the lattice core; a state is the super candidate's entries before a step
+# the lattice core; a state is the super candidate's ranks before a step
 # ---------------------------------------------------------------------------
 
 Rule = Callable[[int, tuple, tuple, Number], bool]
-
-
-def _atom_table(prior: ProductPrior):
-    """Per step, each atom as (entries, l1, p, vector), read once from the
-    validated prior.  Steps that are one object (an iid prior's) share one
-    row, so a long iid prior costs one row, not n."""
-    rows = {}
-    for step in prior.steps:
-        if id(step) not in rows:
-            rows[id(step)] = tuple((v.entries, v.l1, p, v)
-                                   for v, p in step.atoms)
-    return [rows[id(step)] for step in prior.steps]
 
 
 class _Row(NamedTuple):
@@ -205,8 +195,9 @@ def _rank_table(prior: ProductPrior):
     """Per step a `_Row`, and per coordinate the sorted values its ranks
     index, as the prior's own numbers and as ints times L, the lcm of every
     entry's denominator.  The ints (and every row's exact view) are None
-    when any entry or probability is a float.  One pass over the distinct
-    rows builds both views; steps that share a row still share one.
+    when any entry or probability is a float.  The validated prior's atoms
+    are read once per distinct step: steps that are one object (an iid
+    prior's) share one row, so a long iid prior costs one row, not n.
 
     Rank 0 of every coordinate is Fraction(0), the value the empty history
     starts from (an equal 0.0 is the same value, and `max` would keep the
@@ -214,11 +205,14 @@ def _rank_table(prior: ProductPrior):
     join of rank tuples decodes to the join of the values, and sorting by
     ranks sorts by values.  An exact prior's values are keyed by their
     scaled ints, which hash and compare faster than Fractions."""
-    steps = prior.memoized(_atom_table)
-    rows = {id(atoms): atoms for atoms in steps}
+    rows = {}  # id(step) -> its atoms as (entries, l1, p)
+    for step in prior.steps:
+        if id(step) not in rows:
+            rows[id(step)] = tuple((v.entries, v.l1, p)
+                                   for v, p in step.atoms)
     atoms = [atom for row in rows.values() for atom in row]
     exact = all(isinstance(x, Fraction)
-                for entries, _, p, _ in atoms for x in (p, *entries))
+                for entries, _, p in atoms for x in (p, *entries))
     scale = math.lcm(*(e.denominator for atom in atoms for e in atom[0])
                      ) if exact else 1
     keyed = {id(atom): tuple(e.numerator * (scale // e.denominator)
@@ -241,16 +235,16 @@ def _rank_table(prior: ProductPrior):
         bit = [0] * len(row)
         for place, i in enumerate(order):
             bit[i] = 1 << place
-        plain = tuple(atom[:3] + (ranks[i], bit[i])
+        plain = tuple(atom + (ranks[i], bit[i])
                       for i, atom in enumerate(row))
         den, view = 1, None
         if exact:
-            den = math.lcm(*(p.denominator for _, _, p, _ in row))
+            den = math.lcm(*(p.denominator for _, _, p in row))
             view = tuple((keyed[id(atom)], sum(keyed[id(atom)]),
                           atom[2].numerator * (den // atom[2].denominator),
                           ranks[i], bit[i]) for i, atom in enumerate(row))
         built[key] = _Row(plain, view, den, tuple(row[i][0] for i in order))
-    return ([built[id(atoms)] for atoms in steps], levels,
+    return ([built[id(step)] for step in prior.steps], levels,
             scaled if exact else None, scale)
 
 
@@ -280,10 +274,6 @@ def _picked(cache: dict, row: _Row, mask: int) -> tuple:
 def _decode(levels, ranks: tuple) -> tuple:
     """The values a rank tuple stands for."""
     return tuple(map(getitem, levels, ranks))
-
-
-def _zero(k: int) -> tuple:
-    return (Fraction(0),) * k
 
 
 def _join(s: tuple, entries: tuple) -> tuple:
@@ -378,7 +368,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
 def run_rule(rule: Rule, sigma: Sequence,
              params: AgentParams) -> StoppingOutcome:
     """Online scan of one deterministic rule over one realization."""
-    s = _zero(sigma.k)
+    s = (Fraction(0),) * sigma.k
     for t, vec in enumerate(sigma.candidates, 1):
         entries, val = vec.entries, vec.l1
         joined = _join(s, entries)
@@ -393,27 +383,125 @@ def rule_expectation(rule: Rule, prior: ProductPrior,
                      params: AgentParams) -> Number:
     """Exact expected utility of one deterministic rule over the prior.
 
-    Probability mass moves forward keyed by the super candidate before each
-    step; where the rule stops, mass times the stop's utility is banked, and
-    mass still unstopped after step n scores -lambda * ||s^(n)||_1."""
+    Probability mass moves forward keyed by the super candidate's ranks
+    before each step; where the rule stops, mass times the stop's utility
+    is banked, and mass still unstopped after step n scores
+    -lambda * ||s^(n)||_1.  Ranks join as the values do, so states, their
+    order and every sum are the ones a walk on values makes."""
     lam = params.lam
-    mass = {_zero(prior.k): Fraction(1)}
+    rows, levels, _, _ = prior.memoized(_rank_table)
+    mass = {(0,) * prior.k: Fraction(1)}
     total = Fraction(0)
-    for t, atoms in enumerate(prior.memoized(_atom_table), 1):
+    for t, row in enumerate(rows, 1):
         nxt: Dict[tuple, Number] = {}
         for s, m in mass.items():
+            values = _decode(levels, s)
             banked = 0
-            for entries, val, p, _ in atoms:
-                joined = _join(s, entries)
-                if rule(t, s, entries, val):
-                    banked += p * _utility(lam, val, sum(joined))
+            for entries, val, p, ranks, _ in row.plain:
+                joined = _join(s, ranks)
+                if rule(t, values, entries, val):
+                    banked += p * _utility(lam, val,
+                                           sum(_decode(levels, joined)))
                 else:
                     nxt[joined] = nxt.get(joined, 0) + m * p
             total += m * banked
         mass = nxt
     for s, m in mass.items():
-        total += m * _utility(lam, 0, sum(s))
+        total += m * _utility(lam, 0, sum(_decode(levels, s)))
     return total
+
+
+class _State:
+    """An interned (step, super candidate) state of a Monte Carlo walk: the
+    super candidate's rank tuple, its values, and per atom of the step what
+    a trial drawing that atom does next.  A slot holds None until computed,
+    then the stop utility as a float, the next _State, or the next state's
+    rank tuple while that state has been reached only once."""
+
+    __slots__ = ("ranks", "values", "next")
+
+    def __init__(self, ranks: tuple, values: tuple, width: int):
+        self.ranks = ranks
+        self.values = values
+        self.next = [None] * width
+
+
+def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
+    """One deterministic rule's trials as a function of the drawn atom
+    indices (one per step) to the utility as a float.
+
+    A slot is computed once, by calling `rule` on the decoded state, and
+    read back by every later trial that draws the same atom from the same
+    state.  A state is interned the second time a stored slot leads to it,
+    so states that never repeat cost one slot each.  At most `limit`
+    states are interned; a trial that leaves them computes its remaining
+    steps without storing them.  Every stored result sits in a slot of an
+    interned state, so the memo is bounded by `limit` times the atoms per
+    step.  The end-of-stream utility is kept per final state."""
+    rows, levels, _, _ = prior.memoized(_rank_table)
+    n = len(rows)
+    states: Dict[Tuple[int, tuple], _State] = {}  # (t, ranks) before step t
+    finals: Dict[tuple, float] = {}  # ranks after step n -> its utility
+
+    def intern(t, ranks):
+        state = states.get((t, ranks))
+        if state is None and len(states) < limit:
+            state = states[(t, ranks)] = _State(
+                ranks, _decode(levels, ranks), len(rows[t - 1].plain))
+        return state
+
+    def outcome(t, ranks, values, i):
+        """Atom i at step t from the state `ranks` (decoded: `values`): the
+        stop utility as a float when the rule stops, else the next ranks."""
+        entries, val, _, atom_ranks, _ = rows[t - 1].plain[i]
+        joined = _join(ranks, atom_ranks)
+        if rule(t, values, entries, val):
+            return float(_utility(lam, val, sum(_decode(levels, joined))))
+        return joined
+
+    def end(ranks):  # every candidate declined
+        return float(_utility(lam, 0, sum(_decode(levels, ranks))))
+
+    def unstored(t, ranks, picks):
+        for t in range(t, n + 1):
+            r = outcome(t, ranks, _decode(levels, ranks), picks[t - 1])
+            if r.__class__ is float:
+                return r
+            ranks = r
+        return end(ranks)
+
+    root = intern(1, (0,) * prior.k)
+
+    def walk(picks) -> float:
+        state = root
+        for t, i in enumerate(picks, 1):
+            r = state.next[i]
+            if r.__class__ is _State:
+                state = r
+                continue
+            if r.__class__ is float:
+                return r
+            if r is None:
+                r = outcome(t, state.ranks, state.values, i)
+                if t == n and r.__class__ is not float:
+                    u = finals.get(r)
+                    if u is None:
+                        u = finals[r] = end(r)
+                    r = u
+                if r.__class__ is float:
+                    state.next[i] = r
+                    return r
+                state.next[i] = following = states.get((t + 1, r), r)
+            else:  # the second time this slot leads to the state `r`
+                following = intern(t + 1, r)
+                if following is not None:
+                    state.next[i] = following
+            if following.__class__ is not _State:
+                return unstored(t + 1, r, picks)
+            state = following
+        raise AssertionError("unreachable: step n always ends the trial")
+
+    return walk
 
 
 def run_policy(policy: Policy, sigma: Sequence, params: AgentParams,
@@ -656,61 +744,66 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
 
     The witness is the first realization in product order on which `a`
     stops earlier.  An iterative depth-first search over (step, super
-    candidate, is `b` still running) states finds it without listing
-    realizations: states known to hold no witness are not entered again.
-    Once `b` has stopped, `a` is still followed until it stops, so a rule
-    that leaves its compiled support raises as it would on a realization
-    scan."""
+    candidate's ranks, is `b` still running) states finds it without
+    listing realizations: states known to hold no witness are not entered
+    again.  Once `b` has stopped, `a` is still followed until it stops, so
+    a rule that leaves its compiled support raises as it would on a
+    realization scan."""
     rule_a = _single_rule(a, prior, params, allow_no_selection, budget)
     rule_b = _single_rule(b, prior, params, allow_no_selection, budget)
     prior.check_support(resolve_budget(budget))
-    steps = prior.memoized(_atom_table)
+    rows, levels, _, _ = prior.memoized(_rank_table)
     n = prior.n
-    clear = set()  # (t, super candidate, b running): no witness
-    # frame: [step t, super candidate before t, b running, next atom index]
-    stack = [[1, _zero(prior.k), True, 0]]
-    path = []  # atom taken at each step above the top frame
+    clear = set()  # (t, ranks, b running): no witness
+    # frame: [step t, ranks before t, their values, b running, next atom]
+    root = (0,) * prior.k
+    stack = [[1, root, _decode(levels, root), True, 0]]
+    path = []  # atom index taken at each step above the top frame
     while stack:
         frame = stack[-1]
-        t, s, b_running, i = frame
-        if i == len(steps[t - 1]):
+        t, s, values, b_running, i = frame
+        atoms = rows[t - 1].plain
+        if i == len(atoms):
             clear.add((t, s, b_running))
             stack.pop()
             if path:
                 path.pop()
             continue
-        frame[3] = i + 1
-        atom = steps[t - 1][i]
-        entries, val = atom[0], atom[1]
-        stop_a = rule_a(t, s, entries, val)
-        stop_b = b_running and rule_b(t, s, entries, val)
+        frame[4] = i + 1
+        entries, val, _, ranks, _ = atoms[i]
+        stop_a = rule_a(t, values, entries, val)
+        stop_b = b_running and rule_b(t, values, entries, val)
         if stop_a:
             if b_running and not stop_b:
-                return _witness(rule_b, steps, path + [atom], s, t)
+                return _witness(rule_b, prior, path + [i], s, t)
             continue
         if t == n:
             continue
-        joined = _join(s, entries)
+        joined = _join(s, ranks)
         key = (t + 1, joined, b_running and not stop_b)
         if key in clear:
             continue
-        path.append(atom)
-        stack.append([t + 1, joined, key[2], 0])
+        path.append(i)
+        stack.append([t + 1, joined, _decode(levels, joined), key[2], 0])
     return PatienceVerdict("more-patient", None)
 
 
-def _witness(rule_b, steps, taken, s, t) -> PatienceVerdict:
+def _witness(rule_b, prior: ProductPrior, taken, s, t) -> PatienceVerdict:
     """`a` stopped at step t where `b` ran on: the first realization through
-    this prefix takes each later step's first atom, and `b` runs along it."""
+    this prefix (atom indices; `s` the ranks before t) takes each later
+    step's first atom, and `b` runs along it."""
+    rows, levels, _, _ = prior.memoized(_rank_table)
     ib = None
-    for u in range(t + 1, len(steps) + 1):
-        s = _join(s, taken[-1][0])
-        taken.append(steps[u - 1][0])
-        if rule_b(u, s, taken[-1][0], taken[-1][1]):
+    for u in range(t + 1, prior.n + 1):
+        s = _join(s, rows[u - 2].plain[taken[-1]][3])
+        taken.append(0)
+        entries, val = rows[u - 1].plain[0][:2]
+        if rule_b(u, _decode(levels, s), entries, val):
             ib = u
             break
-    taken += [atoms[0] for atoms in steps[len(taken):]]
-    sigma = Sequence(tuple(atom[3] for atom in taken))
+    taken += [0] * (prior.n - len(taken))
+    sigma = Sequence(tuple(step.atoms[i][0]
+                           for step, i in zip(prior.steps, taken)))
     return PatienceVerdict("incomparable", (sigma, t, ib))
 
 

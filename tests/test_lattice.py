@@ -308,7 +308,7 @@ class TestPriorMemo:
 
     def test_verify_builds_each_table_once_per_prior(self, monkeypatch,
                                                       capsys):
-        built = {name: [] for name in ("atoms", "vstar", "biased",
+        built = {name: [] for name in ("ranks", "vstar", "biased",
                                        "rational")}
 
         def counted(name, build, only_key=None):
@@ -318,7 +318,7 @@ class TestPriorMemo:
                 return build(prior, *args)
             return wrapper
 
-        for name, attr, key in (("atoms", "_atom_table", None),
+        for name, attr, key in (("ranks", "_rank_table", None),
                                 ("vstar", "max_distribution", sum),
                                 ("biased", "_biased_dp", None),
                                 ("rational", "_rational_dp", None)):
@@ -340,8 +340,11 @@ class TestPriorMemo:
         verify_online_bound(prior, params)
         ratio_report(prior, params)
         kept = {key[0].__name__ for key in prior.__dict__["_memo"]}
-        assert kept == {"_atom_table", "_rank_table", "max_distribution",
-                        "_biased_dp"}
+        assert kept == {"_rank_table", "max_distribution", "_biased_dp"}
+        prior = prior_of(self.STEPS)
+        exact_expectation(prior, Policy.accept_last(), params)
+        assert [key[0].__name__ for key in prior.__dict__["_memo"]] == \
+            ["_rank_table"]
 
 
 def test_l1_is_read_once_and_leaves_the_vector_unchanged():
