@@ -9,6 +9,9 @@ rationals; --float only changes how report numbers are printed.  Exit codes:
 0 success, 1 a verification check failed (the report is still emitted), 2
 invalid input, resource limit, usage error or an internal error (any other
 exception, reported as `error: internal error: <type>: <message>`).
+_GENERATORS is the one place an instance family's flags live: --gen reads
+its choices from it, and one function checks, passes and prints (in the
+instance id) the flags each family takes.
 """
 
 import argparse
@@ -60,9 +63,19 @@ from .analysis import (
     verify_prophet_bound,
 )
 
-GENERATORS = ("alternating-geometric", "alternating-linear", "partial-sums",
-              "worstcase-mixed", "identical-value", "salient-feature",
-              "quality-pair", "dominance-pair")
+# --gen NAME: the flags that gen_NAME (dashes as underscores) takes, in
+# argument order, and the side labels of a pair.  The generator is looked up
+# in this module at call time, so a wrapper set on lap.cli sees each call.
+_GENERATORS = {
+    "alternating-geometric": (("n", "k", "beta"), None),
+    "alternating-linear": (("n", "k"), None),
+    "partial-sums": (("w", "k", "beta"), None),
+    "worstcase-mixed": (("w", "k", "lambda", "eps"), None),
+    "identical-value": (("k", "q"), None),
+    "salient-feature": (("k", "a", "q"), None),
+    "quality-pair": (("k", "q"), ("lower_quality", "higher_quality")),
+    "dominance-pair": (("k", "n", "lambda", "eps"), ("base", "dominating")),
+}
 
 VERIFY_INSTANCES = 50
 
@@ -91,25 +104,25 @@ def grid(text: str) -> List[Fraction]:
     return out
 
 
+# bare spec names, then NAME: forms that read the text after the colon
+_POLICY_SPECS = {
+    "accept-last": Policy.accept_last,
+    "optimal-biased": Policy.optimal_biased,
+    "optimal-rational": Policy.optimal_rational,
+    "fixed:": lambda arg: Policy.fixed_index(int(arg)),
+    "threshold:": lambda arg: Policy.threshold(Fraction(arg)),
+    "alpha:": lambda arg: Policy.from_alpha(Fraction(arg)),
+}
+
+
 def policy_spec(text: str) -> Policy:
     """accept-last | optimal-biased | optimal-rational | fixed:T |
     threshold:V | alpha:A"""
-    name, _, arg = text.partition(":")
-    if not arg:
-        if name == "accept-last":
-            return Policy.accept_last()
-        if name == "optimal-biased":
-            return Policy.optimal_biased()
-        if name == "optimal-rational":
-            return Policy.optimal_rational()
-    else:
-        if name == "fixed":
-            return Policy.fixed_index(int(arg))
-        if name == "threshold":
-            return Policy.threshold(Fraction(arg))
-        if name == "alpha":
-            return Policy.from_alpha(Fraction(arg))
-    raise ValueError(f"unknown policy spec {text!r}")
+    name, colon, arg = text.partition(":")
+    make = _POLICY_SPECS.get(name + colon if arg else name)
+    if make is None:
+        raise ValueError(f"unknown policy spec {text!r}")
+    return make(arg) if arg else make()
 
 
 # ---------------------------------------------------------------------------
@@ -148,49 +161,6 @@ def _check_json(check: CheckResult, as_float: bool) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _build_generated(name: str, n=None, k=None, lam=None, beta=None,
-                     eps=None, w=None, q=None, a=None):
-    """Build one instance (or labeled pair) plus its identifier string."""
-
-    def need(flag, value):
-        if value is None:
-            raise InvalidInput(f"generator {name} needs --{flag}")
-        return value
-
-    if name == "alternating-geometric":
-        obj = gen_alternating_geometric(need("n", n), need("k", k),
-                                        need("beta", beta))
-        ident = f"alternating-geometric(n={n},k={k},beta={beta})"
-    elif name == "alternating-linear":
-        obj = gen_alternating_linear(need("n", n), need("k", k))
-        ident = f"alternating-linear(n={n},k={k})"
-    elif name == "partial-sums":
-        obj = gen_partial_sums(need("w", w), need("k", k), need("beta", beta))
-        ident = f"partial-sums(w={w},k={k},beta={beta})"
-    elif name == "worstcase-mixed":
-        obj = gen_worstcase_mixed(need("w", w), need("k", k),
-                                  need("lambda", lam), need("eps", eps))
-        ident = f"worstcase-mixed(w={w},k={k},lambda={lam},eps={eps})"
-    elif name == "identical-value":
-        obj = gen_identical_value(need("k", k), need("q", q))
-        ident = f"identical-value(k={k},q={q})"
-    elif name == "salient-feature":
-        obj = gen_salient_feature(need("k", k), need("a", a), need("q", q))
-        ident = f"salient-feature(k={k},a={a},q={q})"
-    elif name == "quality-pair":
-        low, high = gen_quality_pair(need("k", k), need("q", q))
-        obj = {"lower_quality": low, "higher_quality": high}
-        ident = f"quality-pair(k={k},q={q})"
-    elif name == "dominance-pair":
-        base, dom = gen_dominance_pair(need("k", k), need("n", n),
-                                       need("lambda", lam), need("eps", eps))
-        obj = {"base": base, "dominating": dom}
-        ident = f"dominance-pair(k={k},n={n},lambda={lam},eps={eps})"
-    else:
-        raise InvalidInput(f"unknown generator {name!r}")
-    return obj, ident
-
-
 def _load_instance(path: str):
     try:
         with open(path) as handle:
@@ -209,11 +179,21 @@ def _load_instance(path: str):
 
 
 def _generated(args, k, lam):
-    """The --gen instance; k and lambda come apart because sweep takes
-    them from its grids."""
-    return _build_generated(args.gen, n=args.n, k=k, lam=lam,
-                            beta=args.beta, eps=args.eps, w=args.w,
-                            q=args.q, a=args.a)
+    """The --gen instance (a pair as a dict of its labeled sides) and its
+    id; k and lambda come apart because sweep takes them from its grids."""
+    flags, labels = _GENERATORS[args.gen]
+    given = dict(vars(args), k=k, lam=lam)
+    values = []
+    for flag in flags:
+        value = given[_FLAGS[flag].get("dest", flag)]
+        if value is None:
+            raise InvalidInput(f"generator {args.gen} needs --{flag}")
+        values.append(value)
+    obj = globals()["gen_" + args.gen.replace("-", "_")](*values)
+    if labels:
+        obj = dict(zip(labels, obj))
+    shown = ",".join(f"{flag}={value}" for flag, value in zip(flags, values))
+    return obj, f"{args.gen}({shown})"
 
 
 def _instance_from_args(args):
@@ -372,11 +352,8 @@ def _blank_row(params: AgentParams, ident: str, seed,
 
 
 def _cmd_sweep(args) -> Tuple[str, bool]:
-    _require(args, gen=args.gen)
-    if args.lambda_grid is None:
-        raise InvalidInput("sweep needs --lambda-grid")
-    if args.k_grid is None:
-        raise InvalidInput("sweep needs --k-grid")
+    _require(args, **{"gen": args.gen, "lambda-grid": args.lambda_grid,
+                      "k-grid": args.k_grid})
     if any(value.denominator != 1 for value in args.k_grid):
         raise InvalidInput("--k-grid must contain integers")
     ks = [int(value) for value in args.k_grid]
@@ -462,7 +439,7 @@ _COMMANDS = {
 
 
 _FLAGS = {
-    "gen": dict(choices=GENERATORS, help="instance family"),
+    "gen": dict(choices=_GENERATORS, help="instance family"),
     "in": dict(dest="infile", metavar="FILE",
                help="instance JSON produced by generate"),
     "n": dict(type=int, help="candidate count / override"),

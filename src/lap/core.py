@@ -373,13 +373,17 @@ def offline_optimal_biased(sigma: Sequence, params: AgentParams,
                            allow_no_selection: bool = False) -> StoppingOutcome:
     """Arg-max of the biased gambler utility over stops; ties resolve to the
     smallest index, and any selection beats an equal-utility NoSelection."""
+    _check_dims(sigma, params)
     best: Optional[StoppingOutcome] = None
-    for t in range(1, sigma.n + 1):
-        u = biased_gambler_utility(sigma, t, params)
+    s = sigma.candidates[0]  # the running super candidate s^(t)
+    for t, c in enumerate(sigma.candidates, 1):
+        s = s.join(c)
+        v = c.l1
+        u = v - params.lam * (s.l1 - v)
         if best is None or u > best.utility:
-            best = StoppingOutcome(t, rational_utility(sigma, t), u)
+            best = StoppingOutcome(t, v, u)
     if allow_no_selection:
-        u = no_selection_utility(sigma, params)
+        u = -params.lam * s.l1
         if u > best.utility:
             best = StoppingOutcome(None, Fraction(0), u)
     return best
@@ -388,8 +392,9 @@ def offline_optimal_biased(sigma: Sequence, params: AgentParams,
 def offline_optimal_prophet_utility(sigma: Sequence,
                                     params: AgentParams) -> Number:
     """Best biased-prophet utility over all picks (the offline agent)."""
-    return max(biased_prophet_utility(sigma, t, params)
-               for t in range(1, sigma.n + 1))
+    _check_dims(sigma, params)
+    s = super_candidate(sigma.candidates).l1
+    return max(c.l1 - params.lam * (s - c.l1) for c in sigma.candidates)
 
 
 def representation(sigma: Sequence) -> Sequence:

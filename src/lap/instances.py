@@ -184,8 +184,7 @@ def gen_dominance_pair(k: int, n: int, lam: Number,
 _RANDOM_VALUE_GRID = tuple(Fraction(i, 2) for i in range(7))
 
 
-def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3,
-                     values: Optional[Tuple[Number, ...]] = None
+def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
                      ) -> ProductPrior:
     """Small random prior on a coarse rational grid.
 
@@ -196,14 +195,13 @@ def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3,
     _check_counts(n_max, k)
     if atoms_max < 1:
         raise InvalidInput("atoms_max must be a positive integer")
-    grid = tuple(_coerce(v, "grid value") for v in values) \
-        if values is not None else _RANDOM_VALUE_GRID
     steps = []
     for _ in range(rng.randint(1, n_max)):
         natoms = rng.randint(1, atoms_max)
         support = set()
         while len(support) < natoms:
-            support.add(tuple(rng.choice(grid) for _ in range(k)))
+            support.add(tuple(rng.choice(_RANDOM_VALUE_GRID)
+                              for _ in range(k)))
         weights = [rng.randint(1, 4) for _ in range(natoms)]
         total = sum(weights)
         steps.append(FiniteDistribution(tuple(
@@ -273,6 +271,15 @@ def _nominal_count(m: int, alpha: float, log_of_m: float) -> int:
             return int(scaled.to_integral_value(rounding=ROUND_CEILING))
 
 
+def _log_base(log_base: Union[str, int]):
+    """The label and log function of log_base, 'e' or 2 (or '2')."""
+    if log_base == "e":
+        return "e", math.log
+    if log_base in (2, "2"):
+        return "2", math.log2
+    raise InvalidInput("log_base must be 'e' or 2")
+
+
 def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
                n_override: Optional[int] = None,
                x_override: Optional[Number] = None,
@@ -297,12 +304,7 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
     epsilon = _coerce(epsilon, "epsilon")
     if not 0 < epsilon < 1:
         raise InvalidInput("epsilon must lie strictly between 0 and 1")
-    if log_base in ("e",):
-        base_label, log_of_m = "e", math.log(m)
-    elif log_base in (2, "2"):
-        base_label, log_of_m = "2", math.log2(m)
-    else:
-        raise InvalidInput("log_base must be 'e' or 2")
+    base_label, log = _log_base(log_base)
 
     if x_override is not None:
         x = Fraction(x_override)
@@ -318,7 +320,7 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
         alpha = math.log(best_value / (epsilon * best_biased), m) + 2
         x = Fraction(m ** -alpha)
 
-    nominal = _nominal_count(m, alpha, log_of_m)
+    nominal = _nominal_count(m, alpha, log(m))
     meta = ReductionMeta(m=m, x=x, alpha_exp=alpha, nominal_n=nominal,
                          epsilon=epsilon, log_base=base_label)
 
@@ -374,12 +376,7 @@ def iid_gap_bound_variants(params: AgentParams, n: int,
     beta = float(params.bias)
     if beta <= 1:
         raise InvalidInput("growth exponent needs supercritical bias > 1")
-    if log_base in ("e",):
-        lg = math.log
-    elif log_base in (2, "2"):
-        lg = math.log2
-    else:
-        raise InvalidInput("log_base must be 'e' or 2")
+    _, lg = _log_base(log_base)
     k = params.k
     coeff = 1 / math.sqrt(2 * k) * min(1 / math.sqrt(lg(beta)),
                                        1 / (2 * math.sqrt(k)))

@@ -112,6 +112,75 @@ class TestGenerate:
         assert json.loads(target.read_text())["n"] == 5
 
 
+class TestInstanceFamilies:
+    """Each --gen family's flags, instance id and missing-flag error."""
+
+    @pytest.mark.parametrize("command,argv,ident", [
+        ("ratio", ("--gen", "alternating-geometric", "--n", "4", "--k", "2",
+                   "--beta", "2", "--lambda", "1/2"),
+         "alternating-geometric(n=4,k=2,beta=2)"),
+        ("evaluate", ("--gen", "alternating-linear", "--n", "5", "--k", "3",
+                      "--lambda", "1/2", "--policy", "optimal-biased"),
+         "alternating-linear(n=5,k=3)"),
+        ("ratio", ("--gen", "partial-sums", "--w", "2", "--k", "2",
+                   "--beta", "1/2", "--lambda", "1/2"),
+         "partial-sums(w=2,k=2,beta=1/2)"),
+        ("evaluate", WCM_ARGS + ("--policy", "accept-last"),
+         "worstcase-mixed(w=2,k=2,lambda=1/2,eps=1/5)"),
+        ("ratio", ("--gen", "identical-value", "--k", "3", "--q", "2",
+                   "--lambda", "1/2"), "identical-value(k=3,q=2)"),
+        ("evaluate", ("--gen", "salient-feature", "--k", "2", "--a", "1",
+                      "--q", "2", "--lambda", "1/2", "--policy", "fixed:2"),
+         "salient-feature(k=2,a=1,q=2)"),
+    ])
+    def test_instance_id(self, capsys, command, argv, ident):
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0
+        assert json.loads(out)["instance_id"] == ident
+
+    @pytest.mark.parametrize("argv,sides", [
+        (("--gen", "quality-pair", "--k", "2", "--q", "2"),
+         ["lower_quality", "higher_quality"]),
+        (("--gen", "dominance-pair", "--k", "2", "--n", "4", "--lambda", "1",
+          "--eps", "1/2"), ["base", "dominating"]),
+    ])
+    def test_pair_sides(self, capsys, argv, sides):
+        code, out, _ = run_cli(capsys, "generate", *argv)
+        assert code == 0
+        assert list(json.loads(out)) == sides
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("alternating-geometric", "--k", "2", "--beta", "2"), "n"),
+        (("alternating-linear", "--n", "5"), "k"),
+        (("partial-sums", "--w", "2", "--k", "2"), "beta"),
+        (("worstcase-mixed", "--k", "2"), "w"),
+        (("identical-value", "--q", "2"), "k"),
+        (("salient-feature", "--k", "2", "--q", "2"), "a"),
+        (("quality-pair", "--k", "2"), "q"),
+        (("dominance-pair", "--k", "2", "--n", "4", "--eps", "1/2"),
+         "lambda"),
+    ])
+    def test_first_missing_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "generate", "--gen", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: generator {argv[0]} needs --{flag}\n"
+
+    def test_policy_spec_rejects_malformed_forms(self):
+        for text in ("fixed:", "accept-last:1", "threshold:", "nope"):
+            with pytest.raises(ValueError, match="unknown policy spec"):
+                cli.policy_spec(text)
+
+    @pytest.mark.parametrize("grids,missing", [
+        (("--k-grid", "2"), "lambda-grid"),
+        (("--lambda-grid", "1/2"), "k-grid"),
+    ])
+    def test_sweep_missing_grid(self, capsys, grids, missing):
+        code, _, err = run_cli(capsys, "sweep", "--gen", "partial-sums",
+                               "--w", "2", "--beta", "1/2", *grids)
+        assert code == 2
+        assert err == f"error: sweep needs --{missing}\n"
+
+
 class TestEvaluate:
     def test_accept_last_exact(self, capsys):
         code, out, _ = run_cli(capsys, "evaluate", *WCM_ARGS,

@@ -228,6 +228,23 @@ class TestOfflineOptimal:
         s = seq((2, 0, 0), (0, 2, 0), (0, 0, 2))
         assert offline_optimal_prophet_utility(s, AgentParams(F(1), 3)) == -2
 
+    def test_vectors_built_linear_in_n(self, monkeypatch):
+        # one running super candidate, not one rebuilt per stop
+        n = 200
+        s = seq(*((t % 7, t % 5) for t in range(n)))
+        p = AgentParams(F(1, 2), 2)
+        built = []
+        init = ValueVector.__post_init__
+
+        def counted(vector):
+            built.append(vector)
+            init(vector)
+
+        monkeypatch.setattr(ValueVector, "__post_init__", counted)
+        offline_optimal_biased(s, p, allow_no_selection=True)
+        offline_optimal_prophet_utility(s, p)
+        assert len(built) <= 3 * n
+
 
 class TestSequencePredicates:
     def test_representation_dedupes_in_first_occurrence_order(self):
