@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -454,14 +455,50 @@ def number_to_json(x: Number):
         raise ResourceLimit(_digit_limit()) from err
 
 
+# a number string: an integer, a/b, or a decimal with an optional exponent
+_number = re.compile(r"([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?"
+                     r"(?:[eE]([-+]?\d+))?)").fullmatch
+# Bounds on a number string, checked before any int is built from it.  No
+# digit run this program prints is past the interpreter's default int-to-str
+# limit, 4,300; an exponent may reach past it (to 10,000, where 10**e still
+# costs microseconds) so that a value just too long to print parses and then
+# meets the same ResourceLimit as a computed one.
+_MAX_DIGITS, _MAX_EXPONENT = 4300, 10000
+
+
+def _parse_number(text: str) -> Fraction:
+    """A number string as a Fraction, its size bounded before parsing, so
+    a few bytes of input cannot set the parse cost."""
+    m = _number(text)
+    if m is None:
+        raise ValueError(text)
+    sign, num, den, whole, frac, exp = m.groups()
+    frac, exp = frac or "", exp or ""
+    runs = (num, den) if num is not None else (whole + frac,)
+    power = exp.lstrip("+-0")  # the exponent's digits
+    if max(map(len, runs)) > _MAX_DIGITS or len(power) > 5 or \
+            int(power or 0) > _MAX_EXPONENT:
+        shown = text if len(text) <= 32 else text[:32] + "..."
+        raise InvalidInput(f"number {shown!r} has a digit run past "
+                           f"{_MAX_DIGITS} or an exponent past {_MAX_EXPONENT}")
+    if num is not None:
+        return Fraction(int(sign + num), int(den))
+    shift = int(power or 0) * (-1 if exp[:1] == "-" else 1) - len(frac)
+    if shift >= 0:
+        return Fraction(int(sign + whole + frac) * 10 ** shift)
+    return Fraction(int(sign + whole + frac), 10 ** -shift)
+
+
 def number_from_json(x, exact: bool = True) -> Number:
     if isinstance(x, bool) or not isinstance(x, (str, int, float)):
         raise InvalidInput(f"expected a number, got {x!r}")
     if not exact and isinstance(x, float) and math.isfinite(x):
         return x
     try:  # Fraction rejects inf and nan, float() an int past its range
-        value = Fraction(x)
+        value = _parse_number(x) if isinstance(x, str) else Fraction(x)
         return value if exact else float(value)
+    except InvalidInput:
+        raise
     except (ValueError, ZeroDivisionError, OverflowError) as err:
         raise InvalidInput(f"expected a finite number, got {x!r}") from err
 

@@ -14,35 +14,36 @@ Three families of rules live here:
   sufficient statistic because the utility depends on history only through
   the reference point.
 * exact expectations, patience comparison and Monte Carlo trial walks of
-  compiled rules.  A rule is a plain function (t, super candidate, entries,
-  L1 value) -> stop?, so each walks the reachable (step, super candidate)
-  states instead of every realization; the prior's support size is still
-  what the exact passes' budget caps.
+  compiled rules, over the reachable (step, super candidate) states instead
+  of every realization; the support size is still what their budget caps.
 
 All of these run on one lattice core: one per-prior rank table, one join
 and one stop-utility formula.  Every walk keys its states on rank tuples
 (each coordinate's values replaced by their rank among its distinct
-values), so joins compare small ints; a state is decoded to its values for
-a rule and for a stop's utility.  V* and the per-dimension maxima are one
-max-convolution, `max_distribution`.  A pass with two readers on one prior
-runs once: `ProductPrior.memoized` keeps the rank table, the V*
-distribution and the biased DP per (lambda and its type,
+values), so joins compare small ints, and reads a rule as accept masks:
+per (step, rank state), the int of the row's bits of the atoms it stops
+on.  A compiled arm carries its masks for its own prior; only `run_rule`,
+on a caller's sequence, decides on values.  V* and the per-dimension
+maxima are one max-convolution, `max_distribution`.  A pass with two
+readers on one prior runs once: `ProductPrior.memoized` keeps the rank
+table, the V* distribution and the biased DP per (lambda and its type,
 allow_no_selection, resolved budget), so a float lambda never gets an exact
 lambda's result and a budget still binds.  Kept results are shared, so
 read-only; errors are not kept.
 
-The biased DP, the rational DP and the max-convolution compute on an
-integer view of the prior, built with the rank table once per distinct
-step: entries times L, the lcm of every entry's denominator, and each
-step's probabilities as int weights over D_t, their lcm.  Sums of products
-of those ints, and lambda = a/b applied as b*v - a*(s - v), stay ints over
-one positive scale per step, so every comparison is the Fraction one and
-no gcd is paid along the way.  Ints are decoded to Fractions only for the
-final values, the rational DP's continuation values and the distributions
-returned; table keys and accepted entries are the prior's own values.  When
-any entry, probability or lambda is a float, the same loops run on the
-identity view (L = b = D_t = 1, weights the probabilities), which performs
-the float operations in the order the Fraction formulas did.
+The biased DP, the rational DP, the max-convolution and exact expectation
+compute on an integer view of the prior, built with the rank table once
+per distinct step: entries times L, the lcm of every entry's denominator,
+and each step's probabilities as int weights over D_t, their lcm.  Sums
+of products of those ints, and lambda = a/b applied as b*v - a*(s - v),
+stay ints over one positive scale per step, so every comparison is the
+Fraction one and no gcd is paid along the way.  Ints are decoded to
+Fractions only for the final values, the rational DP's continuation values
+and the distributions returned; table keys and accepted entries are the
+prior's own values.  When any entry, probability or lambda is a float,
+the same loops run on the identity view (L = b = D_t = 1, weights the
+probabilities), which performs the float operations in the order the
+Fraction formulas did.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import getitem
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     AgentParams,
@@ -164,6 +165,10 @@ class DPResult:
     expected_utility: Number
     policy_table: Dict[Tuple[int, tuple], Tuple[tuple, ...]]
     state_count: int
+    # the accept masks behind policy_table, ints of row bits: by (t, rank
+    # state) for the biased DP, by t for the rational DP
+    masks: Union[Dict[Tuple[int, tuple], int], List[int]] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,18 @@ def _view(row: _Row, exact: bool):
     return (row.exact, row.den) if exact else (row.plain, 1)
 
 
+def _stop_view(prior: ProductPrior, lam: Number):
+    """Rows, then for a stop's utility b*v - a*(s - v) over b*L: the view
+    (exact or not), lambda as a/b, the levels that scaled norms sum, and
+    b*L.  The identity view (a = lambda, b = L = 1) when the prior or lambda
+    has a float."""
+    rows, levels, scaled, unit = prior.memoized(_rank_table)
+    if scaled is None or isinstance(lam, float):
+        return rows, False, lam, 1, levels, 1
+    return (rows, True, lam.numerator, lam.denominator, scaled,
+            lam.denominator * unit)
+
+
 def _unscaled(exact: bool, x: Number, den: int) -> Number:
     """A scaled int as the Fraction it stands for; the identity view's
     numbers are the values already."""
@@ -287,18 +304,33 @@ def _utility(lam: Number, val: Number, s_l1: Number) -> Number:
     return val - lam * (s_l1 - val)
 
 
-def _table_rule(accept, n: int, force_last: bool) -> Rule:
-    """Stop on the atoms the biased DP accepts from this state."""
-    def decide(t, s, entries, val):
-        if force_last and t == n:
-            return True
-        try:
-            acc = accept[(t, s)]
-        except KeyError as err:
-            raise InvalidInput(
-                "realization leaves the compiled prior's support") from err
-        return entries in acc
-    return decide
+class _Arm:
+    """One deterministic arm of a compiled policy: a `Rule` on values, and
+    on `prior`, the prior it was compiled on, `masks(t, ranks)`: the bits
+    of step t's atoms it stops on from the rank state `ranks`."""
+
+    __slots__ = ("decide", "prior", "masks")
+
+    def __init__(self, decide: Rule, prior: ProductPrior, masks):
+        self.decide, self.prior, self.masks = decide, prior, masks
+
+    def __call__(self, t, s, entries, val) -> bool:
+        return self.decide(t, s, entries, val)
+
+
+def _accept_masks(rule: Rule, prior: ProductPrior):
+    """How a walk reads a rule on `prior`: an arm's own masks, or, for any
+    other rule, the bits its value-level calls on the decoded state accept
+    (so one that leaves its compiled support raises as on values)."""
+    if isinstance(rule, _Arm) and rule.prior is prior:
+        return rule.masks
+    rows, levels, _, _ = prior.memoized(_rank_table)
+
+    def masks(t, ranks):
+        values = _decode(levels, ranks)
+        return sum(bit for entries, val, _, _, bit in rows[t - 1].plain
+                   if rule(t, values, entries, val))
+    return masks
 
 
 @dataclass(frozen=True)
@@ -333,36 +365,58 @@ class CompiledPolicy:
 def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                    allow_no_selection: bool = True,
                    budget: Optional[int] = None) -> CompiledPolicy:
+    """Bind a policy to `prior`.  Masks: a threshold's per distinct row,
+    a fixed index's all bits at its step, the DPs' their own."""
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
     n = prior.n
+    rows = prior.memoized(_rank_table)[0]
     if policy.kind == "threshold":
         if policy.alpha is not None:
             policy = threshold_from_alpha(prior, policy.alpha, policy.seed)
         t_value, p = policy.threshold, policy.atom_accept_prob
-        weak = lambda t, s, entries, val: val >= t_value
-        strict = lambda t, s, entries, val: val > t_value
+        distinct = {id(row): row for row in rows}.values()
+
+        def arm(stops):
+            at = {id(row): sum(bit for _, val, _, _, bit in row.plain
+                               if stops(val)) for row in distinct}
+            return _Arm(lambda t, s, entries, val: stops(val), prior,
+                        lambda t, ranks: at[id(rows[t - 1])])
+        weak = lambda val: val >= t_value
+        strict = lambda val: val > t_value
         if p == 1:
-            arms = ((Fraction(1), weak),)
+            arms = ((Fraction(1), arm(weak)),)
         elif p == 0:
-            arms = ((Fraction(1), strict),)
+            arms = ((Fraction(1), arm(strict)),)
         else:
-            arms = ((p, weak), (1 - p, strict))
+            arms = ((p, arm(weak)), (1 - p, arm(strict)))
         return CompiledPolicy(arms, policy.seed)
-    if policy.kind == "fixed-index":
-        index = policy.index
-        rule = lambda t, s, entries, val: t == index
-    elif policy.kind == "accept-last":
-        rule = lambda t, s, entries, val: t == n
+    if policy.kind in ("fixed-index", "accept-last"):
+        index = policy.index if policy.kind == "fixed-index" else n
+        arm = _Arm(lambda t, s, entries, val: t == index, prior,
+                   lambda t, ranks: (1 << len(rows[t - 1].plain)) - 1
+                   if t == index else 0)
     elif policy.kind == "optimal-rational":
-        cont = _rational_dp(prior)[1]  # cont[t]: value on reaching t
-        rule = lambda t, s, entries, val: val >= cont[t + 1]
+        res, cont = _rational_dp(prior)  # cont[t]: value on reaching t
+        arm = _Arm(lambda t, s, entries, val: val >= cont[t + 1], prior,
+                   lambda t, ranks: res.masks[t])
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
-        table = optimal_biased_policy(prior, AgentParams(lam, params.k),
-                                      allow_no_selection, budget).policy_table
-        rule = _table_rule(table, n, force_last=not allow_no_selection)
-    return CompiledPolicy(((Fraction(1), rule),), policy.seed)
+        res = optimal_biased_policy(prior, AgentParams(lam, params.k),
+                                    allow_no_selection, budget)
+        table, force_last = res.policy_table, not allow_no_selection
+
+        def decide(t, s, entries, val):
+            if force_last and t == n:
+                return True
+            try:
+                acc = table[(t, s)]
+            except KeyError as err:
+                raise InvalidInput(
+                    "realization leaves the compiled prior's support") from err
+            return entries in acc
+        arm = _Arm(decide, prior, lambda t, ranks: res.masks[(t, ranks)])
+    return CompiledPolicy(((Fraction(1), arm),), policy.seed)
 
 
 def run_rule(rule: Rule, sigma: Sequence,
@@ -384,45 +438,60 @@ def rule_expectation(rule: Rule, prior: ProductPrior,
     """Exact expected utility of one deterministic rule over the prior.
 
     Probability mass moves forward keyed by the super candidate's ranks
-    before each step; where the rule stops, mass times the stop's utility
-    is banked, and mass still unstopped after step n scores
-    -lambda * ||s^(n)||_1.  Ranks join as the values do, so states, their
-    order and every sum are the ones a walk on values makes."""
-    lam = params.lam
-    rows, levels, _, _ = prior.memoized(_rank_table)
-    mass = {(0,) * prior.k: Fraction(1)}
-    total = Fraction(0)
+    before each step; where the rule's mask stops, mass times the stop's
+    utility is banked, and mass still unstopped after step n scores
+    -lambda * ||s^(n)||_1.  In the integer view, with lambda = a/b, the
+    mass before step t is an int over prod_{u<t} D_u and the total one int
+    over b*L*prod_{u<t} D_u, raised by D_t before step t banks into it;
+    each joined state's scaled norm is summed once.  The identity view
+    runs the same loops, in the order the Fraction formulas did."""
+    accept = _accept_masks(rule, prior)
+    rows, exact, a, b, norm_levels, unit = _stop_view(prior, params.lam)
+    norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
+
+    def norm(s):
+        s_l1 = norms.get(s)
+        if s_l1 is None:
+            s_l1 = norms[s] = sum(_decode(norm_levels, s))
+        return s_l1
+
+    total = 0
+    mass = {(0,) * prior.k: 1}
+    scale = 1  # prod D_u over the steps so far
     for t, row in enumerate(rows, 1):
+        atoms, den = _view(row, exact)
+        scale *= den
+        total *= den
         nxt: Dict[tuple, Number] = {}
         for s, m in mass.items():
-            values = _decode(levels, s)
+            mask = accept(t, s)
             banked = 0
-            for entries, val, p, ranks, _ in row.plain:
+            for _, val, p, ranks, bit in atoms:
                 joined = _join(s, ranks)
-                if rule(t, values, entries, val):
-                    banked += p * _utility(lam, val,
-                                           sum(_decode(levels, joined)))
+                if mask & bit:
+                    banked += p * (b * val - a * (norm(joined) - val))
                 else:
                     nxt[joined] = nxt.get(joined, 0) + m * p
             total += m * banked
         mass = nxt
     for s, m in mass.items():
-        total += m * _utility(lam, 0, sum(_decode(levels, s)))
-    return total
+        total += m * (0 - a * norm(s))
+    return _unscaled(exact, total, unit * scale)
 
 
 class _State:
     """An interned (step, super candidate) state of a Monte Carlo walk: the
-    super candidate's rank tuple, its values, and per atom of the step what
-    a trial drawing that atom does next.  A slot holds None until computed,
-    then the stop utility as a float, the next _State, or the next state's
-    rank tuple while that state has been reached only once."""
+    super candidate's rank tuple, the rule's accept mask there, and per
+    atom of the step what a trial drawing that atom does next.  A slot
+    holds None until computed, then the stop utility as a float, the next
+    _State, or the next state's rank tuple while that state has been
+    reached only once."""
 
-    __slots__ = ("ranks", "values", "next")
+    __slots__ = ("ranks", "mask", "next")
 
-    def __init__(self, ranks: tuple, values: tuple, width: int):
+    def __init__(self, ranks: tuple, mask: int, width: int):
         self.ranks = ranks
-        self.values = values
+        self.mask = mask
         self.next = [None] * width
 
 
@@ -430,14 +499,15 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
     """One deterministic rule's trials as a function of the drawn atom
     indices (one per step) to the utility as a float.
 
-    A slot is computed once, by calling `rule` on the decoded state, and
-    read back by every later trial that draws the same atom from the same
-    state.  A state is interned the second time a stored slot leads to it,
-    so states that never repeat cost one slot each.  At most `limit`
-    states are interned; a trial that leaves them computes its remaining
-    steps without storing them.  Every stored result sits in a slot of an
+    A slot is computed once, from the state's accept mask, and read back
+    by every later trial that draws the same atom from the same state.  A
+    state is interned the second time a stored slot leads to it, so states
+    that never repeat cost one slot each.  At most `limit` states are
+    interned; a trial that leaves them computes its remaining steps
+    without storing them.  Every stored result sits in a slot of an
     interned state, so the memo is bounded by `limit` times the atoms per
     step.  The end-of-stream utility is kept per final state."""
+    accept = _accept_masks(rule, prior)
     rows, levels, _, _ = prior.memoized(_rank_table)
     n = len(rows)
     states: Dict[Tuple[int, tuple], _State] = {}  # (t, ranks) before step t
@@ -447,15 +517,16 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
         state = states.get((t, ranks))
         if state is None and len(states) < limit:
             state = states[(t, ranks)] = _State(
-                ranks, _decode(levels, ranks), len(rows[t - 1].plain))
+                ranks, accept(t, ranks), len(rows[t - 1].plain))
         return state
 
-    def outcome(t, ranks, values, i):
-        """Atom i at step t from the state `ranks` (decoded: `values`): the
-        stop utility as a float when the rule stops, else the next ranks."""
-        entries, val, _, atom_ranks, _ = rows[t - 1].plain[i]
+    def outcome(t, ranks, mask, i):
+        """Atom i at step t from the state `ranks`, whose accept mask is
+        `mask`: the stop utility as a float when the rule stops, else the
+        next ranks."""
+        _, val, _, atom_ranks, bit = rows[t - 1].plain[i]
         joined = _join(ranks, atom_ranks)
-        if rule(t, values, entries, val):
+        if mask & bit:
             return float(_utility(lam, val, sum(_decode(levels, joined))))
         return joined
 
@@ -464,7 +535,7 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
 
     def unstored(t, ranks, picks):
         for t in range(t, n + 1):
-            r = outcome(t, ranks, _decode(levels, ranks), picks[t - 1])
+            r = outcome(t, ranks, accept(t, ranks), picks[t - 1])
             if r.__class__ is float:
                 return r
             ranks = r
@@ -482,7 +553,7 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
             if r.__class__ is float:
                 return r
             if r is None:
-                r = outcome(t, state.ranks, state.values, i)
+                r = outcome(t, state.ranks, state.mask, i)
                 if t == n and r.__class__ is not float:
                     u = finals.get(r)
                     if u is None:
@@ -603,9 +674,10 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
     b*v - a*(s - v) is an int over b*L, and V_t(state) one int over
     b*L*prod_{u>=t} D_u; the stop utility is raised to the continuation's
     scale before `u >= cont`, so every decision is the Fraction one.  A
-    state is decoded to its values once, for its table key, and a joined
-    state's scaled L1 norm is summed once."""
-    rows, levels, scaled, unit = prior.memoized(_rank_table)
+    state's accept mask is kept by (t, ranks) and decoded once, with the
+    state, for the value-keyed table; a joined state's scaled L1 norm is
+    summed once."""
+    rows, levels, _, _ = prior.memoized(_rank_table)
     n = prior.n
     layers = [((0,) * prior.k,)]
     count = 1
@@ -616,13 +688,9 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
             raise ResourceLimit(f"state budget {budget} exceeded "
                                 f"({count}+ states by step {t})")
         layers.append(tuple(sorted(nxt)))
-    exact = scaled is not None and not isinstance(lam, float)
-    if exact:
-        a, b, norm_levels, unit = (lam.numerator, lam.denominator, scaled,
-                                   lam.denominator * unit)
-    else:
-        a, b, norm_levels, unit = lam, 1, levels, 1
+    _, exact, a, b, norm_levels, unit = _stop_view(prior, lam)
     table: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
+    masks: Dict[Tuple[int, tuple], int] = {}
     values: Dict[tuple, Number] = {}
     norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
     declines: Dict[tuple, Number] = {}  # after step n: U of no selection
@@ -656,11 +724,12 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
                     choice = cont
                 total = total + p * choice
             newvals[s] = total
+            masks[(t, s)] = mask
             table[(t, _decode(levels, s))] = _picked(picked, row, mask)
         values = newvals
         scale *= den
     return DPResult(_unscaled(exact, values[layers[0][0]], unit * scale),
-                    table, count)
+                    table, count, masks)
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
@@ -707,7 +776,7 @@ def _rational_dp(prior: ProductPrior):
     picked: dict = {}
     table = {(t, ()): _picked(picked, rows[t - 1], masks[t])
              for t in range(1, n + 1)}
-    return DPResult(cont[1], table, n + 1), cont
+    return DPResult(cont[1], table, n + 1, masks), cont
 
 
 def optimal_rational_policy(prior: ProductPrior,
@@ -749,56 +818,58 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     again.  Once `b` has stopped, `a` is still followed until it stops, so
     a rule that leaves its compiled support raises as it would on a
     realization scan."""
-    rule_a = _single_rule(a, prior, params, allow_no_selection, budget)
-    rule_b = _single_rule(b, prior, params, allow_no_selection, budget)
+    accept_a = _accept_masks(
+        _single_rule(a, prior, params, allow_no_selection, budget), prior)
+    accept_b = _accept_masks(
+        _single_rule(b, prior, params, allow_no_selection, budget), prior)
     prior.check_support(resolve_budget(budget))
-    rows, levels, _, _ = prior.memoized(_rank_table)
+    rows = prior.memoized(_rank_table)[0]
     n = prior.n
     clear = set()  # (t, ranks, b running): no witness
-    # frame: [step t, ranks before t, their values, b running, next atom]
+    # frame: [step t, ranks before t, a's mask, b's mask (None once b has
+    # stopped), next atom]
     root = (0,) * prior.k
-    stack = [[1, root, _decode(levels, root), True, 0]]
+    stack = [[1, root, accept_a(1, root), accept_b(1, root), 0]]
     path = []  # atom index taken at each step above the top frame
     while stack:
         frame = stack[-1]
-        t, s, values, b_running, i = frame
+        t, s, mask_a, mask_b, i = frame
         atoms = rows[t - 1].plain
         if i == len(atoms):
-            clear.add((t, s, b_running))
+            clear.add((t, s, mask_b is not None))
             stack.pop()
             if path:
                 path.pop()
             continue
         frame[4] = i + 1
-        entries, val, _, ranks, _ = atoms[i]
-        stop_a = rule_a(t, values, entries, val)
-        stop_b = b_running and rule_b(t, values, entries, val)
-        if stop_a:
-            if b_running and not stop_b:
-                return _witness(rule_b, prior, path + [i], s, t)
+        ranks, bit = atoms[i][3:]
+        b_running = mask_b is not None and not mask_b & bit
+        if mask_a & bit:
+            if b_running:
+                return _witness(accept_b, prior, path + [i], s, t)
             continue
         if t == n:
             continue
         joined = _join(s, ranks)
-        key = (t + 1, joined, b_running and not stop_b)
+        key = (t + 1, joined, b_running)
         if key in clear:
             continue
         path.append(i)
-        stack.append([t + 1, joined, _decode(levels, joined), key[2], 0])
+        stack.append([t + 1, joined, accept_a(t + 1, joined),
+                      accept_b(t + 1, joined) if b_running else None, 0])
     return PatienceVerdict("more-patient", None)
 
 
-def _witness(rule_b, prior: ProductPrior, taken, s, t) -> PatienceVerdict:
+def _witness(accept_b, prior: ProductPrior, taken, s, t) -> PatienceVerdict:
     """`a` stopped at step t where `b` ran on: the first realization through
     this prefix (atom indices; `s` the ranks before t) takes each later
-    step's first atom, and `b` runs along it."""
-    rows, levels, _, _ = prior.memoized(_rank_table)
+    step's first atom, and `b` (its masks `accept_b`) runs along it."""
+    rows = prior.memoized(_rank_table)[0]
     ib = None
     for u in range(t + 1, prior.n + 1):
         s = _join(s, rows[u - 2].plain[taken[-1]][3])
         taken.append(0)
-        entries, val = rows[u - 1].plain[0][:2]
-        if rule_b(u, _decode(levels, s), entries, val):
+        if accept_b(u, s) & rows[u - 1].plain[0][4]:
             ib = u
             break
     taken += [0] * (prior.n - len(taken))

@@ -425,6 +425,15 @@ class TestRatio:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_number_past_the_bounds_exits_two(self, capsys, tmp_path):
+        atoms = [{"v": ["1e10001"], "p": "1"}]
+        code, out, err = self._ratio_of(
+            capsys, tmp_path, dict(ONE_STEP_PRIOR, steps=[{"atoms": atoms}]))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: number '1e10001' has a digit run past 4300 "
+                       "or an exponent past 10000\n")
+
     def test_gen_and_in_conflict(self, capsys, tmp_path):
         target = tmp_path / "x.json"
         target.write_text("{}")

@@ -407,6 +407,40 @@ class TestSerialization:
         assert number_from_json(10 ** 400) == F(10 ** 400)
 
 
+class TestNumberGrammar:
+    """A number string is an integer, a/b, or a decimal with an optional
+    exponent; its size is bounded before any int is built from it."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "12", "-3", "+4", "007", "1/2", "-3/4", "+6/4", "0.5",
+        ".5", "5.", "-.25", "1e5", "1.5E-3", "-2.25e+2", "1e10000",
+        "1e-10000", "1" * 4300, "1/" + "3" * 4300, "." + "1" * 4300,
+        "1" * 4299 + ".5e-10000"], ids=lambda text: text[:12])
+    def test_the_three_forms_read_as_fractions_do(self, text):
+        value = number_from_json(text)
+        assert type(value) is F and value == F(text)
+        if abs(value) < 10 ** 300:
+            assert number_from_json(text, False) == float(F(text))
+
+    @pytest.mark.parametrize("text", [
+        "", " 1", "1 ", "1 /2", "1_0", "1/2/3", "1.5/2", "1/-2", "e5", ".",
+        "-", "+", "0x10", "1e", "1e+", "inf", "nan", "1/0"])
+    def test_other_strings_rejected(self, text):
+        with pytest.raises(InvalidInput, match="expected a finite number"):
+            number_from_json(text)
+
+    # just past each bound; the bounds are what keep larger inputs cheap
+    @pytest.mark.parametrize("text", [
+        "1e10001", "1e-10001", "-1.5e10001", "1e00000000000000010001",
+        "1" * 4301, "1/" + "7" * 4301, "7" * 4301 + "/1",
+        "." + "1" * 4301, "1" * 4300 + ".1", "1e100000"],
+        ids=lambda text: f"{text[:8]}-{len(text)}")
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_past_the_bounds_rejected(self, text, exact):
+        with pytest.raises(InvalidInput, match="exponent past 10000"):
+            number_from_json(text, exact)
+
+
 # ---------------------------------------------------------------------------
 # property tests for the algebraic invariants
 # ---------------------------------------------------------------------------
