@@ -1,10 +1,13 @@
-"""Expectation engines, performance ratios, bound checks, and paradox probes.
+"""Expectation engines, performance ratios, bound checks, paradox probes,
+and reduction diagnostics.
 
 Exact arithmetic is the default everywhere: expectations are Fraction sums
-over the reachable (step, super candidate) states, and the two headline
-inequalities are checked without rounding.  Monte Carlo estimators exist for
-the priors whose support exceeds the budget; they are seeded and replayable.
-A policy's Monte Carlo trials draw atom indices here and hand them to
+over the reachable (step, super candidate) states, the two headline
+inequalities are checked without rounding, and the reduction's two
+diagnostics (does a draw represent sigma, does an adjacent pair invert) are
+forward chains over the prior's steps.  The one sampler, monte_carlo, exists
+for the priors whose support exceeds the budget; it is seeded and
+replayable.  Its trials draw atom indices here and hand them to
 `policies._trial_walk`, which walks them over interned super-candidate rank
 states and computes each (step, state, atom) outcome once, with the rule's
 exact stop utility converted by float(); the rng makes the calls a scan of
@@ -173,21 +176,6 @@ def _step_cums(prior: ProductPrior) -> list:
     return [tables[id(step)] for step in prior.steps]
 
 
-def _pick(cums, rng: random.Random) -> int:
-    return bisect_right(cums, rng.random())
-
-
-def _finish_estimate(total: float, total_sq: float, trials: int,
-                     seed: Optional[int]) -> EstimateWithCI:
-    mean = total / trials
-    if trials > 1:
-        var = max(total_sq / trials - mean * mean, 0.0)
-        var *= trials / (trials - 1)
-    else:
-        var = 0.0
-    return EstimateWithCI(mean, CI_Z * math.sqrt(var / trials), trials, seed)
-
-
 def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
                 trials: int, seed: Optional[int],
                 allow_no_selection: bool = True,
@@ -219,10 +207,17 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     for _ in range(trials):
         if len(walks) > 1:
             walk = walks[compiled.draw_arm(rng)]
-        u = walk([bisect_right(c, draw()) for c in steps])  # as _pick
+        # one uniform per step; the first running sum past it picks the atom
+        u = walk([bisect_right(c, draw()) for c in steps])
         total += u
         total_sq += u * u
-    return _finish_estimate(total, total_sq, trials, seed)
+    mean = total / trials
+    if trials > 1:
+        var = max(total_sq / trials - mean * mean, 0.0)
+        var *= trials / (trials - 1)
+    else:
+        var = 0.0
+    return EstimateWithCI(mean, CI_Z * math.sqrt(var / trials), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -451,76 +446,58 @@ def detect_quality_paradox(low: Sequence, high: Sequence,
 # ---------------------------------------------------------------------------
 
 
-def _code_tables(prior: ProductPrior, target: Sequence):
-    """Per step: cumulative weights plus each atom's role relative to the
-    target representation (its index there, -1 for zero, -2 for foreign)."""
-    index_of = {c.entries: i for i, c in enumerate(target.candidates)}
-    return [(tuple(-1 if v.is_zero else index_of.get(v.entries, -2)
-                   for v, _ in dist.atoms), cums)
-            for dist, cums in zip(prior.steps, _step_cums(prior))]
+def representation_probability(prior: ProductPrior,
+                               sigma: Sequence) -> Number:
+    """Exact probability that a draw from the prior represents sigma: every
+    distinct candidate appears and first occurrences keep order.
 
-
-def representation_match_rate(prior: ProductPrior, sigma: Sequence,
-                              trials: int, seed: Optional[int]
-                              ) -> EstimateWithCI:
-    """Sampled probability that a draw from the prior represents sigma:
-    every distinct candidate appears and first occurrences keep order."""
-    if trials <= 0:
-        raise InvalidInput("trials must be positive")
+    A forward chain over the steps on the next expected index of
+    representation(sigma); a zero atom leaves the mass where it is, and a
+    foreign candidate, or one seen before its turn, kills it.
+    """
     target = representation(sigma)
-    tables = _code_tables(prior, target)
+    index_of = {c.entries: i for i, c in enumerate(target.candidates)}
     m = target.n
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(trials):
-        expect = 0
-        dead = False
-        for codes, cums in tables:
-            code = codes[_pick(cums, rng)]
-            if dead or code == -1 or 0 <= code < expect:
-                continue
-            if code == expect:
-                expect += 1
-            else:
-                dead = True  # foreign candidate or one seen out of order
-        if not dead and expect == m:
-            hits += 1
-    # 0/1 outcomes: the sum and the sum of squares are both the hit count
-    return _finish_estimate(float(hits), float(hits), trials, seed)
+    mass = [Fraction(1)] + [Fraction(0)] * m  # by next expected index
+    for dist in prior.steps:
+        new = [Fraction(0)] * (m + 1)
+        for v, p in dist.atoms:
+            # a zero atom (-1) or an earlier candidate stays, the expected
+            # one advances, and a later or foreign one (m + 1) kills
+            code = -1 if v.is_zero else index_of.get(v.entries, m + 1)
+            for j, w in enumerate(mass):
+                if w and code <= j:
+                    new[j + (code == j)] += w * p
+        mass = new
+    return mass[m]
 
 
-def adjacent_inversion_rate(prior: ProductPrior, sigma: Sequence,
-                            index: int, trials: int,
-                            seed: Optional[int]) -> EstimateWithCI:
-    """Sampled probability that distinct candidate index+1 first appears
+def inversion_probability(prior: ProductPrior, sigma: Sequence,
+                          index: int) -> Number:
+    """Exact probability that distinct candidate index+1 first appears
     before candidate index, conditioned on either appearing at all.
 
-    The trials field of the estimate reports the conditioning count.
+    A forward chain over the steps on the mass that has seen neither; each
+    step banks the shares that see one of the two first.  On an iid
+    reduction prior this is x / (1 + x) for every n.
     """
-    if trials <= 0:
-        raise InvalidInput("trials must be positive")
     target = representation(sigma)
     if not 1 <= index < target.n:
         raise InvalidInput(f"no adjacent pair starts at index {index}")
-    tables = _code_tables(prior, target)
-    lo, hi = index - 1, index
-    rng = random.Random(seed)
-    qualifying = 0
-    inversions = 0
-    for _ in range(trials):
-        pos_lo = pos_hi = None
-        for t, (codes, cums) in enumerate(tables):
-            code = codes[_pick(cums, rng)]
-            if pos_lo is None and code == lo:
-                pos_lo = t
-            elif pos_hi is None and code == hi:
-                pos_hi = t
-        if pos_lo is None and pos_hi is None:
-            continue
-        qualifying += 1
-        if pos_lo is None or (pos_hi is not None and pos_hi < pos_lo):
-            inversions += 1
-    if qualifying == 0:
-        raise InvalidInput("no sampled sequence contained either candidate")
-    return _finish_estimate(float(inversions), float(inversions),
-                            qualifying, seed)
+    lo, hi = (c.entries for c in target.candidates[index - 1:index + 1])
+    neither, lo_first, hi_first = Fraction(1), Fraction(0), Fraction(0)
+    for dist in prior.steps:
+        rest = Fraction(0)
+        for v, p in dist.atoms:
+            if v.entries == hi:
+                hi_first += neither * p
+            elif v.entries == lo:
+                lo_first += neither * p
+            else:
+                rest += p
+        neither *= rest
+        if not neither:
+            break
+    if not hi_first + lo_first:
+        raise InvalidInput("neither candidate can appear under the prior")
+    return hi_first / (hi_first + lo_first)

@@ -30,6 +30,7 @@ from .core import (
     ProductPrior,
     ResourceLimit,
     Sequence,
+    _parse_number,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
     prior_from_json,
@@ -49,7 +50,7 @@ from .instances import (
     gen_salient_feature,
     gen_worstcase_mixed,
 )
-from .policies import Policy, policy_to_json
+from .policies import DEFAULT_STATE_BUDGET, Policy, policy_to_json
 from .analysis import (
     CheckResult,
     ROW_FIELDS,
@@ -85,23 +86,34 @@ VERIFY_INSTANCES = 50
 # ---------------------------------------------------------------------------
 
 
+def number(text: str) -> Fraction:
+    """A numeric flag's text through core's bounded number grammar; a zero
+    denominator, like a string outside the grammar, is a usage error."""
+    try:
+        return _parse_number(text)
+    except InvalidInput as err:  # past the grammar's digit or exponent bound
+        raise argparse.ArgumentTypeError(str(err))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+
+
 def grid(text: str) -> List[Fraction]:
     """Inclusive start:stop:step grid of exact rationals; step defaults
-    to 1, a bare value is a one-point grid."""
+    to 1, a bare value is a one-point grid.  A grid of more points than
+    the default state budget is refused before it is built."""
     parts = text.split(":")
     if len(parts) > 3:
         raise ValueError(f"grid {text!r} has too many fields")
-    start = Fraction(parts[0])
-    stop = Fraction(parts[1]) if len(parts) > 1 else start
-    step = Fraction(parts[2]) if len(parts) > 2 else Fraction(1)
+    start = number(parts[0])
+    stop = number(parts[1]) if len(parts) > 1 else start
+    step = number(parts[2]) if len(parts) > 2 else Fraction(1)
     if step <= 0 or stop < start:
         raise ValueError("grid needs start <= stop and step > 0")
-    out = []
-    value = start
-    while value <= stop:
-        out.append(value)
-        value += step
-    return out
+    count = (stop - start) // step + 1
+    if count > DEFAULT_STATE_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has more than {DEFAULT_STATE_BUDGET} points")
+    return [start + i * step for i in range(count)]
 
 
 # bare spec names, then NAME: forms that read the text after the colon
@@ -110,8 +122,8 @@ _POLICY_SPECS = {
     "optimal-biased": Policy.optimal_biased,
     "optimal-rational": Policy.optimal_rational,
     "fixed:": lambda arg: Policy.fixed_index(int(arg)),
-    "threshold:": lambda arg: Policy.threshold(Fraction(arg)),
-    "alpha:": lambda arg: Policy.from_alpha(Fraction(arg)),
+    "threshold:": lambda arg: Policy.threshold(number(arg)),
+    "alpha:": lambda arg: Policy.from_alpha(number(arg)),
 }
 
 
@@ -444,12 +456,12 @@ _FLAGS = {
                help="instance JSON produced by generate"),
     "n": dict(type=int, help="candidate count / override"),
     "k": dict(type=int, help="value dimension"),
-    "lambda": dict(dest="lam", type=Fraction, help="loss-aversion weight"),
-    "beta": dict(type=Fraction, help="growth ratio"),
-    "eps": dict(type=Fraction, help="tail probability / slack"),
+    "lambda": dict(dest="lam", type=number, help="loss-aversion weight"),
+    "beta": dict(type=number, help="growth ratio"),
+    "eps": dict(type=number, help="tail probability / slack"),
     "w": dict(type=int, help="row count"),
-    "q": dict(type=Fraction, help="base value"),
-    "a": dict(type=Fraction, help="shared feature value"),
+    "q": dict(type=number, help="base value"),
+    "a": dict(type=number, help="shared feature value"),
     "policy": dict(type=policy_spec),
     "suite": dict(choices=("bounds", "paradoxes", "all"), default="all"),
     "trials": dict(type=int, help="trials; for verify, instances per suite "

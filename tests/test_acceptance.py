@@ -1,9 +1,8 @@
 """End-to-end gate: one test per headline claim the package must reproduce.
 
 Every scenario here is self-contained: explicit instances, explicit expected
-numbers, exact rational arithmetic with zero tolerance unless the check is a
-Monte Carlo run (those get a 3 sigma envelope around the analytic rate).
-Each test also asserts its own wall-clock budget so the gate stays cheap.
+numbers, exact rational arithmetic with zero tolerance.  Each test also
+asserts its own wall-clock budget so the gate stays cheap.
 """
 
 import random
@@ -42,12 +41,11 @@ from lap.policies import (
     run_rule,
 )
 from lap.analysis import (
-    CI_Z,
-    adjacent_inversion_rate,
     detect_quality_paradox,
     exact_expectation,
+    inversion_probability,
     ratio_report,
-    representation_match_rate,
+    representation_probability,
     verify_online_bound,
     verify_prophet_bound,
 )
@@ -191,27 +189,34 @@ def test_worstcase_mixed_tightness():
 
 def test_reduction_probabilities_and_rates():
     """Reduction atom probabilities always sum to 1 and the m=2, x=1/4 pair
-    is (4/5, 1/5) exactly; 100k trials over 50 iid draws land within 3 sigma
-    of the analytic adjacent-inversion rate x/(1+x) and of the analytic
-    first-occurrence match rate.  Monte Carlo tolerance 3 sigma, everything
-    else exact; under 30 s."""
+    is (4/5, 1/5) exactly; over 50 iid draws the probability of the
+    first-occurrence match equals the oracle chain and every adjacent
+    inversion probability equals x/(1+x), for m = 2..5 and four x.  Exact,
+    zero tolerance; under 5 s."""
     t0 = time.perf_counter()
     for m in (2, 3, 4, 5):
+        sigma = Sequence(tuple(ValueVector((F(i), F(0)))
+                               for i in range(1, m + 1)))
         for x in (F(1, 4), F(1, 2), F(2, 3), F(9, 10)):
-            assert sum(reduction_probabilities(m, x)) == 1
+            probs = reduction_probabilities(m, x)
+            assert sum(probs) == 1
+            prior, meta = det_to_iid(sigma, AgentParams(F(1, 2), 2),
+                                     F(1, 2), n_override=50, x_override=x)
+            assert meta.m == m and meta.x == x
+            assert prior.n == 50 and prior.iid
+            assert representation_probability(prior, sigma) == \
+                oracles.representation_match_probability(probs, 50)
+            for index in range(1, m):
+                assert inversion_probability(prior, sigma, index) == \
+                    x / (1 + x)
     assert reduction_probabilities(2, F(1, 4)) == (F(4, 5), F(1, 5))
     sigma = Sequence((ValueVector((F(1), F(0))), ValueVector((F(0), F(1)))))
-    prior, meta = det_to_iid(sigma, AgentParams(F(1, 2), 2), F(1, 2),
-                             n_override=50, x_override=F(1, 4))
-    assert meta.m == 2 and meta.x == F(1, 4)
-    assert prior.n == 50 and prior.iid
-    match = representation_match_rate(prior, sigma, trials=100000, seed=2026)
-    target = float(oracles.representation_match_probability(
-        [F(4, 5), F(1, 5)], 50))
-    assert abs(match.mean - target) <= 3 * match.half_width / CI_Z
-    inv = adjacent_inversion_rate(prior, sigma, 1, trials=100000, seed=2026)
-    assert abs(inv.mean - 0.2) <= 3 * inv.half_width / CI_Z
-    assert time.perf_counter() - t0 < 30.0
+    prior, _ = det_to_iid(sigma, AgentParams(F(1, 2), 2), F(1, 2),
+                          n_override=50, x_override=F(1, 4))
+    assert representation_probability(prior, sigma) == \
+        oracles.representation_match_probability([F(4, 5), F(1, 5)], 50)
+    assert inversion_probability(prior, sigma, 1) == F(1, 5)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_dp_matches_history_bruteforce():

@@ -1,6 +1,5 @@
 """Expectation engines, ratio reports, bound verifiers, paradox detectors."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -35,15 +34,15 @@ from lap.analysis import (
     NonPositiveDenominator,
     RatioReport,
     ROW_FIELDS,
-    adjacent_inversion_rate,
     detect_paradox_of_choice,
     detect_quality_paradox,
     exact_expectation,
     gamma_of,
+    inversion_probability,
     monte_carlo,
     ratio_report,
     ratio_row,
-    representation_match_rate,
+    representation_probability,
     verify_online_bound,
     verify_prophet_bound,
 )
@@ -607,6 +606,35 @@ class TestSufferingProphet:
 # ---------------------------------------------------------------------------
 
 
+def _rep(vecs):
+    """A realized sequence's representation, as plain tuples."""
+    return tuple(dict.fromkeys(v for v in vecs if any(v)))
+
+
+def _reduction_case(rng, i):
+    """Steps and a sigma for the reduction chains.  Every fourth prior is
+    iid and every third has float probabilities, multiples of 1/8 so every
+    float sum and product below is exact.  Values come from {0, 1, 2}^2,
+    so zero atoms are common, and sigma mixes support points with two
+    values that may be foreign to the prior (atoms off sigma are foreign)."""
+    grid = [(F(a), F(b)) for a in range(3) for b in range(3)]
+
+    def step():
+        vecs = rng.sample(grid, rng.randint(1, 3))
+        cuts = sorted(rng.sample(range(1, 8), len(vecs) - 1))
+        eighths = [b - a for a, b in zip([0] + cuts, cuts + [8])]
+        return [(v, e / 8 if i % 3 == 0 else F(e, 8))
+                for v, e in zip(vecs, eighths)]
+
+    n = rng.randint(1, 4)
+    steps = [step()] * n if i % 4 == 0 else [step() for _ in range(n)]
+    pool = sorted({v for s in steps for v, _ in s} | set(rng.sample(grid, 2)))
+    sigma = rng.sample(pool, rng.randint(1, len(pool)))
+    if not any(map(any, sigma)):
+        sigma.append((F(1), F(1)))
+    return steps, sigma
+
+
 class TestReductionRates:
     def setup_method(self):
         sigma = seq((1, 0), (0, 1))
@@ -616,32 +644,65 @@ class TestReductionRates:
             n_override=12, x_override=F(1, 4))
 
     def test_match_rate_tracks_exact_value(self):
-        exact = float(oracles.representation_match_probability(
-            [F(4, 5), F(1, 5)], 12))
-        est = representation_match_rate(self.prior, self.sigma,
-                                        trials=20000, seed=1207)
-        sd = math.sqrt(exact * (1 - exact) / 20000)
-        assert abs(est.mean - exact) <= 3 * sd
-        assert est.trials == 20000 and est.seed == 1207
+        exact = oracles.representation_match_probability(
+            [F(4, 5), F(1, 5)], 12)
+        got = representation_probability(self.prior, self.sigma)
+        assert got == exact and type(got) is F
 
     def test_inversion_rate_tracks_closed_form(self):
-        want = float(F(1, 4) / (1 + F(1, 4)))
-        est = adjacent_inversion_rate(self.prior, self.sigma, 1,
-                                      trials=20000, seed=88)
-        sd = math.sqrt(want * (1 - want) / 20000)
-        assert abs(est.mean - want) <= 3 * sd
-
-    def test_rates_are_reproducible(self):
-        a = representation_match_rate(self.prior, self.sigma,
-                                      trials=4000, seed=3)
-        b = representation_match_rate(self.prior, self.sigma,
-                                      trials=4000, seed=3)
-        assert a == b
+        got = inversion_probability(self.prior, self.sigma, 1)
+        assert got == F(1, 4) / (1 + F(1, 4)) and type(got) is F
 
     def test_validation(self):
-        with pytest.raises(InvalidInput):
-            adjacent_inversion_rate(self.prior, self.sigma, 2,
-                                    trials=100, seed=1)  # no pair starts at 2
-        with pytest.raises(InvalidInput):
-            representation_match_rate(self.prior, self.sigma,
-                                      trials=0, seed=1)
+        with pytest.raises(InvalidInput,
+                           match="no adjacent pair starts at index 2"):
+            inversion_probability(self.prior, self.sigma, 2)
+        with pytest.raises(InvalidInput, match="neither candidate"):
+            inversion_probability(prior_of([[((F(2), F(0)), F(1))]]),
+                                  self.sigma, 1)
+
+    def test_chains_match_bruteforce(self):
+        """Both chains equal a sum over every realization, in value and
+        type, on seeded iid and non-iid priors with zero atoms, foreign
+        atoms, and float probabilities."""
+        rng = random.Random(1212)
+        seen = dict.fromkeys(("iid", "float", "zero", "foreign", "pair",
+                              "undefined"), 0)
+        for i in range(120):
+            steps, sigma = _reduction_case(rng, i)
+            prior = prior_of(steps)
+            target = _rep(sigma)
+            atoms = {v for s in steps for v, _ in s}
+            seen["iid"] += prior.iid and prior.n > 1
+            seen["float"] += i % 3 == 0
+            seen["zero"] += (F(0), F(0)) in atoms
+            seen["foreign"] += not atoms <= set(target) | {(F(0), F(0))}
+            want = sum((p for vecs, p in oracles.realizations(steps)
+                        if _rep(vecs) == target), F(0))
+            got = representation_probability(prior, seq(*sigma))
+            assert got == want and type(got) is type(want), i
+            if len(target) < 2:
+                with pytest.raises(InvalidInput, match="no adjacent pair"):
+                    inversion_probability(prior, seq(*sigma), 1)
+                continue
+            index = rng.randint(1, len(target) - 1)
+            lo, hi = target[index - 1], target[index]
+            hi_first = either = F(0)
+            n = len(steps)
+            for vecs, p in oracles.realizations(steps):
+                first = {}
+                for t, v in enumerate(vecs):
+                    first.setdefault(v, t)
+                if lo in first or hi in first:
+                    either += p
+                    hi_first += p * (first.get(hi, n) < first.get(lo, n))
+            if not either:
+                seen["undefined"] += 1
+                with pytest.raises(InvalidInput, match="neither candidate"):
+                    inversion_probability(prior, seq(*sigma), index)
+                continue
+            seen["pair"] += 1
+            got = inversion_probability(prior, seq(*sigma), index)
+            want = hi_first / either
+            assert got == want and type(got) is type(want), i
+        assert min(seen.values()) > 0, seen

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +60,63 @@ class TestArgumentTypes:
         for text in ("best", "fixed", "alpha", "accept-last:2"):
             with pytest.raises(ValueError):
                 cli.policy_spec(text)
+
+
+class TestNumberFlags:
+    """Every numeric flag and spec form reads core's bounded number
+    grammar: a zero denominator or an exponent past its bound is a usage
+    error that names the flag and the reason, and no command runs."""
+
+    REASONS = {"1/0": "zero denominator", "1e10001": "exponent past 10000"}
+
+    def assert_usage_error(self, capsys, argv, flag, reason):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and reason in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1/0", "1e10001"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--beta", "--eps", "--q",
+                                      "--a"])
+    def test_flag(self, capsys, flag, value):
+        self.assert_usage_error(capsys, ("generate", flag, value), flag,
+                                self.REASONS[value])
+
+    @pytest.mark.parametrize("value", ["1/0", "1e10001"])
+    @pytest.mark.parametrize("form", ["threshold:", "alpha:"])
+    def test_policy_spec(self, capsys, form, value):
+        self.assert_usage_error(capsys, ("evaluate", "--policy", form + value),
+                                "--policy", self.REASONS[value])
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "0:1/0", "0:1:1/0",
+        "1e10001", "0:1e10001:1e10001", "0:1:1e10001"])
+    @pytest.mark.parametrize("flag", ["--lambda-grid", "--k-grid"])
+    def test_grid_field(self, capsys, flag, text):
+        reason = self.REASONS["1/0" if "1/0" in text else "1e10001"]
+        self.assert_usage_error(capsys, ("sweep", flag, text), flag, reason)
+
+    def test_grid_past_budget_refused_before_built(self, capsys):
+        t0 = time.perf_counter()
+        self.assert_usage_error(
+            capsys, ("sweep", "--lambda-grid", "0:1:1/1000000"),
+            "--lambda-grid", "more than 1000000 points")
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_values_in_use_unchanged(self):
+        for text in ("1/4", "0.1", "2", "1e-3", "-1/2", "5."):
+            assert cli.number(text) == F(text)
+
+    def test_script_exits_two_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lap.cli", "ratio", "--gen",
+             "alternating-geometric", "--n", "2", "--k", "2", "--beta", "2",
+             "--lambda", "1e10001"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "argument --lambda: " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestGenerate:
