@@ -455,6 +455,8 @@ def representation_probability(prior: ProductPrior,
     representation(sigma); a zero atom leaves the mass where it is, and a
     foreign candidate, or one seen before its turn, kills it.
     """
+    if sigma.k != prior.k:
+        raise InvalidInput("prior and sequence dimensions differ")
     target = representation(sigma)
     index_of = {c.entries: i for i, c in enumerate(target.candidates)}
     m = target.n
@@ -481,6 +483,8 @@ def inversion_probability(prior: ProductPrior, sigma: Sequence,
     step banks the shares that see one of the two first.  On an iid
     reduction prior this is x / (1 + x) for every n.
     """
+    if sigma.k != prior.k:
+        raise InvalidInput("prior and sequence dimensions differ")
     target = representation(sigma)
     if not 1 <= index < target.n:
         raise InvalidInput(f"no adjacent pair starts at index {index}")

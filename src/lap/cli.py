@@ -30,6 +30,7 @@ from .core import (
     ProductPrior,
     ResourceLimit,
     Sequence,
+    _parse_int,
     _parse_number,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
@@ -97,6 +98,11 @@ def number(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
+def integer(text: str) -> int:
+    """An integer flag's text through core's integer grammar."""
+    return _parse_int(text)
+
+
 def grid(text: str) -> List[Fraction]:
     """Inclusive start:stop:step grid of exact rationals; step defaults
     to 1, a bare value is a one-point grid.  A grid of more points than
@@ -121,7 +127,7 @@ _POLICY_SPECS = {
     "accept-last": Policy.accept_last,
     "optimal-biased": Policy.optimal_biased,
     "optimal-rational": Policy.optimal_rational,
-    "fixed:": lambda arg: Policy.fixed_index(int(arg)),
+    "fixed:": lambda arg: Policy.fixed_index(integer(arg)),
     "threshold:": lambda arg: Policy.threshold(number(arg)),
     "alpha:": lambda arg: Policy.from_alpha(number(arg)),
 }
@@ -454,22 +460,22 @@ _FLAGS = {
     "gen": dict(choices=_GENERATORS, help="instance family"),
     "in": dict(dest="infile", metavar="FILE",
                help="instance JSON produced by generate"),
-    "n": dict(type=int, help="candidate count / override"),
-    "k": dict(type=int, help="value dimension"),
+    "n": dict(type=integer, help="candidate count / override"),
+    "k": dict(type=integer, help="value dimension"),
     "lambda": dict(dest="lam", type=number, help="loss-aversion weight"),
     "beta": dict(type=number, help="growth ratio"),
     "eps": dict(type=number, help="tail probability / slack"),
-    "w": dict(type=int, help="row count"),
+    "w": dict(type=integer, help="row count"),
     "q": dict(type=number, help="base value"),
     "a": dict(type=number, help="shared feature value"),
     "policy": dict(type=policy_spec),
     "suite": dict(choices=("bounds", "paradoxes", "all"), default="all"),
-    "trials": dict(type=int, help="trials; for verify, instances per suite "
-                                  f"(default {VERIFY_INSTANCES})"),
+    "trials": dict(type=integer, help="trials; for verify, instances per "
+                                      f"suite (default {VERIFY_INSTANCES})"),
     "lambda-grid": dict(type=grid, metavar="START:STOP:STEP"),
     "k-grid": dict(type=grid, metavar="START:STOP[:STEP]"),
-    "seed": dict(type=int, help="rng seed"),
-    "budget-states": dict(dest="budget", type=int,
+    "seed": dict(type=integer, help="rng seed"),
+    "budget-states": dict(dest="budget", type=integer,
                           help="state/enumeration budget "
                                "(env LAP_BUDGET_STATES, default 10^6)"),
     "out": dict(metavar="FILE", help="write output here"),

@@ -489,6 +489,13 @@ def _parse_number(text: str) -> Fraction:
     return Fraction(int(sign + whole + frac), 10 ** -shift)
 
 
+def _parse_int(text: str) -> int:
+    """An integer string as an int: [-+]?[0-9]+, not all that int takes."""
+    if re.fullmatch(r"[-+]?[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def number_from_json(x, exact: bool = True) -> Number:
     if isinstance(x, bool) or not isinstance(x, (str, int, float)):
         raise InvalidInput(f"expected a number, got {x!r}")

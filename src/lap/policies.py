@@ -39,11 +39,11 @@ of products of those ints, and lambda = a/b applied as b*v - a*(s - v),
 stay ints over one positive scale per step, so every comparison is the
 Fraction one and no gcd is paid along the way.  Ints are decoded to
 Fractions only for the final values, the rational DP's continuation values
-and the distributions returned; table keys and accepted entries are the
-prior's own values.  When any entry, probability or lambda is a float,
-the same loops run on the identity view (L = b = D_t = 1, weights the
-probabilities), which performs the float operations in the order the
-Fraction formulas did.
+and the distributions returned.  A DP records its decisions only as accept
+masks; its value-keyed `policy_table` is decoded from them when first read.
+When any entry, probability or lambda is a float, the same loops run on the
+identity view (L = b = D_t = 1, weights the probabilities), which performs
+the float operations in the order the Fraction formulas did.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import getitem
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core import (
     AgentParams,
@@ -65,6 +66,7 @@ from .core import (
     Sequence,
     StoppingOutcome,
     _json_int,
+    _parse_int,
     number_from_json,
     number_to_json,
 )
@@ -83,7 +85,7 @@ def resolve_budget(budget: Optional[int] = None) -> int:
         if raw is None:
             return DEFAULT_STATE_BUDGET
         try:
-            budget = int(raw)
+            budget = _parse_int(raw)
         except ValueError as err:
             raise InvalidInput(f"bad {BUDGET_ENV_VAR} value {raw!r}") from err
     if budget <= 0:
@@ -160,15 +162,23 @@ Policy.threshold = staticmethod(_threshold_policy)
 
 @dataclass(frozen=True)
 class DPResult:
-    """Backward-induction output: value, accept-sets per state, state count."""
+    """Backward-induction output: the value, the state count, and per (t,
+    rank state) the accept mask over the prior's `rank_table` rows (the
+    rational DP's one state is ())."""
 
     expected_utility: Number
-    policy_table: Dict[Tuple[int, tuple], Tuple[tuple, ...]]
     state_count: int
-    # the accept masks behind policy_table, ints of row bits: by (t, rank
-    # state) for the biased DP, by t for the rational DP
-    masks: Union[Dict[Tuple[int, tuple], int], List[int]] = field(
-        default_factory=dict, repr=False, compare=False)
+    masks: Dict[Tuple[int, tuple], int]
+    rank_table: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def policy_table(self) -> Dict[Tuple[int, tuple], Tuple[tuple, ...]]:
+        """The masks decoded on first read: per (t, the state's values),
+        the sorted entries it accepts."""
+        rows, levels = self.rank_table[:2]
+        return {(t, _decode(levels, s)): tuple(
+            e for i, e in enumerate(rows[t - 1].ordered) if mask >> i & 1)
+            for (t, s), mask in self.masks.items()}
 
 
 @dataclass(frozen=True)
@@ -275,17 +285,6 @@ def _unscaled(exact: bool, x: Number, den: int) -> Number:
     """A scaled int as the Fraction it stands for; the identity view's
     numbers are the values already."""
     return Fraction(x, den) if exact else x
-
-
-def _picked(cache: dict, row: _Row, mask: int) -> tuple:
-    """The sorted entries a mask of `row`'s bits names; one tuple per (row,
-    mask), shared by every state that accepts that set."""
-    key = (id(row), mask)
-    acc = cache.get(key)
-    if acc is None:
-        acc = cache[key] = tuple(entries for i, entries
-                                 in enumerate(row.ordered) if mask >> i & 1)
-    return acc
 
 
 def _decode(levels, ranks: tuple) -> tuple:
@@ -399,21 +398,19 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
     elif policy.kind == "optimal-rational":
         res, cont = _rational_dp(prior)  # cont[t]: value on reaching t
         arm = _Arm(lambda t, s, entries, val: val >= cont[t + 1], prior,
-                   lambda t, ranks: res.masks[t])
+                   lambda t, ranks: res.masks[(t, ())])
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
         res = optimal_biased_policy(prior, AgentParams(lam, params.k),
                                     allow_no_selection, budget)
-        table, force_last = res.policy_table, not allow_no_selection
 
-        def decide(t, s, entries, val):
-            if force_last and t == n:
+        def decide(t, s, entries, val):  # decodes the table at its first call
+            if not allow_no_selection and t == n:
                 return True
-            try:
-                acc = table[(t, s)]
-            except KeyError as err:
+            acc = res.policy_table.get((t, s))
+            if acc is None:
                 raise InvalidInput(
-                    "realization leaves the compiled prior's support") from err
+                    "realization leaves the compiled prior's support")
             return entries in acc
         arm = _Arm(decide, prior, lambda t, ranks: res.masks[(t, ranks)])
     return CompiledPolicy(((Fraction(1), arm),), policy.seed)
@@ -674,10 +671,9 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
     b*v - a*(s - v) is an int over b*L, and V_t(state) one int over
     b*L*prod_{u>=t} D_u; the stop utility is raised to the continuation's
     scale before `u >= cont`, so every decision is the Fraction one.  A
-    state's accept mask is kept by (t, ranks) and decoded once, with the
-    state, for the value-keyed table; a joined state's scaled L1 norm is
-    summed once."""
-    rows, levels, _, _ = prior.memoized(_rank_table)
+    state's accept mask is kept by (t, ranks), and no state is decoded to
+    its values; a joined state's scaled L1 norm is summed once."""
+    rank_table = rows, _, _, _ = prior.memoized(_rank_table)
     n = prior.n
     layers = [((0,) * prior.k,)]
     count = 1
@@ -689,16 +685,12 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
                                 f"({count}+ states by step {t})")
         layers.append(tuple(sorted(nxt)))
     _, exact, a, b, norm_levels, unit = _stop_view(prior, lam)
-    table: Dict[Tuple[int, tuple], Tuple[tuple, ...]] = {}
     masks: Dict[Tuple[int, tuple], int] = {}
     values: Dict[tuple, Number] = {}
     norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
-    declines: Dict[tuple, Number] = {}  # after step n: U of no selection
-    picked: dict = {}
     scale = 1  # prod_{u>t} D_u: lifts a stop utility to V_{t+1}'s scale
     for t in range(n, 0, -1):
-        row = rows[t - 1]
-        atoms, den = _view(row, exact)
+        atoms, den = _view(rows[t - 1], exact)
         newvals: Dict[tuple, Number] = {}
         for s in layers[t - 1]:
             total = 0
@@ -711,10 +703,8 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
                 u = (b * val - a * (s_l1 - val)) * scale
                 if t < n:
                     cont = values[joined]
-                elif allow_no_selection:
-                    cont = declines.get(joined)
-                    if cont is None:
-                        cont = declines[joined] = 0 - a * s_l1
+                elif allow_no_selection:  # U of no selection after step n
+                    cont = 0 - a * s_l1
                 else:
                     cont = None
                 if cont is None or u >= cont:
@@ -725,11 +715,10 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
                 total = total + p * choice
             newvals[s] = total
             masks[(t, s)] = mask
-            table[(t, _decode(levels, s))] = _picked(picked, row, mask)
         values = newvals
         scale *= den
     return DPResult(_unscaled(exact, values[layers[0][0]], unit * scale),
-                    table, count, masks)
+                    count, masks, rank_table)
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
@@ -750,11 +739,11 @@ def _rational_dp(prior: ProductPrior):
     """Backward induction on L1 values in the integer view: cont[t], the
     optimal value on reaching t, is one int over L*prod_{u>=t} D_u until it
     is decoded."""
-    rows, _, scaled, unit = prior.memoized(_rank_table)
+    rank_table = rows, _, scaled, unit = prior.memoized(_rank_table)
     exact = scaled is not None
     n = prior.n
     cont = [Fraction(0)] * (n + 2)  # cont[t] = optimal value on reaching t
-    masks = [0] * (n + 1)  # masks[t]: the atoms step t accepts
+    masks = dict.fromkeys([(t, ()) for t in range(1, n + 1)], 0)  # t order
     nxt = 0  # cont[t + 1] at its scale
     scale = 1  # prod_{u>t} D_u
     for t in range(n, 0, -1):
@@ -772,11 +761,8 @@ def _rational_dp(prior: ProductPrior):
         nxt = total
         scale *= den
         cont[t] = _unscaled(exact, total, unit * scale)
-        masks[t] = mask
-    picked: dict = {}
-    table = {(t, ()): _picked(picked, rows[t - 1], masks[t])
-             for t in range(1, n + 1)}
-    return DPResult(cont[1], table, n + 1, masks), cont
+        masks[(t, ())] = mask
+    return DPResult(cont[1], n + 1, masks, rank_table), cont
 
 
 def optimal_rational_policy(prior: ProductPrior,
@@ -916,14 +902,11 @@ def policy_from_json(obj: dict, exact: bool = True) -> Policy:
 
 
 def dp_result_to_json(res: DPResult) -> dict:
-    rows = []
-    for (t, state) in sorted(res.policy_table):
-        rows.append({
-            "step": t,
-            "state": [number_to_json(e) for e in state],
-            "accept": [[number_to_json(e) for e in vec]
-                       for vec in res.policy_table[(t, state)]],
-        })
+    table = res.policy_table
+    rows = [{"step": t, "state": [number_to_json(e) for e in state],
+             "accept": [[number_to_json(e) for e in vec]
+                        for vec in table[(t, state)]]}
+            for t, state in sorted(table)]
     return {"expected_utility": number_to_json(res.expected_utility),
             "state_count": res.state_count,
             "policy_table": rows}

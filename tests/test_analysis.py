@@ -660,6 +660,11 @@ class TestReductionRates:
         with pytest.raises(InvalidInput, match="neither candidate"):
             inversion_probability(prior_of([[((F(2), F(0)), F(1))]]),
                                   self.sigma, 1)
+        wide = seq((1, 0, 0), (0, 1, 0))
+        with pytest.raises(InvalidInput, match="dimensions differ"):
+            representation_probability(self.prior, wide)
+        with pytest.raises(InvalidInput, match="dimensions differ"):
+            inversion_probability(self.prior, wide, 1)
 
     def test_chains_match_bruteforce(self):
         """Both chains equal a sum over every realization, in value and

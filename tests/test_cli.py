@@ -109,6 +109,30 @@ class TestNumberFlags:
         for text in ("1/4", "0.1", "2", "1e-3", "-1/2", "5."):
             assert cli.number(text) == F(text)
 
+    # each of these is one `int` accepts
+    @pytest.mark.parametrize("value", [" 1_0", "1_0", "10 ", "\uff11\uff10"])
+    @pytest.mark.parametrize("flag", ["--n", "--k", "--w", "--trials",
+                                      "--seed", "--budget-states"])
+    def test_integer_flag(self, capsys, flag, value):
+        self.assert_usage_error(capsys, ("monte-carlo", flag, value), flag,
+                                f"invalid integer value: {value!r}")
+
+    def test_fixed_index_spec(self, capsys):
+        self.assert_usage_error(capsys, ("evaluate", "--policy", "fixed: 2"),
+                                "--policy", "invalid policy_spec value")
+
+    def test_budget_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("LAP_BUDGET_STATES", " 1_000")
+        code, out, err = run_cli(capsys, "ratio", "--gen",
+                                 "alternating-geometric", "--n", "2", "--k",
+                                 "2", "--beta", "2", "--lambda", "1/2")
+        assert (code, out) == (2, "")
+        assert err == "error: bad LAP_BUDGET_STATES value ' 1_000'\n"
+
+    def test_integers_in_use_unchanged(self):
+        for text in ("10", "+3", "-1", "007"):
+            assert cli.integer(text) == int(text)
+
     def test_script_exits_two_without_traceback(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lap.cli", "ratio", "--gen",

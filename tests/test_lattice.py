@@ -331,6 +331,39 @@ class TestPriorMemo:
             assert len(priors) == 3, name
             assert len({id(prior) for prior in priors}) == 3, name
 
+    def test_nothing_is_decoded_until_read(self, monkeypatch):
+        """The passes read a DP's accept masks, so neither DP's value-keyed
+        table exists until it is read; read later, it is the pinned one."""
+        results = []
+
+        def kept(build):
+            def wrapper(prior, *args):
+                got = build(prior, *args)
+                results.append(got[0] if isinstance(got, tuple) else got)
+                return got
+            return wrapper
+
+        for attr in ("_biased_dp", "_rational_dp"):
+            monkeypatch.setattr(policies, attr, kept(getattr(policies, attr)))
+        prior = prior_from_json(TestRankStates.PRIOR)
+        params = AgentParams(F(1, 2), 2)
+        ratio_report(prior, params)
+        for policy in (Policy.optimal_biased(), Policy.optimal_rational()):
+            exact_expectation(prior, policy, params)
+            patience_compare(policy, Policy.accept_last(), prior, params)
+            monte_carlo(prior, policy, params, 50, seed=1)
+        res = optimal_biased_policy(prior, params)
+        assert res in results and len(results) > 2
+        assert not any("policy_table" in vars(got) for got in results)
+        zero, last = F(0), ((F(0), F(0)), (F(5, 2), F(0)))
+        assert sorted(res.policy_table.items()) == [
+            ((1, (zero, zero)), ((F(3), zero),)),
+            ((2, (F(1), zero)), ((F(2), zero),)),
+            ((2, (F(3), zero)), ((F(2), zero),)),
+            ((3, (F(1), zero)), last),
+            ((3, (F(2), zero)), last),
+            ((3, (F(3), zero)), last)]
+
     def test_memo_keeps_only_tables_read_twice(self):
         # the rational DP and E[sum_j S_j*] have one reader per prior, so a
         # long prior does not hold their tables after the pass
