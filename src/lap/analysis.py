@@ -1,13 +1,13 @@
 """Expectation engines, performance ratios, bound checks, paradox probes,
 and reduction diagnostics.
 
-Exact arithmetic is the default everywhere: expectations are Fraction sums
-over the reachable (step, super candidate) states, the two headline
-inequalities are checked without rounding, and the reduction's two
-diagnostics (does a draw represent sigma, does an adjacent pair invert) are
-forward chains over the prior's steps.  The one sampler, monte_carlo, exists
-for the priors whose support exceeds the budget; it is seeded and
-replayable.  Its trials draw atom indices here and hand them to
+Exact arithmetic is the default everywhere: expectations are int sums over
+one scale across the reachable (step, super candidate) states, decoded
+once at the end; the two headline inequalities are checked without
+rounding, and the reduction's two diagnostics (does a draw represent
+sigma, does an adjacent pair invert) are forward chains over the prior's
+steps.  The one sampler, monte_carlo, exists for the priors whose support
+exceeds the budget; it is seeded and replayable.  Its trials draw atom indices here and hand them to
 `policies._trial_walk`, which walks them over interned super-candidate rank
 states and computes each (step, state, atom) outcome once, with the rule's
 exact stop utility converted by float(); the rng makes the calls a scan of

@@ -456,8 +456,9 @@ def number_to_json(x: Number):
 
 
 # a number string: an integer, a/b, or a decimal with an optional exponent
-_number = re.compile(r"([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?"
-                     r"(?:[eE]([-+]?\d+))?)").fullmatch
+# with ASCII digits only: `\d` would take any Unicode decimal digit
+_number = re.compile(r"([-+]?)(?:([0-9]+)/([0-9]+)|(?=\.?[0-9])([0-9]*)"
+                     r"(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)").fullmatch
 # Bounds on a number string, checked before any int is built from it.  No
 # digit run this program prints is past the interpreter's default int-to-str
 # limit, 4,300; an exponent may reach past it (to 10,000, where 10**e still

@@ -291,8 +291,8 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
 
     The decay exponent alpha comes from the gap between sigma's best value
     and its best biased utility; x_override skips that and fixes the decay
-    directly (alpha is then back-derived).  Without n_override the prior uses
-    the nominal candidate count, provided it fits the state budget.
+    directly (alpha is then back-derived).  The prior uses n_override, else
+    the nominal candidate count; either must fit the state budget.
     """
     if sigma.k != params.k:
         raise InvalidInput("sequence and params dimensions differ")
@@ -327,16 +327,15 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
     if n_override is not None:
         if not isinstance(n_override, int) or n_override < 1:
             raise InvalidInput("n_override must be a positive integer")
-        n = n_override
-    else:
-        cap = resolve_budget(budget)
-        if nominal > cap:
-            err = ResourceLimit(
-                f"nominal candidate count {nominal} exceeds budget {cap}; "
-                "pass n_override to simulate at a feasible size")
-            err.nominal_n = nominal
-            raise err
-        n = nominal
+    n = nominal if n_override is None else n_override
+    cap = resolve_budget(budget)
+    if n > cap:
+        err = ResourceLimit(
+            f"candidate count {n} exceeds budget {cap}" if n_override else
+            f"nominal candidate count {nominal} exceeds budget {cap}; "
+            "pass n_override to simulate at a feasible size")
+        err.nominal_n = nominal
+        raise err
 
     probs = reduction_probabilities(m, x)
     dist = FiniteDistribution(tuple(zip(sigma.candidates, probs)))

@@ -15,7 +15,8 @@ Three families of rules live here:
   the reference point.
 * exact expectations, patience comparison and Monte Carlo trial walks of
   compiled rules, over the reachable (step, super candidate) states instead
-  of every realization; the support size is still what their budget caps.
+  of every realization.  The state budget caps the support size of the
+  exact passes and the number of states a Monte Carlo walk interns.
 
 All of these run on one lattice core: one per-prior rank table, one join
 and one stop-utility formula.  Every walk keys its states on rank tuples
@@ -479,10 +480,8 @@ def rule_expectation(rule: Rule, prior: ProductPrior,
 class _State:
     """An interned (step, super candidate) state of a Monte Carlo walk: the
     super candidate's rank tuple, the rule's accept mask there, and per
-    atom of the step what a trial drawing that atom does next.  A slot
-    holds None until computed, then the stop utility as a float, the next
-    _State, or the next state's rank tuple while that state has been
-    reached only once."""
+    atom of the step what a trial drawing that atom does next: None until
+    computed, then the stop utility as a float or the next _State."""
 
     __slots__ = ("ranks", "mask", "next")
 
@@ -496,19 +495,16 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
     """One deterministic rule's trials as a function of the drawn atom
     indices (one per step) to the utility as a float.
 
-    A slot is computed once, from the state's accept mask, and read back
-    by every later trial that draws the same atom from the same state.  A
-    state is interned the second time a stored slot leads to it, so states
-    that never repeat cost one slot each.  At most `limit` states are
-    interned; a trial that leaves them computes its remaining steps
-    without storing them.  Every stored result sits in a slot of an
-    interned state, so the memo is bounded by `limit` times the atoms per
-    step.  The end-of-stream utility is kept per final state."""
+    A state is interned the first time a trial reaches it, while fewer
+    than `limit` are, so the rule is asked for its accept mask there once.
+    A slot is computed once and read back by every later trial that draws
+    the same atom from the same state.  A trial that reaches a state past
+    the limit computes its remaining steps without storing them, so the
+    memo is bounded by `limit` states times the atoms per step."""
     accept = _accept_masks(rule, prior)
     rows, levels, _, _ = prior.memoized(_rank_table)
     n = len(rows)
     states: Dict[Tuple[int, tuple], _State] = {}  # (t, ranks) before step t
-    finals: Dict[tuple, float] = {}  # ranks after step n -> its utility
 
     def intern(t, ranks):
         state = states.get((t, ranks))
@@ -519,24 +515,21 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
 
     def outcome(t, ranks, mask, i):
         """Atom i at step t from the state `ranks`, whose accept mask is
-        `mask`: the stop utility as a float when the rule stops, else the
-        next ranks."""
+        `mask`: the utility as a float when the rule stops or t = n (every
+        candidate declined scores zero), else the next ranks."""
         _, val, _, atom_ranks, bit = rows[t - 1].plain[i]
         joined = _join(ranks, atom_ranks)
         if mask & bit:
             return float(_utility(lam, val, sum(_decode(levels, joined))))
+        if t == n:
+            return float(_utility(lam, 0, sum(_decode(levels, joined))))
         return joined
 
-    def end(ranks):  # every candidate declined
-        return float(_utility(lam, 0, sum(_decode(levels, ranks))))
-
-    def unstored(t, ranks, picks):
-        for t in range(t, n + 1):
-            r = outcome(t, ranks, accept(t, ranks), picks[t - 1])
-            if r.__class__ is float:
-                return r
-            ranks = r
-        return end(ranks)
+    def unstored(t, r, picks):
+        while r.__class__ is not float:
+            r = outcome(t, r, accept(t, r), picks[t - 1])
+            t += 1
+        return r
 
     root = intern(1, (0,) * prior.k)
 
@@ -544,29 +537,17 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
         state = root
         for t, i in enumerate(picks, 1):
             r = state.next[i]
-            if r.__class__ is _State:
-                state = r
-                continue
-            if r.__class__ is float:
-                return r
             if r is None:
                 r = outcome(t, state.ranks, state.mask, i)
-                if t == n and r.__class__ is not float:
-                    u = finals.get(r)
-                    if u is None:
-                        u = finals[r] = end(r)
-                    r = u
-                if r.__class__ is float:
-                    state.next[i] = r
-                    return r
-                state.next[i] = following = states.get((t + 1, r), r)
-            else:  # the second time this slot leads to the state `r`
-                following = intern(t + 1, r)
-                if following is not None:
-                    state.next[i] = following
-            if following.__class__ is not _State:
-                return unstored(t + 1, r, picks)
-            state = following
+                if r.__class__ is not float:
+                    following = intern(t + 1, r)
+                    if following is None:
+                        return unstored(t + 1, r, picks)
+                    r = following
+                state.next[i] = r
+            if r.__class__ is float:
+                return r
+            state = r
         raise AssertionError("unreachable: step n always ends the trial")
 
     return walk

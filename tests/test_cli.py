@@ -98,6 +98,16 @@ class TestNumberFlags:
         reason = self.REASONS["1/0" if "1/0" in text else "1e10001"]
         self.assert_usage_error(capsys, ("sweep", flag, text), flag, reason)
 
+    # fullwidth digits are Unicode decimal digits, not the grammar's [0-9]
+    def test_non_ascii_digits_rejected(self, capsys):
+        self.assert_usage_error(
+            capsys, ("ratio", "--gen", "alternating-geometric", "--n", "2",
+                     "--k", "2", "--beta", "2", "--lambda", "\uff11/\uff12"),
+            "--lambda", "invalid number value")
+        self.assert_usage_error(
+            capsys, ("evaluate", *WCM_ARGS, "--policy", "threshold:\uff13"),
+            "--policy", "invalid policy_spec value")
+
     def test_grid_past_budget_refused_before_built(self, capsys):
         t0 = time.perf_counter()
         self.assert_usage_error(
@@ -516,6 +526,15 @@ class TestRatio:
         assert err == ("error: number '1e10001' has a digit run past 4300 "
                        "or an exponent past 10000\n")
 
+    def test_non_ascii_digits_in_an_entry_exit_two(self, capsys, tmp_path):
+        atoms = [{"v": ["\uff13"], "p": "1"}]
+        code, out, err = self._ratio_of(
+            capsys, tmp_path, dict(ONE_STEP_PRIOR, steps=[{"atoms": atoms}]))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite number" in err
+        assert "Traceback" not in err
+
     def test_gen_and_in_conflict(self, capsys, tmp_path):
         target = tmp_path / "x.json"
         target.write_text("{}")
@@ -747,6 +766,20 @@ class TestReduce:
                                "--budget-states", "2")
         assert code == 2
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("n, code", [("10", 0), ("11", 2)])
+    def test_budget_caps_explicit_n(self, capsys, tmp_path, n, code):
+        path = self.make_sequence(capsys, tmp_path)
+        got, out, err = run_cli(capsys, "reduce", "--in", path,
+                                "--lambda", "1/2", "--eps", "1/2",
+                                "--n", n, "--budget-states", "10")
+        assert got == code
+        assert "Traceback" not in err
+        if code:
+            assert err == ("error: resource limit: candidate count 11 "
+                           "exceeds budget 10\n")
+        else:
+            assert json.loads(out)["prior"]["n"] == 10
 
     def test_needs_sequence(self, capsys, tmp_path):
         target = tmp_path / "prior.json"

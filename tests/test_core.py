@@ -424,7 +424,8 @@ class TestNumberGrammar:
 
     @pytest.mark.parametrize("text", [
         "", " 1", "1 ", "1 /2", "1_0", "1/2/3", "1.5/2", "1/-2", "e5", ".",
-        "-", "+", "0x10", "1e", "1e+", "inf", "nan", "1/0"])
+        "-", "+", "0x10", "1e", "1e+", "inf", "nan", "1/0",
+        "\uff13", "\uff11/\uff12", "1e\uff15", "\u0663"])
     def test_other_strings_rejected(self, text):
         with pytest.raises(InvalidInput, match="expected a finite number"):
             number_from_json(text)

@@ -474,6 +474,18 @@ class TestDetToIid:
         assert err.value.nominal_n == 66042705435139296
         assert "66042705435139296" in str(err.value)
 
+    def test_budget_caps_n_override(self):
+        sigma = two_candidate_sequence()
+        params = AgentParams(F(1, 2), 2)
+        prior, meta = det_to_iid(sigma, params, F(1, 2), n_override=10,
+                                 x_override=F(1, 4), budget=10)
+        assert prior.n == 10
+        with pytest.raises(ResourceLimit, match="candidate count 11 exceeds "
+                           "budget 10") as err:
+            det_to_iid(sigma, params, F(1, 2), n_override=11,
+                       x_override=F(1, 4), budget=10)
+        assert err.value.nominal_n == meta.nominal_n == 2
+
     def test_small_nominal_runs_without_override(self):
         sigma = two_candidate_sequence()
         prior, meta = det_to_iid(sigma, AgentParams(F(1, 2), 2), F(1, 2),
