@@ -15,6 +15,7 @@ instance id) the flags each family takes.
 """
 
 import argparse
+import collections.abc
 import csv
 import functools
 import io
@@ -51,7 +52,12 @@ from .instances import (
     gen_salient_feature,
     gen_worstcase_mixed,
 )
-from .policies import DEFAULT_STATE_BUDGET, Policy, policy_to_json
+from .policies import (
+    DEFAULT_STATE_BUDGET,
+    Policy,
+    _biased_dp,
+    policy_to_json,
+)
 from .analysis import (
     CheckResult,
     ROW_FIELDS,
@@ -103,10 +109,29 @@ def integer(text: str) -> int:
     return _parse_int(text)
 
 
-def grid(text: str) -> List[Fraction]:
+class _Grid(collections.abc.Sequence):
+    """The points start + i*step for i below count, each built when read,
+    so a grid's size is known before any point exists."""
+
+    def __init__(self, start: Fraction, step: Fraction, count: int):
+        self.start, self.step, self.count = start, step, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.start + range(self.count)[i] * self.step
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def grid(text: str) -> _Grid:
     """Inclusive start:stop:step grid of exact rationals; step defaults
     to 1, a bare value is a one-point grid.  A grid of more points than
-    the default state budget is refused before it is built."""
+    the default state budget is refused; no point is built here."""
     parts = text.split(":")
     if len(parts) > 3:
         raise ValueError(f"grid {text!r} has too many fields")
@@ -119,7 +144,7 @@ def grid(text: str) -> List[Fraction]:
     if count > DEFAULT_STATE_BUDGET:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has more than {DEFAULT_STATE_BUDGET} points")
-    return [start + i * step for i in range(count)]
+    return _Grid(start, step, count)
 
 
 # bare spec names, then NAME: forms that read the text after the colon
@@ -196,10 +221,11 @@ def _load_instance(path: str):
     raise InvalidInput(f"{path} holds neither a sequence nor a prior")
 
 
-def _generated(args, k, lam):
-    """The --gen instance (a pair as a dict of its labeled sides) and its
-    id; k and lambda come apart because sweep takes them from its grids."""
-    flags, labels = _GENERATORS[args.gen]
+def _generator_args(args, k, lam):
+    """The --gen family's flag values, in argument order, and the instance
+    id that names them; k and lambda come apart because sweep takes them
+    from its grids."""
+    flags, _ = _GENERATORS[args.gen]
     given = dict(vars(args), k=k, lam=lam)
     values = []
     for flag in flags:
@@ -207,11 +233,22 @@ def _generated(args, k, lam):
         if value is None:
             raise InvalidInput(f"generator {args.gen} needs --{flag}")
         values.append(value)
-    obj = globals()["gen_" + args.gen.replace("-", "_")](*values)
-    if labels:
-        obj = dict(zip(labels, obj))
     shown = ",".join(f"{flag}={value}" for flag, value in zip(flags, values))
-    return obj, f"{args.gen}({shown})"
+    return tuple(values), f"{args.gen}({shown})"
+
+
+def _build(gen: str, values: tuple):
+    """The instance of family `gen` (a pair as a dict of its labeled
+    sides) from its flag values."""
+    _, labels = _GENERATORS[gen]
+    obj = globals()["gen_" + gen.replace("-", "_")](*values)
+    return dict(zip(labels, obj)) if labels else obj
+
+
+def _generated(args, k, lam):
+    """The --gen instance and its id."""
+    values, ident = _generator_args(args, k, lam)
+    return _build(args.gen, values), ident
 
 
 def _instance_from_args(args):
@@ -369,27 +406,73 @@ def _blank_row(params: AgentParams, ident: str, seed,
     return row
 
 
-def _cmd_sweep(args) -> Tuple[str, bool]:
-    _require(args, **{"gen": args.gen, "lambda-grid": args.lambda_grid,
-                      "k-grid": args.k_grid})
-    if any(value.denominator != 1 for value in args.k_grid):
-        raise InvalidInput("--k-grid must contain integers")
-    ks = [int(value) for value in args.k_grid]
+def _sweep_rows(args, values: Optional[tuple], ident: Optional[str],
+                cells: List[AgentParams]) -> List[Dict[str, Any]]:
+    """The rows of the sweep cells that share one instance id, all read
+    from one instance and prior built here and dropped on return.  values
+    is None when the family lacks a flag; a cell that cannot be built or
+    reported on gets a blank row tagged unconstructible."""
+    prior = None
+    if values is not None:
+        try:
+            prior = _as_prior(_build(args.gen, values))
+        except InvalidInput:  # a pair, or values the family refuses
+            pass
     rows = []
-    for lam in args.lambda_grid:
-        for k in ks:
-            params = AgentParams(lam, k)
+    for params in cells:
+        row = None
+        if prior is not None:
             try:
-                obj, ident = _generated(args, k, lam)
-                prior = _as_prior(obj)
                 report = ratio_report(prior, params, args.budget)
                 row = ratio_row(report, params, prior.n, ident, args.seed,
                                 args.as_float)
             except InvalidInput:
-                # unconstructible cell: keep the grid point, tag the regime
-                ident = f"{args.gen}(unconstructible,k={k},lambda={lam})"
-                row = _blank_row(params, ident, args.seed, args.as_float)
-            rows.append(row)
+                pass
+            # no other cell of the group has this lambda: the memo keeps
+            # only the lambda-free tables, so it does not grow with the grid
+            prior.forget(_biased_dp)
+        if row is None:  # keep the grid point, tag the regime
+            tag = (f"{args.gen}(unconstructible,k={params.k},"
+                   f"lambda={params.lam})")
+            row = _blank_row(params, tag, args.seed, args.as_float)
+        rows.append(row)
+    return rows
+
+
+def _cmd_sweep(args) -> Tuple[str, bool]:
+    """One ratio row per (lambda, k) cell of the grids, lambda outer and k
+    inner.  Cells are grouped by instance id, which names every flag value
+    (lambda too for the families that take it), and each group's instance
+    is built once: its prior's memo then serves one rank table and one V*
+    law to every cell, and one biased DP per lambda, dropped after its
+    cell.  Groups run in the order of their first cell and only one prior
+    is alive at a time, so a sweep's memory does not grow with its grid.
+    A grid of more cells than the default state budget is refused before
+    any point is listed."""
+    _require(args, **{"gen": args.gen, "lambda-grid": args.lambda_grid,
+                      "k-grid": args.k_grid})
+    if len(args.lambda_grid) * len(args.k_grid) > DEFAULT_STATE_BUDGET:
+        raise InvalidInput(
+            f"sweep grid has more than {DEFAULT_STATE_BUDGET} cells")
+    if any(value.denominator != 1 for value in args.k_grid):
+        raise InvalidInput("--k-grid must contain integers")
+    ks = [int(value) for value in args.k_grid]
+    # both grids ascend and AgentParams refuses only lambda < 0 or k < 1,
+    # so a refused cell is the first one, as when each cell was built in turn
+    cells = [AgentParams(lam, k) for lam in args.lambda_grid for k in ks]
+    groups: Dict[tuple, List[int]] = {}  # (values, id) -> cell indexes
+    for index, params in enumerate(cells):
+        try:
+            key = _generator_args(args, params.k, params.lam)
+        except InvalidInput:  # a missing flag: every cell is blank
+            key = None, None
+        groups.setdefault(key, []).append(index)
+    rows: List[Any] = [None] * len(cells)
+    for (values, ident), indexes in groups.items():
+        group = [cells[index] for index in indexes]
+        for index, row in zip(indexes,
+                              _sweep_rows(args, values, ident, group)):
+            rows[index] = row
     if args.format == "json":
         return _dump_json(rows), False
     return _dump_csv(rows), False

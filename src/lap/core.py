@@ -287,6 +287,12 @@ class ProductPrior:
             memo[key] = build(self, *args)
         return memo[key]
 
+    def forget(self, build) -> None:
+        """Drop every result `memoized` keeps of `build`."""
+        memo = self.__dict__.get("_memo", {})
+        for key in [key for key in memo if key[0] is build]:
+            del memo[key]
+
     def realizations(self, budget: Optional[int] = None
                      ) -> Iterator[Tuple[Sequence, Number]]:
         """All (sequence, probability) pairs of the product support."""

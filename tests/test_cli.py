@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -9,12 +10,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lap import cli
+from lap import analysis, cli, policies
 from lap.analysis import CheckResult, ratio_report
 from lap.core import AgentParams
 from lap.instances import gen_worstcase_mixed
@@ -113,6 +115,17 @@ class TestNumberFlags:
         self.assert_usage_error(
             capsys, ("sweep", "--lambda-grid", "0:1:1/1000000"),
             "--lambda-grid", "more than 1000000 points")
+        assert time.perf_counter() - t0 < 0.5
+
+    # each grid is within the cap; their 2,000,000 cells are refused before
+    # any grid point is built
+    def test_sweep_past_cell_cap_refused_before_listed(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sweep", "--gen", "alternating-geometric", "--n", "6",
+            "--beta", "2", "--lambda-grid", "0:999999", "--k-grid", "1:2")
+        assert (code, out) == (2, "")
+        assert err == "error: sweep grid has more than 1000000 cells\n"
         assert time.perf_counter() - t0 < 0.5
 
     def test_values_in_use_unchanged(self):
@@ -698,6 +711,131 @@ class TestSweep:
                                "1:2:1/2")
         assert code == 2
         assert "integers" in err
+
+    FAMILIES = {
+        "alternating-geometric": ("--n", "5", "--beta", "2"),
+        "alternating-linear": ("--n", "4"),
+        "partial-sums": ("--w", "3", "--beta", "1/2"),
+        "identical-value": ("--q", "2"),
+        "salient-feature": ("--a", "1", "--q", "2"),
+        "worstcase-mixed": ("--w", "2", "--eps", "1/5"),
+    }
+    GRID = ("--lambda-grid", "0:1:1/2", "--k-grid", "1:3")
+
+    @pytest.mark.parametrize("as_float", [(), ("--float",)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("gen", sorted(FAMILIES))
+    def test_rows_equal_ratio_rows(self, capsys, gen, fmt, as_float):
+        flags = ("--gen", gen) + self.FAMILIES[gen]
+        tail = ("--format", fmt, "--seed", "3") + as_float
+        code, out, err = run_cli(capsys, "sweep", *flags, *self.GRID, *tail)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            header, *lines = out.splitlines()
+            rows = list(csv.DictReader(io.StringIO(out)))
+        else:
+            lines = rows = json.loads(out)
+        cells = [(lam, k) for lam in ("0", "1/2", "1") for k in ("1", "2",
+                                                                 "3")]
+        assert len(lines) == len(rows) == len(cells)
+        for line, row, (lam, k) in zip(lines, rows, cells):
+            code, out, err = run_cli(capsys, "ratio", *flags, "--k", k,
+                                     "--lambda", lam, *tail)
+            if code == 2:  # the family refuses the cell: a tagged blank row
+                assert err.startswith("error: ")
+                assert row["e_upr"] == ""
+                assert (f"{gen}(unconstructible,k={k},lambda={lam})"
+                        in row["instance_id"])
+                continue
+            assert code == 0
+            if fmt == "csv":
+                assert out.splitlines() == [header, line]
+            else:
+                assert json.loads(out) == line
+
+    def test_pair_cells_stay_blank(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--gen", "quality-pair",
+                               "--q", "2", *self.GRID)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 9
+        for row in rows:
+            assert row["e_upr"] == row["prophet_ratio"] == ""
+            assert row["instance_id"] == (
+                f"quality-pair(unconstructible,k={row['k']},"
+                f"lambda={row['lambda']})")
+
+    def test_each_instance_built_once_and_dropped(self, capsys, monkeypatch):
+        built, tables = [], []
+        make, rank_table = cli.gen_alternating_geometric, policies._rank_table
+
+        def counted_make(*values):
+            gc.collect()
+            assert all(ref() is None for ref in tables)  # earlier priors
+            built.append(values)
+            return make(*values)
+
+        def counted_table(prior):
+            tables.append(weakref.ref(prior))
+            return rank_table(prior)
+
+        monkeypatch.setattr(cli, "gen_alternating_geometric", counted_make)
+        monkeypatch.setattr(policies, "_rank_table", counted_table)
+        code, out, _ = run_cli(capsys, "sweep", "--gen",
+                               "alternating-geometric", "--n", "6", "--beta",
+                               "1/2", "--lambda-grid", "0:3:1/4", "--k-grid",
+                               "1:4")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 13 * 4
+        assert [values[1] for values in built] == [1, 2, 3, 4]
+        assert len(tables) == 4
+
+    # a group's cells differ in lambda, so each biased DP has one reader
+    # and the group's prior does not keep it past its cell
+    def test_each_biased_dp_dropped_after_its_cell(self, capsys,
+                                                   monkeypatch):
+        results = []
+        solve = analysis.optimal_biased_policy
+
+        def tracked_solve(*args):
+            gc.collect()
+            assert all(ref() is None for ref in results)
+            result = solve(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(analysis, "optimal_biased_policy", tracked_solve)
+        code, _, _ = run_cli(capsys, "sweep", "--gen", "partial-sums", "--w",
+                             "3", "--beta", "1/2", "--lambda-grid",
+                             "0:2:1/4", "--k-grid", "2:3")
+        assert code == 0
+        assert len(results) == 9 * 2
+
+    def test_lambda_family_builds_every_cell(self, capsys, monkeypatch):
+        calls = []
+        make = cli.gen_worstcase_mixed
+
+        def counted_make(*values):
+            calls.append(values)
+            return make(*values)
+
+        monkeypatch.setattr(cli, "gen_worstcase_mixed", counted_make)
+        code, _, _ = run_cli(capsys, "sweep", "--gen", "worstcase-mixed",
+                             "--w", "2", "--eps", "1/5", "--lambda-grid",
+                             "0:3:1/4", "--k-grid", "1:4")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 13 * 4
+
+    # the budget message names only the prior and the budget, so the cells
+    # that share a prior raise the one the first cell did
+    def test_budget_error_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--gen", "partial-sums",
+                                 "--w", "4", "--beta", "2", "--lambda-grid",
+                                 "0:1:1/2", "--k-grid", "1:3",
+                                 "--budget-states", "6")
+        assert (code, out) == (2, "")
+        assert err == ("error: resource limit: state budget 6 exceeded "
+                       "(7+ states by step 7)\n")
 
 
 class TestMonteCarlo:
