@@ -6,12 +6,13 @@ one scale across the reachable (step, super candidate) states, decoded
 once at the end; the two headline inequalities are checked without
 rounding, and the reduction's two diagnostics (does a draw represent
 sigma, does an adjacent pair invert) are forward chains over the prior's
-steps.  The one sampler, monte_carlo, exists for the priors whose support
-exceeds the budget; it is seeded and replayable.  Its trials draw atom indices here and hand them to
-`policies._trial_walk`, which walks them over interned super-candidate rank
-states and computes each (step, state, atom) outcome once, with the rule's
-exact stop utility converted by float(); the rng makes the calls a scan of
-sampled sequences would make, so estimates are the same to the last bit.
+steps.  The one sampler, monte_carlo, exists for the priors whose reachable
+states exceed the budget; it is seeded and replayable.  Its trials draw
+atom indices here and hand them to `policies._trial_walk`, which walks
+them over interned super-candidate rank states and computes each (step,
+state, atom) outcome once, with the rule's exact stop utility converted by
+float(); the rng makes the calls a scan of sampled sequences would make,
+so estimates are the same to the last bit.
 """
 
 import math
@@ -147,15 +148,12 @@ def exact_expectation(prior: ProductPrior, policy: Policy,
                       params: AgentParams, allow_no_selection: bool = True,
                       budget: Optional[int] = None) -> Number:
     """Exact expected utility of a policy: mixing arms times each arm's
-    lattice pass over the reachable (step, super candidate) states.
-
-    The prior's support size still counts against the state budget.
-    """
+    lattice pass over the reachable (step, super candidate) states.  The
+    budget, resolved once, caps the states each pass holds."""
     limit = resolve_budget(budget)
     compiled = compile_policy(policy, prior, params, allow_no_selection,
-                              budget)
-    prior.check_support(limit)
-    return sum((weight * rule_expectation(rule, prior, params)
+                              limit)
+    return sum((weight * rule_expectation(rule, prior, params, limit)
                 for weight, rule in compiled.arms), Fraction(0))
 
 
@@ -195,7 +193,7 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
         raise InvalidInput("trials must be positive")
     limit = resolve_budget(budget)
     compiled = compile_policy(policy, prior, params, allow_no_selection,
-                              budget)
+                              limit)
     walks = [_trial_walk(rule, prior, params.lam, limit)
              for _, rule in compiled.arms]
     steps = _step_cums(prior)

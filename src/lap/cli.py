@@ -57,6 +57,7 @@ from .policies import (
     Policy,
     _biased_dp,
     policy_to_json,
+    resolve_budget,
 )
 from .analysis import (
     CheckResult,
@@ -406,36 +407,29 @@ def _blank_row(params: AgentParams, ident: str, seed,
     return row
 
 
-def _sweep_rows(args, values: Optional[tuple], ident: Optional[str],
+def _sweep_rows(args, values: tuple, ident: str,
                 cells: List[AgentParams]) -> List[Dict[str, Any]]:
     """The rows of the sweep cells that share one instance id, all read
-    from one instance and prior built here and dropped on return.  values
-    is None when the family lacks a flag; a cell that cannot be built or
-    reported on gets a blank row tagged unconstructible."""
-    prior = None
-    if values is not None:
-        try:
-            prior = _as_prior(_build(args.gen, values))
-        except InvalidInput:  # a pair, or values the family refuses
-            pass
+    from one instance and prior built here and dropped on return.  Cells
+    whose instance the family refuses to build, or builds as a pair, get
+    blank rows tagged unconstructible."""
+    try:
+        prior = _as_prior(_build(args.gen, values))
+    except InvalidInput:  # a pair, or values the family refuses
+        prior = None
     rows = []
     for params in cells:
-        row = None
-        if prior is not None:
-            try:
-                report = ratio_report(prior, params, args.budget)
-                row = ratio_row(report, params, prior.n, ident, args.seed,
-                                args.as_float)
-            except InvalidInput:
-                pass
-            # no other cell of the group has this lambda: the memo keeps
-            # only the lambda-free tables, so it does not grow with the grid
-            prior.forget(_biased_dp)
-        if row is None:  # keep the grid point, tag the regime
+        if prior is None:  # keep the grid point, tag the regime
             tag = (f"{args.gen}(unconstructible,k={params.k},"
                    f"lambda={params.lam})")
-            row = _blank_row(params, tag, args.seed, args.as_float)
-        rows.append(row)
+            rows.append(_blank_row(params, tag, args.seed, args.as_float))
+            continue
+        report = ratio_report(prior, params, args.budget)
+        rows.append(ratio_row(report, params, prior.n, ident, args.seed,
+                              args.as_float))
+        # no other cell of the group has this lambda: the memo keeps only
+        # the lambda-free tables, so it does not grow with the grid
+        prior.forget(_biased_dp)
     return rows
 
 
@@ -448,7 +442,8 @@ def _cmd_sweep(args) -> Tuple[str, bool]:
     cell.  Groups run in the order of their first cell and only one prior
     is alive at a time, so a sweep's memory does not grow with its grid.
     A grid of more cells than the default state budget is refused before
-    any point is listed."""
+    any point is listed, and a bad budget or a missing flag before any
+    instance is built."""
     _require(args, **{"gen": args.gen, "lambda-grid": args.lambda_grid,
                       "k-grid": args.k_grid})
     if len(args.lambda_grid) * len(args.k_grid) > DEFAULT_STATE_BUDGET:
@@ -457,15 +452,13 @@ def _cmd_sweep(args) -> Tuple[str, bool]:
     if any(value.denominator != 1 for value in args.k_grid):
         raise InvalidInput("--k-grid must contain integers")
     ks = [int(value) for value in args.k_grid]
+    args.budget = resolve_budget(args.budget)
     # both grids ascend and AgentParams refuses only lambda < 0 or k < 1,
     # so a refused cell is the first one, as when each cell was built in turn
     cells = [AgentParams(lam, k) for lam in args.lambda_grid for k in ks]
     groups: Dict[tuple, List[int]] = {}  # (values, id) -> cell indexes
     for index, params in enumerate(cells):
-        try:
-            key = _generator_args(args, params.k, params.lam)
-        except InvalidInput:  # a missing flag: every cell is blank
-            key = None, None
+        key = _generator_args(args, params.k, params.lam)
         groups.setdefault(key, []).append(index)
     rows: List[Any] = [None] * len(cells)
     for (values, ident), indexes in groups.items():
@@ -559,7 +552,7 @@ _FLAGS = {
     "k-grid": dict(type=grid, metavar="START:STOP[:STEP]"),
     "seed": dict(type=integer, help="rng seed"),
     "budget-states": dict(dest="budget", type=integer,
-                          help="state/enumeration budget "
+                          help="state budget "
                                "(env LAP_BUDGET_STATES, default 10^6)"),
     "out": dict(metavar="FILE", help="write output here"),
     "format": dict(choices=("json", "csv")),

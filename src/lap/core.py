@@ -38,7 +38,7 @@ class InvalidInput(ValueError):
 
 
 class ResourceLimit(RuntimeError):
-    """An enumeration or DP would exceed its configured budget."""
+    """An exact pass or an enumeration would exceed its configured budget."""
 
 
 def _digit_limit() -> str:
@@ -265,18 +265,6 @@ class ProductPrior:
     def support_size(self) -> int:
         return math.prod(len(d.atoms) for d in self.steps)
 
-    def check_support(self, budget: int) -> None:
-        """The support-size cap of every exact pass over the prior, whether
-        it lists realizations or walks super-candidate states.  The product
-        stops once it passes the budget, so a long prior's support size is
-        never built (nor printed) in full."""
-        size = 1
-        for d in self.steps:
-            size *= len(d.atoms)
-            if size > budget:
-                raise ResourceLimit(
-                    f"support size {size}+ exceeds budget {budget}")
-
     def memoized(self, build, *args):
         """`build(self, *args)`, kept in the instance dict (like
         ValueVector.l1) per equal arguments of equal types.  An exception
@@ -295,9 +283,15 @@ class ProductPrior:
 
     def realizations(self, budget: Optional[int] = None
                      ) -> Iterator[Tuple[Sequence, Number]]:
-        """All (sequence, probability) pairs of the product support."""
+        """All (sequence, probability) pairs of the product support; past
+        `budget` pairs, none is listed and the size is never built in full."""
         if budget is not None:
-            self.check_support(budget)
+            size = 1
+            for d in self.steps:
+                size *= len(d.atoms)
+                if size > budget:
+                    raise ResourceLimit(
+                        f"support size {size}+ exceeds budget {budget}")
         for combo in itertools.product(*(d.atoms for d in self.steps)):
             p = 1
             for _, q in combo:

@@ -15,8 +15,8 @@ Three families of rules live here:
   the reference point.
 * exact expectations, patience comparison and Monte Carlo trial walks of
   compiled rules, over the reachable (step, super candidate) states instead
-  of every realization.  The state budget caps the support size of the
-  exact passes and the number of states a Monte Carlo walk interns.
+  of every realization.  The state budget caps the states each exact pass
+  holds (`_charge`) and the number of states a Monte Carlo walk interns.
 
 All of these run on one lattice core: one per-prior rank table, one join
 and one stop-utility formula.  Every walk keys its states on rank tuples
@@ -92,6 +92,14 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     if budget <= 0:
         raise InvalidInput("budget must be positive")
     return budget
+
+
+def _charge(count: int, budget: int, t: int) -> None:
+    """The state budget of every exact pass: `count` lattice states held
+    by step t may not exceed `budget`."""
+    if count > budget:
+        raise ResourceLimit(f"state budget {budget} exceeded "
+                            f"({count}+ states by step {t})")
 
 
 @dataclass(frozen=True)
@@ -431,8 +439,8 @@ def run_rule(rule: Rule, sigma: Sequence,
     return StoppingOutcome(None, Fraction(0), _utility(params.lam, 0, sum(s)))
 
 
-def rule_expectation(rule: Rule, prior: ProductPrior,
-                     params: AgentParams) -> Number:
+def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
+                     budget: Optional[int] = None) -> Number:
     """Exact expected utility of one deterministic rule over the prior.
 
     Probability mass moves forward keyed by the super candidate's ranks
@@ -441,8 +449,11 @@ def rule_expectation(rule: Rule, prior: ProductPrior,
     -lambda * ||s^(n)||_1.  In the integer view, with lambda = a/b, the
     mass before step t is an int over prod_{u<t} D_u and the total one int
     over b*L*prod_{u<t} D_u, raised by D_t before step t banks into it;
-    each joined state's scaled norm is summed once.  The identity view
-    runs the same loops, in the order the Fraction formulas did."""
+    each joined state's scaled norm is summed once; the states holding mass
+    before each step count against the budget as the DP's layers do.  The
+    identity view runs the same loops, in the order the Fraction formulas
+    did."""
+    limit = resolve_budget(budget)
     accept = _accept_masks(rule, prior)
     rows, exact, a, b, norm_levels, unit = _stop_view(prior, params.lam)
     norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
@@ -455,8 +466,11 @@ def rule_expectation(rule: Rule, prior: ProductPrior,
 
     total = 0
     mass = {(0,) * prior.k: 1}
+    count = 0
     scale = 1  # prod D_u over the steps so far
     for t, row in enumerate(rows, 1):
+        count += len(mass)
+        _charge(count, limit, t)
         atoms, den = _view(row, exact)
         scale *= den
         total *= den
@@ -661,9 +675,7 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
     for t, row in zip(range(2, n + 1), rows):  # no copy of rows
         nxt = {_join(s, atom[3]) for s in layers[-1] for atom in row.plain}
         count += len(nxt)
-        if count > budget:
-            raise ResourceLimit(f"state budget {budget} exceeded "
-                                f"({count}+ states by step {t})")
+        _charge(count, budget, t)
         layers.append(tuple(sorted(nxt)))
     _, exact, a, b, norm_levels, unit = _stop_view(prior, lam)
     masks: Dict[Tuple[int, tuple], int] = {}
@@ -782,14 +794,14 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     stops earlier.  An iterative depth-first search over (step, super
     candidate's ranks, is `b` still running) states finds it without
     listing realizations: states known to hold no witness are not entered
-    again.  Once `b` has stopped, `a` is still followed until it stops, so
-    a rule that leaves its compiled support raises as it would on a
-    realization scan."""
+    again, so the states entered, which the budget caps, are distinct.
+    Once `b` has stopped, `a` is still followed until it stops, so a rule
+    that leaves its compiled support raises as on a realization scan."""
+    limit = resolve_budget(budget)
     accept_a = _accept_masks(
-        _single_rule(a, prior, params, allow_no_selection, budget), prior)
+        _single_rule(a, prior, params, allow_no_selection, limit), prior)
     accept_b = _accept_masks(
-        _single_rule(b, prior, params, allow_no_selection, budget), prior)
-    prior.check_support(resolve_budget(budget))
+        _single_rule(b, prior, params, allow_no_selection, limit), prior)
     rows = prior.memoized(_rank_table)[0]
     n = prior.n
     clear = set()  # (t, ranks, b running): no witness
@@ -797,6 +809,7 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     # stopped), next atom]
     root = (0,) * prior.k
     stack = [[1, root, accept_a(1, root), accept_b(1, root), 0]]
+    count = 1  # states entered
     path = []  # atom index taken at each step above the top frame
     while stack:
         frame = stack[-1]
@@ -821,6 +834,8 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
         key = (t + 1, joined, b_running)
         if key in clear:
             continue
+        count += 1
+        _charge(count, limit, t + 1)
         path.append(i)
         stack.append([t + 1, joined, accept_a(t + 1, joined),
                       accept_b(t + 1, joined) if b_running else None, 0])

@@ -163,9 +163,14 @@ class TestExactExpectation:
         assert checked == 60
 
     def test_budget(self):
+        # accept-last holds the root and two mass states before each later
+        # step: 23 states, as the biased DP's lattice has
         prior = ProductPrior.iid_prior(WCM.steps[-1], 12)
-        with pytest.raises(ResourceLimit):
-            exact_expectation(prior, Policy.accept_last(), HALF, budget=100)
+        with pytest.raises(ResourceLimit) as err:
+            exact_expectation(prior, Policy.accept_last(), HALF, budget=22)
+        assert str(err.value) == ("state budget 22 exceeded "
+                                  "(23+ states by step 12)")
+        exact_expectation(prior, Policy.accept_last(), HALF, budget=23)
 
 
 # ---------------------------------------------------------------------------

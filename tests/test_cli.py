@@ -753,6 +753,30 @@ class TestSweep:
             else:
                 assert json.loads(out) == line
 
+    # invalid input exits as `ratio` exits on the same input; only the
+    # family refusing a cell, or a pair, blanks it
+    def assert_refused_like_ratio(self, capsys, flags):
+        code, out, err = run_cli(capsys, "sweep", "--gen",
+                                 "alternating-geometric", "--beta", "2",
+                                 "--lambda-grid", "0:1", "--k-grid", "2",
+                                 *flags)
+        _, _, want = run_cli(capsys, "ratio", "--gen", "alternating-geometric",
+                             "--beta", "2", "--lambda", "0", "--k", "2",
+                             *flags)
+        assert (code, out) == (2, "")
+        assert err == want and want.startswith("error: ")
+
+    def test_bad_budget_refused(self, capsys):
+        self.assert_refused_like_ratio(capsys, ("--n", "4",
+                                                "--budget-states", "0"))
+
+    def test_bad_budget_env_var_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("LAP_BUDGET_STATES", "x")
+        self.assert_refused_like_ratio(capsys, ("--n", "4"))
+
+    def test_missing_flag_refused(self, capsys):
+        self.assert_refused_like_ratio(capsys, ())
+
     def test_pair_cells_stay_blank(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--gen", "quality-pair",
                                "--q", "2", *self.GRID)

@@ -1,0 +1,109 @@
+"""One state budget for every exact pass: the biased DP, exact expectation
+and patience comparison charge the (step, super candidate) states they
+hold, with one message, and a prior's support size caps none of them."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from lap import cli
+from lap.analysis import exact_expectation
+from lap.core import (
+    AgentParams,
+    FiniteDistribution,
+    ProductPrior,
+    ResourceLimit,
+    ValueVector,
+)
+from lap.instances import gen_alternating_linear, gen_random_prior
+from lap.policies import (
+    BUDGET_ENV_VAR,
+    Policy,
+    optimal_biased_policy,
+    patience_compare,
+)
+
+QUARTER = F(1, 4)
+
+
+def grid_prior(n, k, a, seed):
+    """Per step, `a` distinct k-tuples over {0, 1/2, ..., 3}, sorted, with
+    weights drawn from 1..4 and normalized."""
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(n):
+        support = set()
+        while len(support) < a:
+            support.add(tuple(rng.choice([F(i, 2) for i in range(7)])
+                              for _ in range(k)))
+        weights = [rng.randint(1, 4) for _ in range(a)]
+        steps.append(FiniteDistribution(tuple(
+            (ValueVector(vec), F(w, sum(weights)))
+            for vec, w in zip(sorted(support), weights))))
+    return ProductPrior(tuple(steps))
+
+
+def limit_message(run):
+    with pytest.raises(ResourceLimit) as err:
+        run()
+    return str(err.value)
+
+
+def assert_budget_binds_like_the_dp(prior, params):
+    """Accept-last holds every state of the DP's lattice, so at one state
+    short of it both raise one message, and both run at its count."""
+    count = optimal_biased_policy(prior, params).state_count
+    if count == 1:  # one step: no positive budget is short of it
+        return False
+    last = Policy.accept_last()
+    dp = limit_message(
+        lambda: optimal_biased_policy(prior, params, budget=count - 1))
+    walk = limit_message(
+        lambda: exact_expectation(prior, last, params, budget=count - 1))
+    assert walk == dp == (f"state budget {count - 1} exceeded "
+                          f"({count}+ states by step {prior.n})")
+    optimal_biased_policy(prior, params, budget=count)
+    exact_expectation(prior, last, params, budget=count)
+    return True
+
+
+def test_accept_last_and_dp_share_the_budget_message():
+    rng = random.Random("state-budget/agreement")
+    checked = 0
+    while checked < 200:
+        prior = gen_random_prior(rng, k=2, n_max=8, atoms_max=4)
+        params = AgentParams(rng.choice((F(0), QUARTER, F(1, 2), F(2))), 2)
+        checked += assert_budget_binds_like_the_dp(prior, params)
+    assert assert_budget_binds_like_the_dp(grid_prior(80, 3, 5, 1),
+                                           AgentParams(QUARTER, 3))
+
+
+@pytest.mark.parametrize("spec", ["accept-last", "optimal-biased",
+                                  "optimal-rational", "fixed:40",
+                                  "threshold:3", "alpha:1/2"])
+def test_grid_prior_past_the_old_support_cap_evaluates(spec, monkeypatch):
+    # 5^80 realizations, but only 1,691 lattice states under the biased DP
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    prior, params = grid_prior(80, 3, 5, 1), AgentParams(QUARTER, 3)
+    assert prior.support_size > 10 ** 6
+    value = exact_expectation(prior, cli.policy_spec(spec), params)
+    if spec == "optimal-biased":
+        dp = optimal_biased_policy(prior, params)
+        assert dp.state_count == 1691
+        assert value == dp.expected_utility
+        verdict = patience_compare(Policy.accept_last(),
+                                   Policy.optimal_biased(), prior, params)
+        assert verdict.verdict == "more-patient"
+
+
+def test_patience_charges_the_states_it_enters():
+    # one realization, but the walk enters one state per step
+    prior = ProductPrior.deterministic(gen_alternating_linear(40, 2))
+    params = AgentParams(F(1, 2), 2)
+    rules = Policy.accept_last(), Policy.optimal_rational()
+    assert limit_message(
+        lambda: patience_compare(*rules, prior, params, budget=39)) == (
+            "state budget 39 exceeded (40+ states by step 40)")
+    assert patience_compare(*rules, prior, params,
+                            budget=40).verdict == "more-patient"
