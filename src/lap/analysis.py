@@ -39,10 +39,10 @@ from .core import (
 )
 from .policies import (
     Policy,
+    _max_convolution,
     _trial_walk,
     compile_policy,
     guarantee_alphas,
-    max_distribution,
     optimal_biased_policy,
     optimal_rational_policy,
     resolve_budget,
@@ -228,10 +228,16 @@ def _expectation_of(dist: Dict[Number, Number]) -> Number:
 
 
 def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
-    """E[sum_j S_j*]: each dimension's maximum distribution, summed by
-    linearity."""
-    return sum((_expectation_of(max_distribution(prior, itemgetter(j)))
-                for j in range(prior.k)), Fraction(0))
+    """E[sum_j S_j*]: each dimension's maximum law, summed by linearity.
+    On the integer view every law has one scale, L * prod D_t, so the k
+    expectations are one int sum, decoded once; the identity view sums
+    each law's expectation in dimension order."""
+    laws = [_max_convolution(prior, itemgetter(j)) for j in range(prior.k)]
+    _, exact, unit, scale = laws[0]
+    if not exact:
+        return sum((_expectation_of(law) for law, *_ in laws), Fraction(0))
+    return Fraction(sum(x * p for law, *_ in laws for x, p in law.items()),
+                    unit * scale)
 
 
 def _ratio_or_sentinel(num: Number, den: Number):

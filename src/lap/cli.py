@@ -337,15 +337,16 @@ def _verify_bounds(rng, params, count, budget) -> List[CheckResult]:
 
 
 def _verify_paradoxes(rng, params, count) -> List[CheckResult]:
-    if params.k < 2:
-        raise InvalidInput("paradoxes suite needs k >= 2")
     rational = AgentParams(Fraction(0), params.k)
     checks = []
+    scenes = {}  # q -> its quality report: the scene depends on q alone
     for _ in range(count):
         q = rng.choice((Fraction(3, 2), Fraction(2), Fraction(5, 2),
                         Fraction(3)))
-        low, high = gen_quality_pair(params.k, q)
-        rep = detect_quality_paradox(low, high, params)
+        if q not in scenes:
+            scenes[q] = detect_quality_paradox(
+                *gen_quality_pair(params.k, q), params)
+        rep = scenes[q]
         checks.append(CheckResult(
             "quality-gambler-better", rep.gambler_better_on_higher,
             rep.gambler_high, rep.gambler_low,
@@ -372,6 +373,12 @@ def _cmd_verify(args) -> Tuple[str, bool]:
     if count < 1:
         raise InvalidInput("verify needs a positive instance count")
     params = AgentParams(args.lam, args.k)
+    if args.suite != "bounds" and params.k < 2:
+        # refused before any instance is drawn; at k = 1 the bounds suite
+        # can fail first only on a bad budget, so that is resolved first
+        if args.suite == "all":
+            resolve_budget(args.budget)
+        raise InvalidInput("paradoxes suite needs k >= 2")
     rng = random.Random(args.seed)
     checks = []
     if args.suite in ("bounds", "all"):

@@ -56,6 +56,8 @@ def _shown(x) -> str:
 
 
 def _coerce(x: Number, what: str = "value") -> Number:
+    if type(x) is Fraction:  # the common case, with no isinstance chain
+        return x
     if isinstance(x, bool):
         raise InvalidInput(f"{what} must be a number, got bool")
     if isinstance(x, int):
@@ -70,7 +72,8 @@ def _coerce(x: Number, what: str = "value") -> Number:
 
 def _coerce_nonnegative(x: Number, what: str = "value") -> Number:
     x = _coerce(x, what)
-    if x < 0:
+    # a Fraction's sign is its numerator's, read without a rich comparison
+    if (x.numerator if type(x) is Fraction else x) < 0:
         raise InvalidInput(f"{what} must be non-negative")
     return x
 
@@ -195,7 +198,7 @@ class FiniteDistribution:
         for v, p in atoms:
             if v.k != k:
                 raise InvalidInput("all atoms must share one dimension")
-            if p <= 0:
+            if (p.numerator if type(p) is Fraction else p) <= 0:
                 raise InvalidInput("probabilities must be strictly positive")
             if v.entries in seen:
                 raise InvalidInput(
@@ -376,15 +379,15 @@ def offline_optimal_biased(sigma: Sequence, params: AgentParams,
     smallest index, and any selection beats an equal-utility NoSelection."""
     _check_dims(sigma, params)
     best: Optional[StoppingOutcome] = None
-    s = sigma.candidates[0]  # the running super candidate s^(t)
+    s = sigma.candidates[0].entries  # s^(t)'s entries; no vector per step
     for t, c in enumerate(sigma.candidates, 1):
-        s = s.join(c)
+        s = tuple(map(max, s, c.entries))
         v = c.l1
-        u = v - params.lam * (s.l1 - v)
+        u = v - params.lam * (sum(s) - v)
         if best is None or u > best.utility:
             best = StoppingOutcome(t, v, u)
     if allow_no_selection:
-        u = -params.lam * s.l1
+        u = -params.lam * sum(s)
         if u > best.utility:
             best = StoppingOutcome(None, Fraction(0), u)
     return best
@@ -394,7 +397,8 @@ def offline_optimal_prophet_utility(sigma: Sequence,
                                     params: AgentParams) -> Number:
     """Best biased-prophet utility over all picks (the offline agent)."""
     _check_dims(sigma, params)
-    s = super_candidate(sigma.candidates).l1
+    # s^(n)'s L1 norm: the sum of the column maxima
+    s = sum(map(max, zip(*(c.entries for c in sigma.candidates))))
     return max(c.l1 - params.lam * (s - c.l1) for c in sigma.candidates)
 
 

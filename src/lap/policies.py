@@ -24,13 +24,15 @@ and one stop-utility formula.  Every walk keys its states on rank tuples
 values), so joins compare small ints, and reads a rule as accept masks:
 per (step, rank state), the int of the row's bits of the atoms it stops
 on.  A compiled arm carries its masks for its own prior; only `run_rule`,
-on a caller's sequence, decides on values.  V* and the per-dimension
-maxima are one max-convolution, `max_distribution`.  A pass with two
-readers on one prior runs once: `ProductPrior.memoized` keeps the rank
-table, the V* distribution and the biased DP per (lambda and its type,
-allow_no_selection, resolved budget), so a float lambda never gets an exact
-lambda's result and a budget still binds.  Kept results are shared, so
-read-only; errors are not kept.
+on a caller's sequence, decides on values.  V* and each dimension's
+maximum run one max-convolution loop, `_max_convolution`; `analysis`
+sums the k dimensions' laws for E[sum_j S_j*] as ints over one scale and
+decodes once.  A pass with two readers on one prior runs once:
+`ProductPrior.memoized` keeps the rank table, the V* distribution and
+the biased DP per (lambda and its type, allow_no_selection, resolved
+budget), so a float lambda never gets an exact lambda's result and a
+budget still binds.  Kept results are shared, so read-only; errors are
+not kept.
 
 The biased DP, the rational DP, the max-convolution and exact expectation
 compute on an integer view of the prior, built with the rank table once
@@ -586,12 +588,11 @@ def run_policy(policy: Policy, sigma: Sequence, params: AgentParams,
 # ---------------------------------------------------------------------------
 
 
-def max_distribution(prior: ProductPrior,
-                     key: Callable[[tuple], Number]) -> Dict[Number, Number]:
-    """Exact distribution of max_t key(sigma^(t)) for a scalar `key` of a
-    candidate's entries: the first step's law, then one max-convolution per
-    later step.  `key` reads the entries at the view's scale, so it must
-    commute with scaling them (a sum, or one coordinate, does)."""
+def _max_convolution(prior: ProductPrior, key: Callable[[tuple], Number]):
+    """The law of max_t key(sigma^(t)) on the prior's view, as (law, exact,
+    L, prod D_t): values over L and weights over prod D_t (both 1 in the
+    identity view); the first step's law, then one max-convolution per
+    later step."""
     rows, _, scaled, unit = prior.memoized(_rank_table)
     exact = scaled is not None
     dist: Optional[Dict[Number, Number]] = None
@@ -612,6 +613,15 @@ def max_distribution(prior: ProductPrior,
                 y = m if m >= x else x
                 new[y] = new.get(y, 0) + pm * px
         dist = new
+    return dist, exact, unit, scale
+
+
+def max_distribution(prior: ProductPrior,
+                     key: Callable[[tuple], Number]) -> Dict[Number, Number]:
+    """Exact distribution of max_t key(sigma^(t)) for a scalar `key` of a
+    candidate's entries.  `key` reads the entries at the view's scale, so it
+    must commute with scaling them (a sum, or one coordinate, does)."""
+    dist, exact, unit, scale = _max_convolution(prior, key)
     if not exact:
         return dist
     return {Fraction(x, unit): Fraction(p, scale) for x, p in dist.items()}

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lap import analysis, cli, policies
-from lap.analysis import CheckResult, ratio_report
+from lap.analysis import CheckResult, detect_quality_paradox, ratio_report
 from lap.core import AgentParams
-from lap.instances import gen_worstcase_mixed
+from lap.instances import (gen_quality_pair, gen_random_prior,
+                           gen_worstcase_mixed)
 
 
 def run_cli(capsys, *argv):
@@ -598,6 +600,58 @@ class TestVerify:
                                "--lambda", "1/2", "--k", "1", "--seed", "1")
         assert code == 2
         assert "k >= 2" in err
+
+    def test_all_suite_refuses_width_before_any_instance(self, capsys,
+                                                         monkeypatch):
+        # the paradoxes suite's k >= 2 is checked before the bounds suite
+        # draws a prior, even at a million instances
+        drawn = []
+
+        def counted(*args, **kwargs):
+            drawn.append(args)
+            return gen_random_prior(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_random_prior", counted)
+        argv = ("verify", "--suite", "all", "--lambda", "1/2", "--k", "1",
+                "--seed", "1", "--trials", "1000000")
+        assert run_cli(capsys, *argv) == \
+            (2, "", "error: paradoxes suite needs k >= 2\n")
+        # a bad budget, the bounds suite's first error at k = 1, comes first
+        assert run_cli(capsys, *argv, "--budget-states", "0") == \
+            (2, "", "error: budget must be positive\n")
+        assert drawn == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_quality_scene_per_q(self, capsys, monkeypatch, k):
+        # q takes one of four values and the scene depends on q alone
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return detect_quality_paradox(*args)
+
+        monkeypatch.setattr(cli, "detect_quality_paradox", counted)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                               "--lambda", "1/4", "--k", str(k),
+                               "--seed", "2", "--trials", "30")
+        assert code == 0
+        assert json.loads(out)["checks"] == 30 * 2 + 30 * 3
+        assert 1 <= len(calls) <= 4
+
+    def test_quality_checks_equal_direct_reports(self):
+        params = AgentParams(F(1, 3), 3)
+        checks = cli._verify_paradoxes(random.Random(11), params, 40)
+        quality = [c for c in checks if c.name == "quality-gambler-better"]
+        assert len(quality) == 40
+        assert len({c.detail["q"] for c in quality}) == 4
+        for check in quality:
+            q = check.detail["q"]
+            rep = detect_quality_paradox(*gen_quality_pair(3, q), params)
+            assert check == CheckResult(
+                "quality-gambler-better", rep.gambler_better_on_higher,
+                rep.gambler_high, rep.gambler_low,
+                {"q": q, "prophet_worse_on_higher":
+                 rep.prophet_worse_on_higher})
 
     def test_seed_required(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bounds",

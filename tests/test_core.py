@@ -39,6 +39,15 @@ from lap.core import (
 )
 
 
+class Signed(F):
+    """A Fraction subclass: validation may not take its fast path."""
+
+
+def typed(x):
+    """A number as (type name, repr): 1.0 and Fraction(1) differ."""
+    return type(x).__name__, repr(x)
+
+
 def seq(*rows):
     return Sequence(tuple(ValueVector(tuple(F(x) for x in row)) for row in rows))
 
@@ -56,6 +65,16 @@ class TestValueVector:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInput):
             ValueVector((F(-1), F(0)))
+        # a Fraction's sign is read from its numerator: each entry below is
+        # refused with the one message, a subclass's through `<` itself
+        for entry in (F(-1, 3), Signed(-1, 2), -0.5):
+            with pytest.raises(InvalidInput, match="^entry must be "
+                               "non-negative$"):
+                ValueVector((F(0), entry))
+        with pytest.raises(InvalidInput, match="^entry must be a number, "
+                           "got bool$"):
+            ValueVector((F(1), True))
+        assert ValueVector((Signed(1, 2), F(0))).entries == (F(1, 2), 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
@@ -228,6 +247,32 @@ class TestOfflineOptimal:
         s = seq((2, 0, 0), (0, 2, 0), (0, 0, 2))
         assert offline_optimal_prophet_utility(s, AgentParams(F(1), 3)) == -2
 
+    @pytest.mark.parametrize("flavor", ["exact", "float", "mixed"])
+    def test_optima_equal_the_oracles_value_and_type(self, flavor):
+        # entries from a 3-value grid, so columns and utilities tie often;
+        # "mixed" draws each entry as a float or a Fraction, so a tie of
+        # 1.0 and Fraction(1) shows which one the join keeps
+        rng = random.Random(f"offline/{flavor}")
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            rows = oracles.random_sequence(rng, n_max=6, k=k,
+                                           value_grid=(0, 1, 2))
+            as_float = {"exact": lambda: False, "float": lambda: True,
+                        "mixed": lambda: rng.random() < 0.5}[flavor]
+            rows = tuple(tuple(float(x) if as_float() else F(x) for x in row)
+                         for row in rows)
+            lam = rng.choice((F(0), F(1, 3), F(1, 2), F(2), 0.25))
+            sigma = Sequence(tuple(map(ValueVector, rows)))
+            params = AgentParams(lam, k)
+            for allow in (False, True):
+                got = offline_optimal_biased(sigma, params, allow).utility
+                assert typed(got) == \
+                    typed(oracles.offline_best(rows, lam, allow))
+            prophet = max(oracles.prophet_utility(rows, t, lam)
+                          for t in range(1, len(rows) + 1))
+            assert typed(offline_optimal_prophet_utility(sigma, params)) == \
+                typed(prophet)
+
     def test_vectors_built_linear_in_n(self, monkeypatch):
         # one running super candidate, not one rebuilt per stop
         n = 200
@@ -320,6 +365,13 @@ class TestDistributions:
         w = ValueVector((F(2),))
         with pytest.raises(InvalidInput):
             FiniteDistribution(((v, F(0)), (w, F(1))))
+        for p in (F(0), F(-1, 2), Signed(0), Signed(-1, 2), 0.0):
+            with pytest.raises(InvalidInput, match="^probabilities must be "
+                               "strictly positive$"):
+                FiniteDistribution(((v, p), (w, 1 - p)))
+        with pytest.raises(InvalidInput, match="^probability must be a "
+                           "number, got bool$"):
+            FiniteDistribution(((v, True),))
 
     def test_rejects_duplicate_support(self):
         v = ValueVector((F(1),))

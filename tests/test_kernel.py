@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from lap import policies
-from lap.analysis import _e_sum_dim_maxima
+from lap.analysis import _e_sum_dim_maxima, _expectation_of
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -188,6 +188,22 @@ def test_kernel_matches_the_fraction_formulas(flavor):
             assert _e_sum_dim_maxima(prior) == e_sum
         elif flavor == "float-lambda":
             assert type(value) is float
+
+
+@pytest.mark.parametrize("flavor", ["exact", "float-prior",
+                                    "float-probabilities"])
+def test_e_sum_dim_maxima_is_the_fraction_sum(flavor):
+    # one int sum decoded once equals the k decoded laws summed as numbers
+    rng = random.Random(f"e-sum/{flavor}")
+    for _ in range(200):
+        steps = random_steps(rng)
+        prior = prior_of(steps, float if flavor == "float-probabilities"
+                         else lambda p: p)
+        if flavor == "float-prior":
+            prior = prior_from_json(prior_to_json(prior), exact=False)
+        old = sum((_expectation_of(policies.max_distribution(
+            prior, itemgetter(j))) for j in range(prior.k)), F(0))
+        assert typed(_e_sum_dim_maxima(prior)) == typed(old)
 
 
 @pytest.mark.parametrize("lam", [F(1, 3), 0.25])
