@@ -145,14 +145,13 @@ class QualityParadoxReport:
 
 
 def exact_expectation(prior: ProductPrior, policy: Policy,
-                      params: AgentParams, allow_no_selection: bool = True,
+                      params: AgentParams,
                       budget: Optional[int] = None) -> Number:
     """Exact expected utility of a policy: mixing arms times each arm's
     lattice pass over the reachable (step, super candidate) states.  The
     budget, resolved once, caps the states each pass holds."""
     limit = resolve_budget(budget)
-    compiled = compile_policy(policy, prior, params, allow_no_selection,
-                              limit)
+    compiled = compile_policy(policy, prior, params, limit)
     return sum((weight * rule_expectation(rule, prior, params, limit)
                 for weight, rule in compiled.arms), Fraction(0))
 
@@ -176,7 +175,6 @@ def _step_cums(prior: ProductPrior) -> list:
 
 def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
                 trials: int, seed: Optional[int],
-                allow_no_selection: bool = True,
                 budget: Optional[int] = None) -> EstimateWithCI:
     """Sampled expected utility with a CI_Z-sigma normal half width.
 
@@ -192,8 +190,7 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     if trials <= 0:
         raise InvalidInput("trials must be positive")
     limit = resolve_budget(budget)
-    compiled = compile_policy(policy, prior, params, allow_no_selection,
-                              limit)
+    compiled = compile_policy(policy, prior, params, limit)
     walks = [_trial_walk(rule, prior, params.lam, limit)
              for _, rule in compiled.arms]
     steps = _step_cums(prior)
@@ -252,8 +249,7 @@ def ratio_report(prior: ProductPrior, params: AgentParams,
     gambler on one prior, all at their respective optima."""
     # the budgeted DP goes first (it also checks the dimensions), so an
     # over-budget prior stops before the unbudgeted passes run
-    e_ugb = optimal_biased_policy(prior, params, True,
-                                  budget).expected_utility
+    e_ugb = optimal_biased_policy(prior, params, budget).expected_utility
     e_upr = _expectation_of(value_max_distribution(prior))
     e_ugr = optimal_rational_policy(prior, budget).expected_utility
     return RatioReport(
@@ -324,8 +320,7 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
     exps = [exact_expectation(prior, Policy.from_alpha(a), params,
                               budget=budget) for a in alphas]
     best = max(exps)
-    opt = optimal_biased_policy(prior, params, True,
-                                budget).expected_utility
+    opt = optimal_biased_policy(prior, params, budget).expected_utility
     route_dims = (1 - params.bias) * e_sum / (1 + lam + k)
     route_value = (1 - params.bias) * e_v / (2 + lam)
     rhs = max(route_dims, route_value)
@@ -362,8 +357,7 @@ def verify_online_bound(prior: ProductPrior, params: AgentParams,
     cross-multiplied cap on how much bias can cost an optimal gambler."""
     _require_subcritical(prior, params)
     e_gr = optimal_rational_policy(prior, budget).expected_utility
-    e_gb = optimal_biased_policy(prior, params, True,
-                                 budget).expected_utility
+    e_gb = optimal_biased_policy(prior, params, budget).expected_utility
     lhs = (1 - params.bias) * e_gr
     rhs = (1 + params.lam) * e_gb
     passed = lhs <= rhs
@@ -400,7 +394,7 @@ def detect_paradox_of_choice(base: Sequence, extended: Sequence,
 
     `extended` must contain `base` as a prefix or a suffix.  The prophet
     agent compares best-pick utilities; the gambler agent compares offline
-    optima with the no-selection exit available.
+    biased optima.
     """
     if agent not in ("prophet", "gambler"):
         raise InvalidInput(f"unknown agent {agent!r}")
@@ -413,8 +407,8 @@ def detect_paradox_of_choice(base: Sequence, extended: Sequence,
         u_base = offline_optimal_prophet_utility(base, params)
         u_ext = offline_optimal_prophet_utility(extended, params)
     else:
-        u_base = offline_optimal_biased(base, params, True).utility
-        u_ext = offline_optimal_biased(extended, params, True).utility
+        u_base = offline_optimal_biased(base, params).utility
+        u_ext = offline_optimal_biased(extended, params).utility
     return u_ext < u_base
 
 
@@ -433,8 +427,8 @@ def detect_quality_paradox(low: Sequence, high: Sequence,
             "second sequence must be strictly higher quality")
     p_low = offline_optimal_prophet_utility(low, params)
     p_high = offline_optimal_prophet_utility(high, params)
-    g_low = offline_optimal_biased(low, params, True).utility
-    g_high = offline_optimal_biased(high, params, True).utility
+    g_low = offline_optimal_biased(low, params).utility
+    g_high = offline_optimal_biased(high, params).utility
     return QualityParadoxReport(
         prophet_low=p_low,
         prophet_high=p_high,

@@ -359,8 +359,8 @@ def _verify_paradoxes(rng, params, count) -> List[CheckResult]:
         checks.append(CheckResult(
             "rational-prophet-monotone", pr_full >= pr_base,
             pr_full, pr_base, {}))
-        gb_full = offline_optimal_biased(full, params, True).utility
-        gb_base = offline_optimal_biased(base, params, True).utility
+        gb_full = offline_optimal_biased(full, params).utility
+        gb_base = offline_optimal_biased(base, params).utility
         checks.append(CheckResult(
             "gambler-extension-monotone", gb_full >= gb_base,
             gb_full, gb_base, {}))

@@ -218,10 +218,6 @@ class FiniteDistribution:
     def k(self) -> int:
         return self.atoms[0][0].k
 
-    @property
-    def support(self) -> Tuple[ValueVector, ...]:
-        return tuple(v for v, _ in self.atoms)
-
 
 @dataclass(frozen=True)
 class ProductPrior:
@@ -331,10 +327,12 @@ def super_candidate(prefix) -> ValueVector:
         vecs = tuple(prefix)
     if not vecs:
         raise InvalidInput("empty prefix has no super candidate")
-    out = vecs[0]
+    first = vecs[0]
+    entries = first.entries  # joined as tuples: one vector per call
     for v in vecs[1:]:
-        out = out.join(v)
-    return out
+        first._check_dim(v)
+        entries = tuple(map(max, entries, v.entries))
+    return ValueVector(entries)
 
 
 def rational_utility(sigma: Sequence, t: int) -> Number:
@@ -373,10 +371,11 @@ def max_value(sigma: Sequence) -> Number:
     return max(c.l1 for c in sigma.candidates)
 
 
-def offline_optimal_biased(sigma: Sequence, params: AgentParams,
-                           allow_no_selection: bool = False) -> StoppingOutcome:
+def offline_optimal_biased(sigma: Sequence,
+                           params: AgentParams) -> StoppingOutcome:
     """Arg-max of the biased gambler utility over stops; ties resolve to the
-    smallest index, and any selection beats an equal-utility NoSelection."""
+    smallest index.  Walking away, which scores -lambda * ||s^(n)||_1, is
+    never better: a pick at t scores at least -lambda * ||s^(t)||_1."""
     _check_dims(sigma, params)
     best: Optional[StoppingOutcome] = None
     s = sigma.candidates[0].entries  # s^(t)'s entries; no vector per step
@@ -386,10 +385,6 @@ def offline_optimal_biased(sigma: Sequence, params: AgentParams,
         u = v - params.lam * (sum(s) - v)
         if best is None or u > best.utility:
             best = StoppingOutcome(t, v, u)
-    if allow_no_selection:
-        u = -params.lam * sum(s)
-        if u > best.utility:
-            best = StoppingOutcome(None, Fraction(0), u)
     return best
 
 

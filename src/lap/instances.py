@@ -28,6 +28,7 @@ from .core import (
     Sequence,
     ValueVector,
     _coerce,
+    _shown,
     is_succinct,
     max_value,
     offline_optimal_biased,
@@ -254,10 +255,7 @@ def reduction_probabilities(m: int, x: Number) -> Tuple[Fraction, ...]:
 
 def _nominal_count(m: int, alpha: float, log_of_m: float) -> int:
     try:
-        raw = m ** (alpha * (m - 1)) * log_of_m ** alpha
-        if raw < 1:
-            return 1
-        return math.ceil(raw)
+        return math.ceil(m ** (alpha * (m - 1)) * log_of_m ** alpha)
     except OverflowError:
         # reconstruct ceil(10^d) digit-wise; low digits are approximate but
         # the magnitude is what matters for a count this large
@@ -313,8 +311,7 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
         alpha = -math.log(x, m)
     else:
         best_value = max_value(sigma)
-        best_biased = offline_optimal_biased(
-            sigma, params, allow_no_selection=True).utility
+        best_biased = offline_optimal_biased(sigma, params).utility
         if best_biased <= 0:
             raise InvalidInput("reduction needs positive biased utility")
         alpha = math.log(best_value / (epsilon * best_biased), m) + 2
@@ -332,8 +329,8 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
     if n > cap:
         err = ResourceLimit(
             f"candidate count {n} exceeds budget {cap}" if n_override else
-            f"nominal candidate count {nominal} exceeds budget {cap}; "
-            "pass n_override to simulate at a feasible size")
+            f"nominal candidate count {_shown(nominal)} exceeds budget "
+            f"{cap}; pass n_override to simulate at a feasible size")
         err.nominal_n = nominal
         raise err
 

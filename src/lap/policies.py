@@ -12,7 +12,8 @@ Three families of rules live here:
 * exact optimal policies for biased and rational agents via backward
   induction; the biased DP is keyed on (step, super candidate), which is a
   sufficient statistic because the utility depends on history only through
-  the reference point.
+  the reference point.  Its optimum always stops: walking away scores
+  -lambda * ||s^(n)||_1, and taking the last offer never scores less.
 * exact expectations, patience comparison and Monte Carlo trial walks of
   compiled rules, over the reachable (step, super candidate) states instead
   of every realization.  The state budget caps the states each exact pass
@@ -29,10 +30,9 @@ maximum run one max-convolution loop, `_max_convolution`; `analysis`
 sums the k dimensions' laws for E[sum_j S_j*] as ints over one scale and
 decodes once.  A pass with two readers on one prior runs once:
 `ProductPrior.memoized` keeps the rank table, the V* distribution and
-the biased DP per (lambda and its type, allow_no_selection, resolved
-budget), so a float lambda never gets an exact lambda's result and a
-budget still binds.  Kept results are shared, so read-only; errors are
-not kept.
+the biased DP per (lambda and its type, resolved budget), so a float
+lambda never gets an exact lambda's result and a budget still binds.
+Kept results are shared, so read-only; errors are not kept.
 
 The biased DP, the rational DP, the max-convolution and exact expectation
 compute on an integer view of the prior, built with the rank table once
@@ -83,6 +83,8 @@ _KINDS = ("threshold", "fixed-index", "optimal-biased",
 
 def resolve_budget(budget: Optional[int] = None) -> int:
     """Explicit argument, else the LAP_BUDGET_STATES env var, else default."""
+    if isinstance(budget, bool):
+        raise InvalidInput("budget must be an integer, got bool")
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR)
         if raw is None:
@@ -373,13 +375,11 @@ class CompiledPolicy:
 
 
 def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
-                   allow_no_selection: bool = True,
                    budget: Optional[int] = None) -> CompiledPolicy:
     """Bind a policy to `prior`.  Masks: a threshold's per distinct row,
     a fixed index's all bits at its step, the DPs' their own."""
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
-    n = prior.n
     rows = prior.memoized(_rank_table)[0]
     if policy.kind == "threshold":
         if policy.alpha is not None:
@@ -402,7 +402,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
             arms = ((p, arm(weak)), (1 - p, arm(strict)))
         return CompiledPolicy(arms, policy.seed)
     if policy.kind in ("fixed-index", "accept-last"):
-        index = policy.index if policy.kind == "fixed-index" else n
+        index = policy.index if policy.kind == "fixed-index" else prior.n
         arm = _Arm(lambda t, s, entries, val: t == index, prior,
                    lambda t, ranks: (1 << len(rows[t - 1].plain)) - 1
                    if t == index else 0)
@@ -412,12 +412,9 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                    lambda t, ranks: res.masks[(t, ())])
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
-        res = optimal_biased_policy(prior, AgentParams(lam, params.k),
-                                    allow_no_selection, budget)
+        res = optimal_biased_policy(prior, AgentParams(lam, params.k), budget)
 
         def decide(t, s, entries, val):  # decodes the table at its first call
-            if not allow_no_selection and t == n:
-                return True
             acc = res.policy_table.get((t, s))
             if acc is None:
                 raise InvalidInput(
@@ -667,8 +664,7 @@ def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:
 # ---------------------------------------------------------------------------
 
 
-def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
-               budget: int) -> DPResult:
+def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     """The reachable super candidates before each step as sorted rank
     tuples, whose total count the state budget caps, then backward
     induction over them in the integer view (the identity view when lambda
@@ -704,13 +700,11 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
                 if s_l1 is None:
                     s_l1 = norms[joined] = sum(_decode(norm_levels, joined))
                 u = (b * val - a * (s_l1 - val)) * scale
-                if t < n:
-                    cont = values[joined]
-                elif allow_no_selection:  # U of no selection after step n
-                    cont = 0 - a * s_l1
-                else:
-                    cont = None
-                if cont is None or u >= cont:
+                # step n takes every offer (cont = u): against declining
+                # everything, 0 - a*s, it gains u - (0 - a*s) = (b + a)*val,
+                # never negative
+                cont = values[joined] if t < n else u
+                if u >= cont:
                     mask |= bit
                     choice = u
                 else:
@@ -725,17 +719,16 @@ def _biased_dp(prior: ProductPrior, lam: Number, allow_no_selection: bool,
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
-                          allow_no_selection: bool = True,
                           budget: Optional[int] = None) -> DPResult:
     """Exact optimal expected utility for the biased gambler.
 
-    Terminal convention per allow_no_selection: declining everything scores
-    -lambda * ||s^(n)||_1 (default) or is simply not offered.
+    The optimum always stops: declining everything scores
+    -lambda * ||s^(n)||_1, which taking the last offer never scores below,
+    so the value is the same whether or not walking away is offered.
     """
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
-    return prior.memoized(_biased_dp, params.lam, allow_no_selection,
-                          resolve_budget(budget))
+    return prior.memoized(_biased_dp, params.lam, resolve_budget(budget))
 
 
 def _rational_dp(prior: ProductPrior):
@@ -780,12 +773,11 @@ def optimal_rational_policy(prior: ProductPrior,
 # ---------------------------------------------------------------------------
 
 
-def _single_rule(policy, prior, params, allow_no_selection, budget) -> Rule:
+def _single_rule(policy, prior, params, budget) -> Rule:
     if isinstance(policy, CompiledPolicy):
         compiled = policy
     else:
-        compiled = compile_policy(policy, prior, params,
-                                  allow_no_selection, budget)
+        compiled = compile_policy(policy, prior, params, budget)
     if not compiled.deterministic:
         if compiled.seed is None:
             raise InvalidInput(
@@ -795,7 +787,6 @@ def _single_rule(policy, prior, params, allow_no_selection, budget) -> Rule:
 
 
 def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
-                     allow_no_selection: bool = True,
                      budget: Optional[int] = None) -> PatienceVerdict:
     """Does rule `a` stop at the same index or later than `b` on every
     realization of the prior?  NoSelection counts as stopping at n + 1.
@@ -808,10 +799,8 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     Once `b` has stopped, `a` is still followed until it stops, so a rule
     that leaves its compiled support raises as on a realization scan."""
     limit = resolve_budget(budget)
-    accept_a = _accept_masks(
-        _single_rule(a, prior, params, allow_no_selection, limit), prior)
-    accept_b = _accept_masks(
-        _single_rule(b, prior, params, allow_no_selection, limit), prior)
+    accept_a = _accept_masks(_single_rule(a, prior, params, limit), prior)
+    accept_b = _accept_masks(_single_rule(b, prior, params, limit), prior)
     rows = prior.memoized(_rank_table)[0]
     n = prior.n
     clear = set()  # (t, ranks, b running): no witness

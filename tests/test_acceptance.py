@@ -233,8 +233,7 @@ def test_dp_matches_history_bruteforce():
         steps = oracles.random_prior_steps(rng, n_max=3, atoms_max=3, k=k)
         prior = prior_from_steps(steps)
         allow = bool(i % 2)
-        got = optimal_biased_policy(prior, AgentParams(lam, k),
-                                    allow_no_selection=allow)
+        got = optimal_biased_policy(prior, AgentParams(lam, k))
         want = oracles.history_optimal(steps, lam, allow_no_selection=allow)
         assert got.expected_utility == want
         nodes, width = 0, 1
@@ -280,10 +279,13 @@ def test_patience_and_value_monotonicity():
         front = tuple(rng.choice(oracles.VALUE_GRID) for _ in range(k))
         tail = Sequence(tuple(ValueVector(v) for v in vecs))
         whole = Sequence((ValueVector(front),) + tail.candidates)
-        for allow in (False, True):
-            u = offline_optimal_biased(tail, params, allow).utility
-            v = offline_optimal_biased(whole, params, allow).utility
-            assert v >= u / (1 + lam)
+        u = offline_optimal_biased(tail, params).utility
+        v = offline_optimal_biased(whole, params).utility
+        assert v >= u / (1 + lam)
+        for allow in (False, True):  # walking away never beats a pick
+            assert u == oracles.offline_best(vecs, lam, allow)
+            assert v == oracles.offline_best((front,) + tuple(vecs), lam,
+                                             allow)
     assert time.perf_counter() - t0 < 120.0
 
 

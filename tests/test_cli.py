@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from lap import analysis, cli, policies
 from lap.analysis import CheckResult, detect_quality_paradox, ratio_report
-from lap.core import AgentParams
+from lap.core import AgentParams, prior_from_json
 from lap.instances import (gen_quality_pair, gen_random_prior,
                            gen_worstcase_mixed)
 
@@ -659,6 +659,40 @@ class TestVerify:
         assert code == 2
         assert "--seed" in err
 
+    @pytest.mark.parametrize("name, forced", [
+        ("prophet-bound", "_e_sum_dim_maxima"),
+        ("online-bound", "optimal_rational_policy")])
+    def test_counterexample_of_a_failed_bound(self, capsys, monkeypatch,
+                                              name, forced):
+        # a dependency that reports 10^6 makes the bound fail; the
+        # counterexample replays the prior and gives the sides exactly
+        big = F(10 ** 6)
+        monkeypatch.setattr(analysis, forced, lambda *a: (
+            big if forced == "_e_sum_dim_maxima"
+            else policies.DPResult(big, 1, {}, ())))
+        params = AgentParams(F(1, 2), 2)
+        prior = gen_random_prior(random.Random(5), k=2)
+        verify = {"prophet-bound": analysis.verify_prophet_bound,
+                  "online-bound": analysis.verify_online_bound}[name]
+        check = verify(prior, params)
+        assert not check.passed
+        example = check.counterexample
+        assert prior_from_json(example["prior"]) == prior
+        assert (example["lambda"], example["k"]) == ("1/2", 2)
+        e_gb = policies.optimal_biased_policy(prior, params).expected_utility
+        # prophet: (1 - 1/2) * 10^6 / (1 + 1/2 + 2); online: (3/2) * E[U_gb*]
+        rhs = big / 7 if name == "prophet-bound" else F(3, 2) * e_gb
+        assert rhs == check.rhs
+        assert example["rhs"] == str(rhs)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "bounds",
+                               "--lambda", "1/2", "--k", "2", "--seed", "5",
+                               "--trials", "1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["failed"] == 1
+        assert payload["failures"][0]["name"] == name
+        assert payload["failures"][0]["counterexample"] == example
+
     def test_failure_exits_one_with_report(self, capsys, monkeypatch):
         bad = CheckResult("prophet-bound", False, F(0), F(1),
                           {"flag": True, "q": F(3, 2)},
@@ -996,6 +1030,19 @@ class TestReduce:
                            "exceeds budget 10\n")
         else:
             assert json.loads(out)["prior"]["n"] == 10
+
+    def test_nominal_count_past_the_digit_limit(self, capsys, tmp_path):
+        # m = 1,500 candidates call for a nominal count of over 4,300
+        # digits; the message notes it instead of printing it
+        target = tmp_path / "long.json"
+        target.write_text(json.dumps(
+            {"k": 1, "candidates": [[i] for i in range(1, 1501)]}))
+        code, out, err = run_cli(capsys, "reduce", "--in", str(target),
+                                 "--lambda", "1/2", "--eps", "1/2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: resource limit: nominal candidate "
+                              "count <a number past ")
+        assert "internal error" not in err
 
     def test_needs_sequence(self, capsys, tmp_path):
         target = tmp_path / "prior.json"

@@ -126,8 +126,45 @@ class TestSuperCandidate:
         assert super_candidate(seq((1, 0), (0, 1), (2, 0), (0, 2))).entries == (2, 2)
 
     def test_empty_prefix_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^empty prefix"):
             super_candidate(())
+
+    def test_dimension_mismatch_rejected(self):
+        vecs = (ValueVector((1, 2)), ValueVector((3, 4)), ValueVector((5,)))
+        with pytest.raises(InvalidInput, match="^dimension mismatch: 2 vs 1$"):
+            super_candidate(vecs)
+
+    def test_equals_the_chained_join(self):
+        # by type and repr, floats and Fractions mixed, ties common
+        rng = random.Random(17)
+        for _ in range(200):
+            vecs = [ValueVector(tuple(
+                rng.choice((F(x), float(x))) for x in row))
+                for row in oracles.random_sequence(
+                    rng, n_max=6, k=rng.randint(1, 3), value_grid=(0, 1, 2))]
+            want = vecs[0]
+            for v in vecs[1:]:
+                want = want.join(v)
+            assert typed(super_candidate(vecs).entries) == typed(want.entries)
+
+    def test_one_vector_per_call(self, monkeypatch):
+        s = seq(*((t % 7, t % 5) for t in range(200)))
+        p = AgentParams(F(1, 2), 2)
+        built = []
+        init = ValueVector.__post_init__
+
+        def counted(vector):
+            built.append(vector)
+            init(vector)
+
+        monkeypatch.setattr(ValueVector, "__post_init__", counted)
+        for call in (lambda: super_candidate(s),
+                     lambda: biased_gambler_utility(s, s.n, p),
+                     lambda: biased_prophet_utility(s, 1, p),
+                     lambda: no_selection_utility(s, p)):
+            built.clear()
+            call()
+            assert len(built) == 1
 
     def test_prefix_monotone(self):
         rng = random.Random(7)
@@ -214,9 +251,7 @@ class TestOfflineOptimal:
         assert out.selection == 1
 
     def test_all_zero_prefers_selection_over_none(self):
-        out = offline_optimal_biased(
-            seq((0, 0), (0, 0)), AgentParams(F(1), 2), allow_no_selection=True
-        )
+        out = offline_optimal_biased(seq((0, 0), (0, 0)), AgentParams(F(1), 2))
         assert out.selection == 1
         assert out.utility == 0
 
@@ -264,8 +299,8 @@ class TestOfflineOptimal:
             lam = rng.choice((F(0), F(1, 3), F(1, 2), F(2), 0.25))
             sigma = Sequence(tuple(map(ValueVector, rows)))
             params = AgentParams(lam, k)
-            for allow in (False, True):
-                got = offline_optimal_biased(sigma, params, allow).utility
+            got = offline_optimal_biased(sigma, params).utility
+            for allow in (False, True):  # walking away never beats a pick
                 assert typed(got) == \
                     typed(oracles.offline_best(rows, lam, allow))
             prophet = max(oracles.prophet_utility(rows, t, lam)
@@ -286,7 +321,7 @@ class TestOfflineOptimal:
             init(vector)
 
         monkeypatch.setattr(ValueVector, "__post_init__", counted)
-        offline_optimal_biased(s, p, allow_no_selection=True)
+        offline_optimal_biased(s, p)
         offline_optimal_prophet_utility(s, p)
         assert len(built) <= 3 * n
 

@@ -82,8 +82,7 @@ class TestAlternatingGeometric:
     def test_offline_optimal_is_one_supercritical(self):
         for n in (2, 4, 6, 8):
             sigma = gen_alternating_geometric(n, 2, F(2))
-            out = offline_optimal_biased(sigma, AgentParams(F(2), 2),
-                                         allow_no_selection=True)
+            out = offline_optimal_biased(sigma, AgentParams(F(2), 2))
             assert out.utility == 1
             assert out.selection == 1
 
@@ -94,7 +93,7 @@ class TestAlternatingGeometric:
         for n in (2, 4, 6, 8, 10):
             sigma = gen_alternating_geometric(n, k, lam * (k - 1))
             gap = max_value(sigma) / offline_optimal_biased(
-                sigma, AgentParams(lam, k), allow_no_selection=True).utility
+                sigma, AgentParams(lam, k)).utility
             assert gap == F(2) ** (math.ceil(n / k) - 1)
             if prev is not None:
                 assert gap > prev
@@ -148,8 +147,7 @@ class TestAlternatingLinear:
 
     def test_offline_optimal_critical(self):
         sigma = gen_alternating_linear(6, 2)
-        out = offline_optimal_biased(sigma, AgentParams(F(1), 2),
-                                     allow_no_selection=True)
+        out = offline_optimal_biased(sigma, AgentParams(F(1), 2))
         assert out.utility == 1
 
     def test_prophet_value(self):

@@ -143,8 +143,7 @@ def own_steps(prior):
 
 def check(prior, lam, allow_no_selection=True):
     steps = own_steps(prior)
-    res = policies.optimal_biased_policy(prior, AgentParams(lam, prior.k),
-                                         allow_no_selection)
+    res = policies.optimal_biased_policy(prior, AgentParams(lam, prior.k))
     value, table, count = ref_biased(steps, lam, allow_no_selection)
     assert typed(res.expected_utility) == typed(value)
     assert typed(list(res.policy_table.items())) == typed(table)

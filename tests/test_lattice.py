@@ -109,7 +109,7 @@ class TestExpectationAgainstOracle:
             stop = oracles.biased_optimal_stop(steps, lam,
                                                allow_no_selection=False)
             got = exact_expectation(prior_of(steps), Policy.optimal_biased(),
-                                    params, allow_no_selection=False)
+                                    params)
             assert got == oracles.rule_expected_utility(steps, lam, stop)
             assert got == oracles.history_optimal(steps, lam,
                                                   allow_no_selection=False)

@@ -29,10 +29,8 @@ from lap.policies import Policy, compile_policy, run_rule
 GRID = tuple(sorted({F(a, b) for a in range(7) for b in (1, 2, 3, 5)}))
 
 
-def ref_monte_carlo(prior, policy, params, trials, seed,
-                    allow_no_selection=True, budget=None):
-    compiled = compile_policy(policy, prior, params, allow_no_selection,
-                              budget)
+def ref_monte_carlo(prior, policy, params, trials, seed, budget=None):
+    compiled = compile_policy(policy, prior, params, budget)
     tables = []
     for dist in prior.steps:
         acc, cums = 0.0, []
@@ -94,17 +92,15 @@ def random_prior(rng):
 
 
 def policies_for(rng, prior):
-    """(policy, allow_no_selection) of every kind; the alpha rule and the
-    explicit threshold with a coin have two arms."""
+    """A policy of every kind; the alpha rule and the explicit threshold
+    with a coin have two arms."""
     return [
-        (Policy.accept_last(), True),
-        (Policy.fixed_index(rng.randint(1, prior.n)), True),
-        (Policy.from_alpha(F(rng.randint(1, 9), 10)), True),
-        (Policy.threshold(rng.choice(GRID) * 2, F(rng.randint(0, 4), 4)),
-         True),
-        (Policy.optimal_rational(), True),
-        (Policy.optimal_biased(), True),
-        (Policy.optimal_biased(), False),
+        Policy.accept_last(),
+        Policy.fixed_index(rng.randint(1, prior.n)),
+        Policy.from_alpha(F(rng.randint(1, 9), 10)),
+        Policy.threshold(rng.choice(GRID) * 2, F(rng.randint(0, 4), 4)),
+        Policy.optimal_rational(),
+        Policy.optimal_biased(),
     ]
 
 
@@ -117,14 +113,13 @@ def test_walk_matches_the_sequence_scan(chunk):
         lam = F(rng.randint(0, 8), rng.choice((1, 2, 3, 4)))
         seed = rng.randrange(2 ** 32)
         trials = rng.randint(1, 60)
-        for policy, allow in policies_for(rng, exact):
+        for policy in policies_for(rng, exact):
             for prior, lam_ in ((exact, lam), (
                     prior_from_json(prior_to_json(exact), exact=False),
                     float(lam) if seed % 2 else lam)):
                 params = AgentParams(lam_, prior.k)
-                same(prior, policy, params, trials, seed,
-                     allow_no_selection=allow)
-                arms = compile_policy(policy, prior, params, allow).arms
+                same(prior, policy, params, trials, seed)
+                arms = compile_policy(policy, prior, params).arms
                 two_armed += len(arms) == 2
     assert two_armed > 30
 

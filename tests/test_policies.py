@@ -186,8 +186,7 @@ class TestRunPolicy:
             s = seq(*rows)
             params = AgentParams(F(rng.randint(0, 6), 3), 2)
             out = run_policy(Policy.optimal_biased(), s, params)
-            assert out.utility == offline_optimal_biased(
-                s, params, allow_no_selection=True).utility
+            assert out.utility == offline_optimal_biased(s, params).utility
 
 
 class TestOptimalBiasedPolicy:
@@ -220,8 +219,7 @@ class TestOptimalBiasedPolicy:
             steps = oracles.random_prior_steps(rng, n_max=4, atoms_max=3, k=k)
             lam = F(rng.randint(0, 8), 4)
             allow = rng.random() < 0.5
-            res = optimal_biased_policy(
-                prior_of(steps), AgentParams(lam, k), allow_no_selection=allow)
+            res = optimal_biased_policy(prior_of(steps), AgentParams(lam, k))
             assert res.expected_utility == oracles.history_optimal(
                 steps, lam, allow_no_selection=allow)
 
@@ -235,8 +233,7 @@ class TestOptimalBiasedPolicy:
                 continue
             lam = F(rng.randint(0, 6), 4)
             allow = done % 2 == 0
-            res = optimal_biased_policy(
-                prior_of(steps), AgentParams(lam, 2), allow_no_selection=allow)
+            res = optimal_biased_policy(prior_of(steps), AgentParams(lam, 2))
             assert res.expected_utility == oracles.enumerate_policies_optimal(
                 steps, lam, allow_no_selection=allow)
             done += 1
@@ -248,8 +245,8 @@ class TestOptimalBiasedPolicy:
             s = seq(*rows)
             params = AgentParams(F(rng.randint(0, 6), 3), 2)
             res = optimal_biased_policy(ProductPrior.deterministic(s), params)
-            assert res.expected_utility == offline_optimal_biased(
-                s, params, allow_no_selection=True).utility
+            assert res.expected_utility == \
+                offline_optimal_biased(s, params).utility
 
     def test_state_budget(self):
         with pytest.raises(ResourceLimit):

@@ -8,10 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from lap import cli
-from lap.analysis import exact_expectation
+from lap.analysis import exact_expectation, monte_carlo
 from lap.core import (
     AgentParams,
     FiniteDistribution,
+    InvalidInput,
     ProductPrior,
     ResourceLimit,
     ValueVector,
@@ -22,6 +23,7 @@ from lap.policies import (
     Policy,
     optimal_biased_policy,
     patience_compare,
+    resolve_budget,
 )
 
 QUARTER = F(1, 4)
@@ -107,3 +109,26 @@ def test_patience_charges_the_states_it_enters():
             "state budget 39 exceeded (40+ states by step 40)")
     assert patience_compare(*rules, prior, params,
                             budget=40).verdict == "more-patient"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_budget_is_refused(flag):
+    # a bool is not a count: a positional True or False that lands on
+    # `budget` is refused, not read as 1 or 0
+    prior = ProductPrior.deterministic(gen_alternating_linear(4, 2))
+    params = AgentParams(F(1, 2), 2)
+    for call in (
+            lambda: resolve_budget(flag),
+            lambda: exact_expectation(prior, Policy.optimal_biased(),
+                                      params, flag),
+            lambda: exact_expectation(prior, Policy.accept_last(),
+                                      params, flag),
+            lambda: optimal_biased_policy(prior, params, flag),
+            lambda: monte_carlo(prior, Policy.accept_last(), params, 10, 1,
+                                flag),
+            lambda: patience_compare(Policy.accept_last(),
+                                     Policy.optimal_biased(), prior,
+                                     params, flag)):
+        with pytest.raises(InvalidInput,
+                           match="^budget must be an integer, got bool$"):
+            call()

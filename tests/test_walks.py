@@ -179,10 +179,10 @@ def test_rank_walks_match_the_value_walks(chunk):
         lam = F(rng.randint(0, 8), rng.choice((1, 2, 3)))
         for lam in (lam, float(lam)) if i % 2 else (lam,):
             params = AgentParams(lam, prior.k)
-            for allow in (True, False):
+            for _ in range(2):  # two policy draws per lambda
                 pols = policies_for(rng, prior)
                 for policy in pols:
-                    arms = compile_policy(policy, prior, params, allow).arms
+                    arms = compile_policy(policy, prior, params).arms
                     two_armed += len(arms) == 2
                     for _, rule in arms:
                         got = rule_expectation(rule, prior, params)
@@ -190,9 +190,8 @@ def test_rank_walks_match_the_value_walks(chunk):
                         assert repr(got) == repr(want)
                 for a in pols:
                     for b in pols:
-                        got = patience_compare(a, b, prior, params, allow)
-                        rules = [policies._single_rule(x, prior, params,
-                                                       allow, None)
+                        got = patience_compare(a, b, prior, params)
+                        rules = [policies._single_rule(x, prior, params, None)
                                  for x in (a, b)]
                         want = ref_patience(*rules, prior)
                         assert (got.verdict, got.witness) == want
@@ -231,8 +230,7 @@ def test_a_rule_off_its_support_still_raises():
     got = outcome(rule_expectation, rule, away, params)
     assert got == outcome(ref_rule_expectation, rule, away, params)
     assert got[0] == "InvalidInput"
-    other = policies._single_rule(Policy.accept_last(), away, params, True,
-                                  None)
+    other = policies._single_rule(Policy.accept_last(), away, params, None)
     got = outcome(patience_compare, compiled, Policy.accept_last(), away,
                   params)
     assert got == outcome(ref_patience, rule, other, away)
