@@ -7,20 +7,19 @@ once at the end; the two headline inequalities are checked without
 rounding, and the reduction's two diagnostics (does a draw represent
 sigma, does an adjacent pair invert) are forward chains over the prior's
 steps.  The one sampler, monte_carlo, exists for the priors whose reachable
-states exceed the budget; it is seeded and replayable.  Its trials draw
-atom indices here and hand them to `policies._trial_walk`, which walks
-them over interned super-candidate rank states and computes each (step,
-state, atom) outcome once, with the rule's exact stop utility converted by
-float(); the rng makes the calls a scan of sampled sequences would make,
-so estimates are the same to the last bit.
+states exceed the budget; it is seeded and replayable.  It keeps the rng,
+the arm draws and the statistics; `policies._trial_walk` picks the atoms
+from the rank table's rows and walks them over interned rank states, each
+(step, state, atom) outcome computed once as the exact stop utility
+converted by float().  The rng makes the calls a scan of sampled sequences
+would make, so estimates are the same to the last bit.  E[sum_j S_j*]
+comes from `policies`, beside the max-convolution it reads.
 """
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Any, Dict, Optional
 
 from .core import (
@@ -39,7 +38,8 @@ from .core import (
 )
 from .policies import (
     Policy,
-    _max_convolution,
+    _e_sum_dim_maxima,
+    _expectation_of,
     _trial_walk,
     compile_policy,
     guarantee_alphas,
@@ -48,7 +48,6 @@ from .policies import (
     resolve_budget,
     rule_expectation,
     run_rule,  # unused here; perfbench/tracing.py wraps it by this name
-    threshold_from_alpha,
     value_max_distribution,
 )
 
@@ -156,23 +155,6 @@ def exact_expectation(prior: ProductPrior, policy: Policy,
                 for weight, rule in compiled.arms), Fraction(0))
 
 
-def _step_cums(prior: ProductPrior) -> list:
-    """Per step, running float sums of its probabilities, the last replaced
-    by infinity, so that a uniform draw at or past the rounded float total
-    still picks the last atom.  Steps that are one object (an iid prior's)
-    share one tuple."""
-    tables = {}
-    for step in prior.steps:
-        if id(step) not in tables:
-            acc, cums = 0.0, []
-            for _, p in step.atoms:
-                acc += float(p)
-                cums.append(acc)
-            cums[-1] = math.inf
-            tables[id(step)] = tuple(cums)
-    return [tables[id(step)] for step in prior.steps]
-
-
 def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
                 trials: int, seed: Optional[int],
                 budget: Optional[int] = None) -> EstimateWithCI:
@@ -182,10 +164,10 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     the policy's mixing arm (two-armed policies only), then one uniform
     per step for all n steps, even past the step where the rule stops, so
     a rerun with the same arguments is bit identical.  The policy's own
-    seed is not consulted here.  The draws are atom indices; each arm
-    walks them over interned super-candidate states (`_trial_walk`), whose
-    count the state budget caps, and each utility is the exact one
-    converted with float().
+    seed is not consulted here.  Each arm's walk (`_trial_walk`) turns the
+    uniforms into atom indices and walks them over interned
+    super-candidate states, whose count the state budget caps, and each
+    utility is the exact one converted with float().
     """
     if trials <= 0:
         raise InvalidInput("trials must be positive")
@@ -193,17 +175,13 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     compiled = compile_policy(policy, prior, params, limit)
     walks = [_trial_walk(rule, prior, params.lam, limit)
              for _, rule in compiled.arms]
-    steps = _step_cums(prior)
     rng = random.Random(seed)
-    draw = rng.random
     walk = walks[0]
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     for _ in range(trials):
         if len(walks) > 1:
             walk = walks[compiled.draw_arm(rng)]
-        # one uniform per step; the first running sum past it picks the atom
-        u = walk([bisect_right(c, draw()) for c in steps])
+        u = walk(rng.random)
         total += u
         total_sq += u * u
     mean = total / trials
@@ -220,23 +198,6 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
 # ---------------------------------------------------------------------------
 
 
-def _expectation_of(dist: Dict[Number, Number]) -> Number:
-    return sum((v * p for v, p in dist.items()), Fraction(0))
-
-
-def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
-    """E[sum_j S_j*]: each dimension's maximum law, summed by linearity.
-    On the integer view every law has one scale, L * prod D_t, so the k
-    expectations are one int sum, decoded once; the identity view sums
-    each law's expectation in dimension order."""
-    laws = [_max_convolution(prior, itemgetter(j)) for j in range(prior.k)]
-    _, exact, unit, scale = laws[0]
-    if not exact:
-        return sum((_expectation_of(law) for law, *_ in laws), Fraction(0))
-    return Fraction(sum(x * p for law, *_ in laws for x, p in law.items()),
-                    unit * scale)
-
-
 def _ratio_or_sentinel(num: Number, den: Number):
     if den <= 0:
         return NonPositiveDenominator
@@ -251,7 +212,7 @@ def ratio_report(prior: ProductPrior, params: AgentParams,
     # over-budget prior stops before the unbudgeted passes run
     e_ugb = optimal_biased_policy(prior, params, budget).expected_utility
     e_upr = _expectation_of(value_max_distribution(prior))
-    e_ugr = optimal_rational_policy(prior, budget).expected_utility
+    e_ugr = optimal_rational_policy(prior).expected_utility
     return RatioReport(
         e_prophet_rational=e_upr,
         e_gambler_rational_opt=e_ugr,
@@ -356,8 +317,9 @@ def verify_online_bound(prior: ProductPrior, params: AgentParams,
     """Check (1 - bias) * E[U_gr*] <= (1 + lam) * E[U_gb*], the
     cross-multiplied cap on how much bias can cost an optimal gambler."""
     _require_subcritical(prior, params)
-    e_gr = optimal_rational_policy(prior, budget).expected_utility
+    # the budgeted DP goes first, as in ratio_report
     e_gb = optimal_biased_policy(prior, params, budget).expected_utility
+    e_gr = optimal_rational_policy(prior).expected_utility
     lhs = (1 - params.bias) * e_gr
     rhs = (1 + params.lam) * e_gb
     passed = lhs <= rhs

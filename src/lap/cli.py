@@ -55,7 +55,6 @@ from .instances import (
 from .policies import (
     DEFAULT_STATE_BUDGET,
     Policy,
-    _biased_dp,
     policy_to_json,
     resolve_budget,
 )
@@ -434,9 +433,6 @@ def _sweep_rows(args, values: tuple, ident: str,
         report = ratio_report(prior, params, args.budget)
         rows.append(ratio_row(report, params, prior.n, ident, args.seed,
                               args.as_float))
-        # no other cell of the group has this lambda: the memo keeps only
-        # the lambda-free tables, so it does not grow with the grid
-        prior.forget(_biased_dp)
     return rows
 
 
@@ -445,12 +441,12 @@ def _cmd_sweep(args) -> Tuple[str, bool]:
     inner.  Cells are grouped by instance id, which names every flag value
     (lambda too for the families that take it), and each group's instance
     is built once: its prior's memo then serves one rank table and one V*
-    law to every cell, and one biased DP per lambda, dropped after its
-    cell.  Groups run in the order of their first cell and only one prior
-    is alive at a time, so a sweep's memory does not grow with its grid.
-    A grid of more cells than the default state budget is refused before
-    any point is listed, and a bad budget or a missing flag before any
-    instance is built."""
+    law to every cell and keeps one biased DP, the current cell's.  Groups
+    run in the order of their first cell and only one prior is alive at a
+    time, so a sweep's memory does not grow with its grid.  A grid of more
+    cells than the default state budget is refused before any point is
+    listed, and a bad budget or a missing flag before any instance is
+    built."""
     _require(args, **{"gen": args.gen, "lambda-grid": args.lambda_grid,
                       "k-grid": args.k_grid})
     if len(args.lambda_grid) * len(args.k_grid) > DEFAULT_STATE_BUDGET:

@@ -237,7 +237,7 @@ class ProductPrior:
         actual = all(d == steps[0] for d in steps[1:])
         if self.iid is None:
             object.__setattr__(self, "iid", actual)
-        elif bool(self.iid) != actual:
+        elif _json_bool(self.iid, "'iid'") != actual:
             raise InvalidInput("iid flag inconsistent with steps")
         object.__setattr__(self, "steps", steps)
 
@@ -266,19 +266,16 @@ class ProductPrior:
 
     def memoized(self, build, *args):
         """`build(self, *args)`, kept in the instance dict (like
-        ValueVector.l1) per equal arguments of equal types.  An exception
-        is not kept; a kept result is shared, so it is read-only."""
+        ValueVector.l1) per equal arguments of equal types, one result per
+        `build` (a miss drops the kept one first).  An exception is not
+        kept; a kept result is shared, so it is read-only."""
         memo = self.__dict__.setdefault("_memo", {})
         key = (build, args, tuple(map(type, args)))
         if key not in memo:
+            for old in [old for old in memo if old[0] is build]:
+                del memo[old]
             memo[key] = build(self, *args)
         return memo[key]
-
-    def forget(self, build) -> None:
-        """Drop every result `memoized` keeps of `build`."""
-        memo = self.__dict__.get("_memo", {})
-        for key in [key for key in memo if key[0] is build]:
-            del memo[key]
 
     def realizations(self, budget: Optional[int] = None
                      ) -> Iterator[Tuple[Sequence, Number]]:
@@ -525,6 +522,13 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_bool(x, what: str) -> bool:
+    if not isinstance(x, bool):
+        raise InvalidInput(
+            f"{what} must be a boolean, got {type(x).__name__}")
+    return x
+
+
 def _json_list(x, what: str) -> list:
     if not isinstance(x, list):
         raise InvalidInput(f"{what} must be a list, got {type(x).__name__}")
@@ -591,6 +595,7 @@ def prior_from_json(obj: dict, exact: bool = True) -> ProductPrior:
             "prior JSON needs 'k', 'n', 'iid', and 'steps'") from err
     k = _json_int(k, "'k'")
     n = _json_int(n, "'n'")
+    iid = _json_bool(iid, "'iid'")
     dists = [_dist_from_json(s, exact)
              for s in _json_list(raw_steps, "'steps'")]
     if iid and len(dists) == 1 and n > 1:
@@ -600,6 +605,6 @@ def prior_from_json(obj: dict, exact: bool = True) -> ProductPrior:
     prior = ProductPrior(tuple(dists))
     if prior.k != k:
         raise InvalidInput(f"declared k={k} but steps have k={prior.k}")
-    if bool(iid) != prior.iid:
+    if iid != prior.iid:
         raise InvalidInput("iid flag inconsistent with steps")
     return prior

@@ -26,13 +26,14 @@ values), so joins compare small ints, and reads a rule as accept masks:
 per (step, rank state), the int of the row's bits of the atoms it stops
 on.  A compiled arm carries its masks for its own prior; only `run_rule`,
 on a caller's sequence, decides on values.  V* and each dimension's
-maximum run one max-convolution loop, `_max_convolution`; `analysis`
-sums the k dimensions' laws for E[sum_j S_j*] as ints over one scale and
-decodes once.  A pass with two readers on one prior runs once:
-`ProductPrior.memoized` keeps the rank table, the V* distribution and
-the biased DP per (lambda and its type, resolved budget), so a float
-lambda never gets an exact lambda's result and a budget still binds.
-Kept results are shared, so read-only; errors are not kept.
+maximum run one max-convolution loop, `_max_convolution`, and
+`_e_sum_dim_maxima` sums the k laws for E[sum_j S_j*] as ints over one
+scale, decoded once.  A pass with two readers on one prior runs once:
+`ProductPrior.memoized` keeps one rank table, one V* distribution and one
+biased DP, the DP per (lambda and its type, resolved budget), so a float
+lambda never gets an exact lambda's result and a budget still binds; a
+loop over lambda holds one DP.  Kept results are shared, so read-only;
+errors are not kept.
 
 The biased DP, the rational DP, the max-convolution and exact expectation
 compute on an integer view of the prior, built with the rank table once
@@ -54,10 +55,12 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import getitem
+from itertools import accumulate
+from operator import getitem, itemgetter
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -505,8 +508,10 @@ class _State:
 
 
 def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
-    """One deterministic rule's trials as a function of the drawn atom
-    indices (one per step) to the utility as a float.
+    """One deterministic rule's trials as a function of `draw` (the rng's
+    `random`) to the utility as a float.  A trial first draws n uniforms;
+    the first of a row's running float sums past one picks the atom (the
+    last sum is infinity, so a draw past the rounded total picks it).
 
     A state is interned the first time a trial reaches it, while fewer
     than `limit` are, so the rule is asked for its accept mask there once.
@@ -517,6 +522,10 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
     accept = _accept_masks(rule, prior)
     rows, levels, _, _ = prior.memoized(_rank_table)
     n = len(rows)
+    sums = {id(row): (*accumulate(float(atom[2]) for atom in row.plain[:-1]),
+                      math.inf)
+            for row in {id(row): row for row in rows}.values()}
+    cums = [sums[id(row)] for row in rows]
     states: Dict[Tuple[int, tuple], _State] = {}  # (t, ranks) before step t
 
     def intern(t, ranks):
@@ -546,7 +555,8 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
 
     root = intern(1, (0,) * prior.k)
 
-    def walk(picks) -> float:
+    def walk(draw) -> float:
+        picks = [bisect_right(c, draw()) for c in cums]
         state = root
         for t, i in enumerate(picks, 1):
             r = state.next[i]
@@ -611,6 +621,23 @@ def _max_convolution(prior: ProductPrior, key: Callable[[tuple], Number]):
                 new[y] = new.get(y, 0) + pm * px
         dist = new
     return dist, exact, unit, scale
+
+
+def _expectation_of(dist: Dict[Number, Number]) -> Number:
+    return sum((v * p for v, p in dist.items()), Fraction(0))
+
+
+def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
+    """E[sum_j S_j*]: each dimension's maximum law, summed by linearity.
+    On the integer view every law has one scale, L * prod D_t, so the k
+    expectations are one int sum, decoded once; the identity view sums
+    each law's expectation in dimension order."""
+    laws = [_max_convolution(prior, itemgetter(j)) for j in range(prior.k)]
+    _, exact, unit, scale = laws[0]
+    if not exact:
+        return sum((_expectation_of(law) for law, *_ in laws), Fraction(0))
+    return Fraction(sum(x * p for law, *_ in laws for x, p in law.items()),
+                    unit * scale)
 
 
 def max_distribution(prior: ProductPrior,
@@ -761,10 +788,8 @@ def _rational_dp(prior: ProductPrior):
     return DPResult(cont[1], n + 1, masks, rank_table), cont
 
 
-def optimal_rational_policy(prior: ProductPrior,
-                            budget: Optional[int] = None) -> DPResult:
-    """Classical optimal stopping on L1 values (lambda = 0)."""
-    resolve_budget(budget)  # validates; the rational DP is O(n) regardless
+def optimal_rational_policy(prior: ProductPrior) -> DPResult:
+    """Classical optimal stopping on L1 values (lambda = 0), in O(n)."""
     return _rational_dp(prior)[0]
 
 

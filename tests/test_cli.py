@@ -559,6 +559,70 @@ class TestRatio:
         assert "not both" in err
 
 
+ATOM = {"v": ["1"], "p": "1"}
+WIDE_ATOM = {"v": ["1", "2"], "p": "1"}
+
+
+class TestExitTwo:
+    """Each malformed input exits 2 with its one error line and no
+    traceback.  `obj` is written to a file when given; PATH in the argv and
+    the message stands for its path."""
+
+    @pytest.mark.parametrize("obj, argv, line", [
+        ({"k": 2, "candidates": []}, ("ratio", "--in", "PATH"),
+         "sequence needs at least one candidate"),
+        ({"k": 2, "candidates": [["1", "2"], ["1"]]},
+         ("ratio", "--in", "PATH"),
+         "all candidates must share one dimension"),
+        ({"k": 1, "n": 1, "iid": False, "steps": [{"atoms": []}]},
+         ("ratio", "--in", "PATH"), "distribution needs at least one atom"),
+        ({"k": 1, "n": 1, "iid": False, "steps": [{"atoms": [
+            {"v": ["1"], "p": "1/2"}, {"v": ["1", "2"], "p": "1/2"}]}]},
+         ("ratio", "--in", "PATH"), "all atoms must share one dimension"),
+        ({"k": 1, "n": 0, "iid": False, "steps": []},
+         ("ratio", "--in", "PATH"), "prior needs at least one step"),
+        ({"k": 1, "n": 2, "iid": False,
+          "steps": [{"atoms": [ATOM]}, {"atoms": [WIDE_ATOM]}]},
+         ("ratio", "--in", "PATH"), "all steps must share one dimension"),
+        ({"candidates": [["1"]]}, ("ratio", "--in", "PATH"),
+         "sequence JSON needs 'k' and 'candidates'"),
+        ({"k": 3, "candidates": [["1", "2"]]}, ("ratio", "--in", "PATH"),
+         "declared k=3 but candidates have k=2"),
+        ({"k": 1, "n": 3, "iid": False,
+          "steps": [{"atoms": [ATOM]}, {"atoms": [ATOM]}]},
+         ("ratio", "--in", "PATH"), "declared n=3 but got 2 steps"),
+        ({"k": 3, "n": 1, "iid": False, "steps": [{"atoms": [WIDE_ATOM]}]},
+         ("ratio", "--in", "PATH"), "declared k=3 but steps have k=2"),
+        ({"k": 1, "n": 3, "iid": "false", "steps": [{"atoms": [ATOM]}]},
+         ("evaluate", "--in", "PATH", "--policy", "accept-last"),
+         "'iid' must be a boolean, got str"),
+        (None, ("ratio", "--in", "PATH"),
+         "cannot read PATH: [Errno 2] No such file or directory: 'PATH'"),
+        ({"k": 2}, ("ratio", "--in", "PATH"),
+         "PATH holds neither a sequence nor a prior"),
+        (None, ("ratio",), "an instance is required: --gen NAME or --in FILE"),
+        (None, ("generate",), "generate needs --gen NAME"),
+        (None, ("verify", "--suite", "bounds", "--k", "2", "--seed", "1",
+                "--trials", "0"), "verify needs a positive instance count"),
+    ], ids=["empty-candidates", "mixed-k-candidates", "empty-atoms",
+            "mixed-k-atoms", "no-steps", "mixed-k-steps", "sequence-without-k",
+            "sequence-k-mismatch", "n-mismatch", "prior-k-mismatch",
+            "string-iid", "unreadable-file", "neither-shape", "no-instance",
+            "generate-without-gen", "verify-zero-trials"])
+    def test_exits_two_with_its_line(self, capsys, tmp_path, obj, argv, line):
+        path = str(tmp_path / "instance.json")
+        if obj is not None:
+            with open(path, "w") as handle:
+                json.dump(obj, handle)
+        argv = [path if arg == "PATH" else arg for arg in argv]
+        if argv[0] != "generate":
+            argv += ["--lambda", "1/2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {line.replace('PATH', path)}\n"
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_bounds_suite_passes(self, capsys):
         argv = ("verify", "--suite", "bounds", "--lambda", "1/2",
@@ -902,12 +966,13 @@ class TestSweep:
         assert [values[1] for values in built] == [1, 2, 3, 4]
         assert len(tables) == 4
 
-    # a group's cells differ in lambda, so each biased DP has one reader
-    # and the group's prior does not keep it past its cell
+    # a group's cells differ in lambda, and the prior's memo keeps one
+    # biased DP: the next cell's miss drops it before that cell's build, so
+    # no two DPs are alive at once
     def test_each_biased_dp_dropped_after_its_cell(self, capsys,
                                                    monkeypatch):
         results = []
-        solve = analysis.optimal_biased_policy
+        solve = policies._biased_dp
 
         def tracked_solve(*args):
             gc.collect()
@@ -916,7 +981,7 @@ class TestSweep:
             results.append(weakref.ref(result))
             return result
 
-        monkeypatch.setattr(analysis, "optimal_biased_policy", tracked_solve)
+        monkeypatch.setattr(policies, "_biased_dp", tracked_solve)
         code, _, _ = run_cli(capsys, "sweep", "--gen", "partial-sums", "--w",
                              "3", "--beta", "1/2", "--lambda-grid",
                              "0:2:1/4", "--k-grid", "2:3")

@@ -428,6 +428,17 @@ class TestDistributions:
         with pytest.raises(InvalidInput):
             ProductPrior((d1, d2), iid=True)
 
+    # `iid` is a bool or None; a truthy string once passed as True and was
+    # written back by prior_to_json as given
+    @pytest.mark.parametrize("flag", ["no", 1, 0, [0]],
+                             ids=["str", "int-1", "int-0", "list"])
+    def test_prior_iid_flag_must_be_a_bool(self, flag):
+        d1 = FiniteDistribution(((ValueVector((F(1),)), F(1)),))
+        with pytest.raises(InvalidInput) as err:
+            ProductPrior((d1, d1), iid=flag)
+        assert str(err.value) == \
+            f"'iid' must be a boolean, got {type(flag).__name__}"
+
     def test_prior_uniform_k_required(self):
         d1 = FiniteDistribution(((ValueVector((F(1),)), F(1)),))
         d2 = FiniteDistribution(((ValueVector((F(1), F(2))), F(1)),))
@@ -470,6 +481,19 @@ class TestSerialization:
         assert obj["steps"][0]["atoms"][0]["p"] == "4/5"
         back = prior_from_json(obj)
         assert back == prior
+
+    # a one-step prior with n = 3 and a non-bool `iid` was expanded into a
+    # 3-step iid prior; it is refused before any step is read
+    @pytest.mark.parametrize("flag", ["false", 1, [0], None],
+                             ids=["str", "int", "list", "null"])
+    def test_prior_iid_must_be_a_bool(self, flag):
+        obj = {"k": 1, "n": 3, "iid": flag,
+               "steps": [{"atoms": [{"v": ["1"], "p": "1"}]}]}
+        with pytest.raises(InvalidInput) as err:
+            prior_from_json(obj)
+        assert str(err.value) == \
+            f"'iid' must be a boolean, got {type(flag).__name__}"
+        assert prior_from_json(dict(obj, iid=True)).n == 3
 
     def test_prior_round_trip_heterogeneous(self):
         d1 = FiniteDistribution(((ValueVector((F(2),)), F(1)),))

@@ -2,8 +2,10 @@
 (step, super candidate) states) against brute-force oracles that walk every
 realization."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +29,7 @@ from lap.core import (
     ValueVector,
     prior_from_json,
 )
+from lap.instances import gen_alternating_geometric
 from lap.policies import (
     Policy,
     compile_policy,
@@ -378,6 +381,35 @@ class TestPriorMemo:
         exact_expectation(prior, Policy.accept_last(), params)
         assert [key[0].__name__ for key in prior.__dict__["_memo"]] == \
             ["_rank_table"]
+
+    def test_a_lambda_loop_holds_one_biased_dp(self):
+        # the paper's lambda sweep on one instance: each miss drops the DP
+        # kept for the previous lambda before it builds the next one
+        prior = ProductPrior.deterministic(
+            gen_alternating_geometric(3000, 2, 1))
+        kept = []
+        for i in range(101):
+            ratio_report(prior, AgentParams(F(i, 50), 2))
+            dps = [result for key, result in prior.__dict__["_memo"].items()
+                   if key[0] is policies._biased_dp]
+            assert len(dps) == 1
+            kept.append(weakref.ref(dps[0]))
+            del dps
+        gc.collect()
+        assert [ref() is None for ref in kept] == [True] * 100 + [False]
+
+    def test_a_miss_drops_only_its_own_pass(self):
+        prior = prior_of(self.STEPS)
+        params = AgentParams(F(1, 2), 2)
+        first = optimal_biased_policy(prior, params)
+        table = prior.memoized(policies._rank_table)
+        other = optimal_biased_policy(prior, params, budget=50)
+        assert optimal_biased_policy(prior, params, budget=50) is other
+        # the budget is part of the key: the first DP was dropped, not kept
+        assert optimal_biased_policy(prior, params) is not first
+        assert prior.memoized(policies._rank_table) is table
+        assert [key[0].__name__ for key in prior.__dict__["_memo"]] == \
+            ["_rank_table", "_biased_dp"]
 
 
 def test_l1_is_read_once_and_leaves_the_vector_unchanged():

@@ -295,6 +295,22 @@ class TestOptimalRationalPolicy:
 
 
 class TestPatience:
+    def test_randomized_policy_needs_a_seed(self):
+        # alpha = 1/2 on TWO_POINT_IID: Pr[V* = 3] = 3/4, so the threshold
+        # 3 is taken with probability 2/3 and the policy has two arms
+        params = AgentParams(F(0), 1)
+        coin = Policy.from_alpha(F(1, 2))
+        assert not compile_policy(coin, TWO_POINT_IID, params).deterministic
+        for a, b in ((coin, Policy.accept_last()),
+                     (Policy.accept_last(), coin)):
+            with pytest.raises(InvalidInput) as err:
+                patience_compare(a, b, TWO_POINT_IID, params)
+            assert str(err.value) == \
+                "patience comparison of a randomized policy needs a seed"
+        seeded = Policy.from_alpha(F(1, 2), seed=3)
+        assert patience_compare(seeded, seeded, TWO_POINT_IID,
+                                params).verdict == "more-patient"
+
     def test_reflexive(self):
         v = patience_compare(Policy.accept_last(), Policy.accept_last(),
                              TWO_POINT_IID, AgentParams(F(1), 1))
@@ -393,6 +409,29 @@ class TestPolicyJson:
             Policy.fixed_index(0)
         with pytest.raises(InvalidInput):
             policy_from_json({"kind": "nope"})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Policy(kind="bogus"), "unknown policy kind 'bogus'"),
+        (lambda: Policy.from_alpha(F(3, 2)), "alpha must lie in (0, 1)"),
+        (lambda: Policy.from_alpha(F(0)), "alpha must lie in (0, 1)"),
+        (lambda: Policy(kind="threshold"),
+         "threshold policy needs alpha or threshold"),
+        (lambda: Policy.optimal_biased(F(-1)), "lambda must be non-negative"),
+        (lambda: policy_from_json({}), "policy JSON needs a 'kind'"),
+        (lambda: policy_from_json(["threshold"]),
+         "policy JSON needs a 'kind'"),
+    ], ids=["unknown-kind", "alpha-above-one", "alpha-zero", "no-threshold",
+            "negative-lambda", "no-kind", "not-an-object"])
+    def test_validation_messages(self, make, message):
+        with pytest.raises(InvalidInput) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_threshold_without_coin_accepts_the_atom(self):
+        pol = policy_from_json({"kind": "threshold", "threshold": "5"})
+        assert pol.threshold == 5
+        assert pol.atom_accept_prob == 1
+        assert type(pol.atom_accept_prob) is F
 
     def test_fixed_index_rejects_bool(self):
         # True == 1, but it is not a step index
