@@ -28,6 +28,7 @@ from .core import (
     Number,
     ProductPrior,
     Sequence,
+    _count,
     _shown,
     higher_quality,
     number_to_json,
@@ -169,8 +170,7 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     super-candidate states, whose count the state budget caps, and each
     utility is the exact one converted with float().
     """
-    if trials <= 0:
-        raise InvalidInput("trials must be positive")
+    _count(trials, 1, "trials must be positive")
     limit = resolve_budget(budget)
     compiled = compile_policy(policy, prior, params, limit)
     walks = [_trial_walk(rule, prior, params.lam, limit)

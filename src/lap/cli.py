@@ -284,6 +284,22 @@ def _require(args, **fields):
             raise InvalidInput(f"{args.command} needs --{flag}")
 
 
+def _prior_from_args(args, **required):
+    """The instance as a prior, the agent's params and the instance id;
+    --lambda and the `required` flags are checked once the instance is."""
+    obj, ident = _instance_from_args(args)
+    prior = _as_prior(obj)
+    _require(args, **{"lambda": args.lam, **required})
+    return prior, AgentParams(args.lam, prior.k), ident
+
+
+def _policy_payload(args, prior: ProductPrior, ident: str) -> Dict[str, Any]:
+    """The fields evaluate and monte-carlo both report first."""
+    return {"instance_id": ident, "n": prior.n, "k": prior.k,
+            "lambda": render(args.lam, args.as_float),
+            "policy": policy_to_json(args.policy)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -297,27 +313,15 @@ def _cmd_generate(args) -> Tuple[str, bool]:
 
 
 def _cmd_evaluate(args) -> Tuple[str, bool]:
-    obj, ident = _instance_from_args(args)
-    prior = _as_prior(obj)
-    _require(args, **{"lambda": args.lam, "policy": args.policy})
-    params = AgentParams(args.lam, prior.k)
+    prior, params, ident = _prior_from_args(args, policy=args.policy)
     value = exact_expectation(prior, args.policy, params, budget=args.budget)
-    payload = {
-        "instance_id": ident,
-        "n": prior.n,
-        "k": prior.k,
-        "lambda": render(args.lam, args.as_float),
-        "policy": policy_to_json(args.policy),
-        "expected_utility": render(value, args.as_float),
-    }
+    payload = {**_policy_payload(args, prior, ident),
+               "expected_utility": render(value, args.as_float)}
     return _dump_json(payload), False
 
 
 def _cmd_ratio(args) -> Tuple[str, bool]:
-    obj, ident = _instance_from_args(args)
-    prior = _as_prior(obj)
-    _require(args, **{"lambda": args.lam})
-    params = AgentParams(args.lam, prior.k)
+    prior, params, ident = _prior_from_args(args)
     report = ratio_report(prior, params, args.budget)
     row = ratio_row(report, params, prior.n, ident, args.seed,
                     args.as_float)
@@ -475,24 +479,13 @@ def _cmd_sweep(args) -> Tuple[str, bool]:
 
 
 def _cmd_monte_carlo(args) -> Tuple[str, bool]:
-    obj, ident = _instance_from_args(args)
-    prior = _as_prior(obj)
-    _require(args, **{"lambda": args.lam, "policy": args.policy,
-                      "trials": args.trials, "seed": args.seed})
-    params = AgentParams(args.lam, prior.k)
+    prior, params, ident = _prior_from_args(
+        args, policy=args.policy, trials=args.trials, seed=args.seed)
     est = monte_carlo(prior, args.policy, params, args.trials, args.seed,
                       budget=args.budget)
-    payload = {
-        "instance_id": ident,
-        "n": prior.n,
-        "k": prior.k,
-        "lambda": render(args.lam, args.as_float),
-        "policy": policy_to_json(args.policy),
-        "trials": est.trials,
-        "seed": est.seed,
-        "mean": est.mean,
-        "half_width": est.half_width,
-    }
+    payload = {**_policy_payload(args, prior, ident), "trials": est.trials,
+               "seed": est.seed, "mean": est.mean,
+               "half_width": est.half_width}
     return _dump_json(payload), False
 
 

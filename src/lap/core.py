@@ -38,7 +38,9 @@ class InvalidInput(ValueError):
 
 
 class ResourceLimit(RuntimeError):
-    """An exact pass or an enumeration would exceed its configured budget."""
+    """A limit would be passed: the states an exact pass holds, a candidate
+    count or a listed support past the budget, or a number past the digit
+    limit."""
 
 
 def _digit_limit() -> str:
@@ -67,6 +69,14 @@ def _coerce(x: Number, what: str = "value") -> Number:
             raise InvalidInput(f"{what} must be finite")
     elif not isinstance(x, Fraction):
         raise InvalidInput(f"{what} must be int, float, or Fraction")
+    return x
+
+
+def _count(x, least: int, message: str) -> int:
+    """`x` when it is an int, not a bool, of at least `least`; else
+    InvalidInput(message)."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise InvalidInput(message)
     return x
 
 
@@ -163,8 +173,7 @@ class AgentParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _coerce_nonnegative(self.lam, "lambda"))
-        if not isinstance(self.k, int) or self.k < 1:
-            raise InvalidInput("k must be a positive integer")
+        _count(self.k, 1, "k must be a positive integer")
 
     @property
     def bias(self) -> Number:
@@ -243,9 +252,7 @@ class ProductPrior:
 
     @staticmethod
     def iid_prior(dist: FiniteDistribution, n: int) -> "ProductPrior":
-        if n < 1:
-            raise InvalidInput("n must be at least 1")
-        return ProductPrior((dist,) * n)
+        return ProductPrior((dist,) * _count(n, 1, "n must be at least 1"))
 
     @staticmethod
     def deterministic(sigma: Sequence) -> "ProductPrior":
@@ -306,8 +313,9 @@ class StoppingOutcome:
 
 
 def _check_index(sigma: Sequence, t: int) -> None:
-    if not isinstance(t, int) or not 1 <= t <= sigma.n:
-        raise InvalidInput(f"index {t} out of range 1..{sigma.n}")
+    message = f"index {t} out of range 1..{sigma.n}"
+    if _count(t, 1, message) > sigma.n:
+        raise InvalidInput(message)
 
 
 def _check_dims(sigma: Sequence, params: AgentParams) -> None:

@@ -28,6 +28,7 @@ from .core import (
     Sequence,
     ValueVector,
     _coerce,
+    _count,
     _shown,
     is_succinct,
     max_value,
@@ -43,10 +44,8 @@ def _single_axis(value: Number, dim: int, k: int) -> ValueVector:
 
 
 def _check_counts(n: int, k: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInput("candidate count must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidInput("dimension must be a positive integer")
+    _count(n, 1, "candidate count must be a positive integer")
+    _count(k, 1, "dimension must be a positive integer")
 
 
 def gen_alternating_geometric(n: int, k: int, beta: Number) -> Sequence:
@@ -149,8 +148,7 @@ def gen_salient_feature(k: int, a: Number, q: Number) -> Sequence:
 
 def gen_quality_pair(k: int, q: Number) -> Tuple[Sequence, Sequence]:
     """An identical-value scene and its k-times-richer counterpart."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInput("quality pair needs k > 1")
+    _count(k, 2, "quality pair needs k > 1")
     q = _coerce(q, "q")
     if q <= 1:
         raise InvalidInput("q must exceed 1")
@@ -190,12 +188,11 @@ def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
     """Small random prior on a coarse rational grid.
 
     Every draw comes from the caller's rng, so seeded counterexample hunts
-    replay exactly.  Supports stay tiny on purpose: these priors feed exact
-    enumeration, not sampling.
+    replay exactly.  Supports stay tiny on purpose: these priors feed the
+    exact lattice passes and the oracles' enumeration, not sampling.
     """
     _check_counts(n_max, k)
-    if atoms_max < 1:
-        raise InvalidInput("atoms_max must be a positive integer")
+    _count(atoms_max, 1, "atoms_max must be a positive integer")
     steps = []
     for _ in range(rng.randint(1, n_max)):
         natoms = rng.randint(1, atoms_max)
@@ -230,12 +227,10 @@ class ReductionMeta:
     log_base: str
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
-            raise InvalidInput("reduction needs a source length m >= 2")
+        _count(self.m, 2, "reduction needs a source length m >= 2")
         if not 0 < self.x < 1:
             raise InvalidInput("decay parameter x must lie in (0, 1)")
-        if not isinstance(self.nominal_n, int) or self.nominal_n < 1:
-            raise InvalidInput("nominal_n must be a positive integer")
+        _count(self.nominal_n, 1, "nominal_n must be a positive integer")
         if not 0 < self.epsilon < 1:
             raise InvalidInput("epsilon must lie strictly between 0 and 1")
         if self.log_base not in ("e", "2"):
@@ -244,8 +239,7 @@ class ReductionMeta:
 
 def reduction_probabilities(m: int, x: Number) -> Tuple[Fraction, ...]:
     """Atom probabilities x^(i-1)(1-x)/(1-x^m); exact and summing to 1."""
-    if not isinstance(m, int) or m < 2:
-        raise InvalidInput("need m >= 2 atoms")
+    _count(m, 2, "need m >= 2 atoms")
     x = Fraction(x)
     if not 0 < x < 1:
         raise InvalidInput("x must lie in (0, 1)")
@@ -309,11 +303,9 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
         if not 0 < x < 1:
             raise InvalidInput("x_override must lie in (0, 1)")
         alpha = -math.log(x, m)
-    else:
+    else:  # the first pick scores its own value, so best_biased > 0
         best_value = max_value(sigma)
         best_biased = offline_optimal_biased(sigma, params).utility
-        if best_biased <= 0:
-            raise InvalidInput("reduction needs positive biased utility")
         alpha = math.log(best_value / (epsilon * best_biased), m) + 2
         x = Fraction(m ** -alpha)
 
@@ -321,10 +313,8 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
     meta = ReductionMeta(m=m, x=x, alpha_exp=alpha, nominal_n=nominal,
                          epsilon=epsilon, log_base=base_label)
 
-    if n_override is not None:
-        if not isinstance(n_override, int) or n_override < 1:
-            raise InvalidInput("n_override must be a positive integer")
-    n = nominal if n_override is None else n_override
+    n = nominal if n_override is None else _count(
+        n_override, 1, "n_override must be a positive integer")
     cap = resolve_budget(budget)
     if n > cap:
         err = ResourceLimit(
@@ -343,8 +333,7 @@ def rows_for_slack(lam: Number, k: int, epsilon: Number) -> int:
     """Smallest row count w with (lam*(k-1))^w <= epsilon."""
     lam = _coerce(lam, "lambda")
     epsilon = _coerce(epsilon, "epsilon")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidInput("dimension must be a positive integer")
+    _count(k, 1, "dimension must be a positive integer")
     beta = lam * (k - 1)
     if not 0 < beta < 1:
         raise InvalidInput("needs 0 < lam*(k-1) < 1")
@@ -367,8 +356,7 @@ def iid_gap_bound_variants(params: AgentParams, n: int,
     into the coefficient before scaling.  The two disagree whenever
     log n != 1, so both are reported side by side.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidInput("need n >= 2 candidates")
+    _count(n, 2, "need n >= 2 candidates")
     beta = float(params.bias)
     if beta <= 1:
         raise InvalidInput("growth exponent needs supercritical bias > 1")

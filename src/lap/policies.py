@@ -20,30 +20,34 @@ Three families of rules live here:
   holds (`_charge`) and the number of states a Monte Carlo walk interns.
 
 All of these run on one lattice core: one per-prior rank table, one join
-and one stop-utility formula.  Every walk keys its states on rank tuples
-(each coordinate's values replaced by their rank among its distinct
-values), so joins compare small ints, and reads a rule as accept masks:
-per (step, rank state), the int of the row's bits of the atoms it stops
-on.  A compiled arm carries its masks for its own prior; only `run_rule`,
-on a caller's sequence, decides on values.  V* and each dimension's
+and one stop view.  `_stop_view` gives the biased DP, exact expectation and
+the Monte Carlo walk the view, lambda as a/b and a fresh `_Norms` table, so
+each scores a stop on scaled value v that joins state s as
+b*v - a*(norms[s] - v).  Every walk keys its states on rank tuples (each
+coordinate's values replaced by their rank among its distinct values), so
+joins compare small ints, and reads a rule as accept masks: per (step,
+rank state), the int of the row's bits of the atoms it stops on.  A
+compiled arm carries its masks for its own prior; only `run_rule`, on a
+caller's sequence, decides on values and scores them.  V* and each dimension's
 maximum run one max-convolution loop, `_max_convolution`, and
 `_e_sum_dim_maxima` sums the k laws for E[sum_j S_j*] as ints over one
 scale, decoded once.  A pass with two readers on one prior runs once:
 `ProductPrior.memoized` keeps one rank table, one V* distribution and one
 biased DP, the DP per (lambda and its type, resolved budget), so a float
-lambda never gets an exact lambda's result and a budget still binds; a
-loop over lambda holds one DP.  Kept results are shared, so read-only;
-errors are not kept.
+lambda never gets an exact lambda's result and a budget still binds; a loop
+over lambda holds one DP.  Kept results are shared, so read-only; errors
+are not kept.
 
-The biased DP, the rational DP, the max-convolution and exact expectation
-compute on an integer view of the prior, built with the rank table once
-per distinct step: entries times L, the lcm of every entry's denominator,
-and each step's probabilities as int weights over D_t, their lcm.  Sums
-of products of those ints, and lambda = a/b applied as b*v - a*(s - v),
-stay ints over one positive scale per step, so every comparison is the
-Fraction one and no gcd is paid along the way.  Ints are decoded to
-Fractions only for the final values, the rational DP's continuation values
-and the distributions returned.  A DP records its decisions only as accept
+The biased DP, the rational DP, the max-convolution, exact expectation and
+the Monte Carlo walk's stops compute on an integer view of the prior, built
+with the rank table once per distinct step: entries times L, the lcm of
+every entry's denominator, and each step's probabilities as int weights
+over D_t, their lcm.  Sums of products of those ints, and lambda = a/b
+applied as b*v - a*(s - v), stay ints over one positive scale per step, so
+every comparison is the Fraction one and no gcd is paid along the way.
+Ints are decoded to Fractions only for the final values, the rational DP's
+continuation values, the distributions returned and a Monte Carlo stop
+(then converted by float()).  A DP records its decisions only as accept
 masks; its value-keyed `policy_table` is decoded from them when first read.
 When any entry, probability or lambda is a float, the same loops run on the
 identity view (L = b = D_t = 1, weights the probabilities), which performs
@@ -285,15 +289,28 @@ def _view(row: _Row, exact: bool):
     return (row.exact, row.den) if exact else (row.plain, 1)
 
 
+class _Norms(dict):
+    """A joined rank state's scaled L1 norm, summed from `levels` on first
+    read and kept for the rest of the pass."""
+
+    def __init__(self, levels):
+        self.levels = levels
+
+    def __missing__(self, s):
+        norm = self[s] = sum(map(getitem, self.levels, s))
+        return norm
+
+
 def _stop_view(prior: ProductPrior, lam: Number):
-    """Rows, then for a stop's utility b*v - a*(s - v) over b*L: the view
-    (exact or not), lambda as a/b, the levels that scaled norms sum, and
-    b*L.  The identity view (a = lambda, b = L = 1) when the prior or lambda
-    has a float."""
+    """What every walk scores a stop with: rows, the view (exact or not),
+    lambda as a/b, a fresh `_Norms` table, and b*L, so that a stop on scaled
+    value v that joins state s scores b*v - a*(norms[s] - v) over b*L.  The
+    identity view (a = lambda, b = L = 1) when the prior or lambda has a
+    float."""
     rows, levels, scaled, unit = prior.memoized(_rank_table)
     if scaled is None or isinstance(lam, float):
-        return rows, False, lam, 1, levels, 1
-    return (rows, True, lam.numerator, lam.denominator, scaled,
+        return rows, False, lam, 1, _Norms(levels), 1
+    return (rows, True, lam.numerator, lam.denominator, _Norms(scaled),
             lam.denominator * unit)
 
 
@@ -311,12 +328,6 @@ def _decode(levels, ranks: tuple) -> tuple:
 def _join(s: tuple, entries: tuple) -> tuple:
     """Coordinatewise maximum: the super candidate after seeing `entries`."""
     return tuple(map(max, s, entries))
-
-
-def _utility(lam: Number, val: Number, s_l1: Number) -> Number:
-    """Stopping on L1 value `val` against a super candidate of L1 norm
-    `s_l1`; declining everything scores as a zero-valued pick."""
-    return val - lam * (s_l1 - val)
 
 
 class _Arm:
@@ -429,16 +440,17 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
 
 def run_rule(rule: Rule, sigma: Sequence,
              params: AgentParams) -> StoppingOutcome:
-    """Online scan of one deterministic rule over one realization."""
+    """Online scan of one deterministic rule over one realization: the one
+    scorer of a caller's own values (declining is a zero-valued pick)."""
+    lam = params.lam
     s = (Fraction(0),) * sigma.k
     for t, vec in enumerate(sigma.candidates, 1):
         entries, val = vec.entries, vec.l1
         joined = _join(s, entries)
         if rule(t, s, entries, val):
-            return StoppingOutcome(t, val,
-                                   _utility(params.lam, val, sum(joined)))
+            return StoppingOutcome(t, val, val - lam * (sum(joined) - val))
         s = joined
-    return StoppingOutcome(None, Fraction(0), _utility(params.lam, 0, sum(s)))
+    return StoppingOutcome(None, Fraction(0), 0 - lam * (sum(s) - 0))
 
 
 def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
@@ -451,21 +463,13 @@ def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
     -lambda * ||s^(n)||_1.  In the integer view, with lambda = a/b, the
     mass before step t is an int over prod_{u<t} D_u and the total one int
     over b*L*prod_{u<t} D_u, raised by D_t before step t banks into it;
-    each joined state's scaled norm is summed once; the states holding mass
+    stops are scored on `_stop_view`'s norm table; the states holding mass
     before each step count against the budget as the DP's layers do.  The
     identity view runs the same loops, in the order the Fraction formulas
     did."""
     limit = resolve_budget(budget)
     accept = _accept_masks(rule, prior)
-    rows, exact, a, b, norm_levels, unit = _stop_view(prior, params.lam)
-    norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
-
-    def norm(s):
-        s_l1 = norms.get(s)
-        if s_l1 is None:
-            s_l1 = norms[s] = sum(_decode(norm_levels, s))
-        return s_l1
-
+    rows, exact, a, b, norms, unit = _stop_view(prior, params.lam)
     total = 0
     mass = {(0,) * prior.k: 1}
     count = 0
@@ -483,13 +487,13 @@ def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
             for _, val, p, ranks, bit in atoms:
                 joined = _join(s, ranks)
                 if mask & bit:
-                    banked += p * (b * val - a * (norm(joined) - val))
+                    banked += p * (b * val - a * (norms[joined] - val))
                 else:
                     nxt[joined] = nxt.get(joined, 0) + m * p
             total += m * banked
         mass = nxt
     for s, m in mass.items():
-        total += m * (0 - a * norm(s))
+        total += m * (0 - a * norms[s])
     return _unscaled(exact, total, unit * scale)
 
 
@@ -511,16 +515,19 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
     """One deterministic rule's trials as a function of `draw` (the rng's
     `random`) to the utility as a float.  A trial first draws n uniforms;
     the first of a row's running float sums past one picks the atom (the
-    last sum is infinity, so a draw past the rounded total picks it).
+    last sum is infinity, so a draw past the rounded total picks it).  A
+    stop is scored on `_stop_view` as the exact passes score it, then
+    converted by float().
 
     A state is interned the first time a trial reaches it, while fewer
     than `limit` are, so the rule is asked for its accept mask there once.
     A slot is computed once and read back by every later trial that draws
     the same atom from the same state.  A trial that reaches a state past
-    the limit computes its remaining steps without storing them, so the
-    memo is bounded by `limit` states times the atoms per step."""
+    the limit computes its remaining steps without storing them, its stop
+    norm included, so the memo and the norm table are bounded by `limit`
+    states times the atoms per step."""
     accept = _accept_masks(rule, prior)
-    rows, levels, _, _ = prior.memoized(_rank_table)
+    rows, exact, a, b, norms, unit = _stop_view(prior, lam)
     n = len(rows)
     sums = {id(row): (*accumulate(float(atom[2]) for atom in row.plain[:-1]),
                       math.inf)
@@ -535,21 +542,23 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
                 ranks, accept(t, ranks), len(rows[t - 1].plain))
         return state
 
-    def outcome(t, ranks, mask, i):
+    def outcome(t, ranks, mask, i, norms=norms):
         """Atom i at step t from the state `ranks`, whose accept mask is
         `mask`: the utility as a float when the rule stops or t = n (every
         candidate declined scores zero), else the next ranks."""
-        _, val, _, atom_ranks, bit = rows[t - 1].plain[i]
+        _, val, _, atom_ranks, bit = _view(rows[t - 1], exact)[0][i]
         joined = _join(ranks, atom_ranks)
-        if mask & bit:
-            return float(_utility(lam, val, sum(_decode(levels, joined))))
-        if t == n:
-            return float(_utility(lam, 0, sum(_decode(levels, joined))))
-        return joined
+        if not mask & bit:
+            if t < n:
+                return joined
+            val = 0  # every candidate declined: a zero-valued pick
+        return float(_unscaled(exact, b * val - a * (norms[joined] - val),
+                               unit))
 
     def unstored(t, r, picks):
+        once = _Norms(norms.levels)  # this trial's stop norm, not kept
         while r.__class__ is not float:
-            r = outcome(t, r, accept(t, r), picks[t - 1])
+            r = outcome(t, r, accept(t, r), picks[t - 1], once)
             t += 1
         return r
 
@@ -700,7 +709,7 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     b*L*prod_{u>=t} D_u; the stop utility is raised to the continuation's
     scale before `u >= cont`, so every decision is the Fraction one.  A
     state's accept mask is kept by (t, ranks), and no state is decoded to
-    its values; a joined state's scaled L1 norm is summed once."""
+    its values; stops are scored on `_stop_view`'s norm table."""
     rank_table = rows, _, _, _ = prior.memoized(_rank_table)
     n = prior.n
     layers = [((0,) * prior.k,)]
@@ -710,10 +719,9 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
         count += len(nxt)
         _charge(count, budget, t)
         layers.append(tuple(sorted(nxt)))
-    _, exact, a, b, norm_levels, unit = _stop_view(prior, lam)
+    _, exact, a, b, norms, unit = _stop_view(prior, lam)
     masks: Dict[Tuple[int, tuple], int] = {}
     values: Dict[tuple, Number] = {}
-    norms: Dict[tuple, Number] = {}  # joined state -> its scaled L1 norm
     scale = 1  # prod_{u>t} D_u: lifts a stop utility to V_{t+1}'s scale
     for t in range(n, 0, -1):
         atoms, den = _view(rows[t - 1], exact)
@@ -723,10 +731,7 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
             mask = 0
             for _, val, p, ranks, bit in atoms:
                 joined = _join(s, ranks)
-                s_l1 = norms.get(joined)
-                if s_l1 is None:
-                    s_l1 = norms[joined] = sum(_decode(norm_levels, joined))
-                u = (b * val - a * (s_l1 - val)) * scale
+                u = (b * val - a * (norms[joined] - val)) * scale
                 # step n takes every offer (cont = u): against declining
                 # everything, 0 - a*s, it gains u - (0 - a*s) = (b + a)*val,
                 # never negative

@@ -66,8 +66,8 @@ def expected_stop_value(policy, prior, params):
     """Expected raw value of the candidate the compiled policy takes."""
     rule = compile_policy(policy, prior, params).draw_rule(random.Random(0))
     total = F(0)
-    for sigma, p in prior.realizations():
-        total += p * run_rule(rule, sigma, params).value
+    for vecs, p in oracles.realizations(d.atoms for d in prior.steps):
+        total += p * run_rule(rule, Sequence(vecs), params).value
     return total
 
 

@@ -4,7 +4,8 @@
 it, while the memo holds fewer states than its limit, and computes the
 state's accept mask then.  A counter around `policies._accept_masks` sees
 every question the walk asks; below the limit no state is asked twice,
-however often trials come back to it."""
+however often trials come back to it.  Past the limit a trial keeps
+nothing, its stop norm included."""
 
 import random
 from collections import Counter
@@ -61,3 +62,23 @@ def test_each_state_is_asked_once(asked, policy, seed):
     prior = repeating_prior(seed)
     monte_carlo(prior, policy, AgentParams(F(1, 2), 2), 2000, seed)
     assert max(n for seen in asked for n in seen.values()) == 1
+
+
+def test_past_the_limit_no_norm_is_kept(monkeypatch):
+    """A trial past the state limit keeps none of its stop norms: every
+    norm table the walk builds holds at most the limit's states times the
+    atoms per step, however many trials never repeat a state."""
+    tables = []
+
+    class Counted(policies._Norms):
+        def __init__(self, levels):
+            super().__init__(levels)
+            tables.append(self)
+
+    monkeypatch.setattr(policies, "_Norms", Counted)
+    rng = random.Random(1)
+    steps = [[(tuple(F(rng.randint(0, 1000)) for _ in range(4)), F(1, 3))
+              for _ in range(3)] for _ in range(12)]
+    monte_carlo(build(steps), Policy.accept_last(), AgentParams(F(1, 2), 4),
+                2000, 1, budget=5)
+    assert tables and max(map(len, tables)) <= 5 * 3

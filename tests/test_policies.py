@@ -378,8 +378,8 @@ class TestPatience:
 
 def _expected_selected_value(policy, prior, params):
     total = F(0)
-    for sigma, p in prior.realizations():
-        out = run_policy(policy, sigma, params, prior=prior)
+    for vecs, p in oracles.realizations(d.atoms for d in prior.steps):
+        out = run_policy(policy, Sequence(vecs), params, prior=prior)
         total += p * out.value
     return total
 
