@@ -12,8 +12,9 @@ the arm draws and the statistics; `policies._trial_walk` picks the atoms
 from the rank table's rows and walks them over interned rank states, each
 (step, state, atom) outcome computed once as the exact stop utility
 converted by float().  The rng makes the calls a scan of sampled sequences
-would make, so estimates are the same to the last bit.  E[sum_j S_j*]
-comes from `policies`, beside the max-convolution it reads.
+would make, so estimates are the same to the last bit.  E[V*] and
+E[sum_j S_j*] come from `policies`, beside the max-convolution they read,
+each one int sum on an exact prior.
 """
 
 import math
@@ -39,8 +40,9 @@ from .core import (
 )
 from .policies import (
     Policy,
+    _e_best_value,
     _e_sum_dim_maxima,
-    _expectation_of,
+    _expectation_of,  # unused here; tests import it from this module
     _trial_walk,
     compile_policy,
     guarantee_alphas,
@@ -49,7 +51,7 @@ from .policies import (
     resolve_budget,
     rule_expectation,
     run_rule,  # unused here; perfbench/tracing.py wraps it by this name
-    value_max_distribution,
+    value_max_distribution,  # unused here; perfbench/tracing.py wraps it
 )
 
 # Normal-approximation confidence multiplier for all Monte Carlo intervals.
@@ -211,7 +213,7 @@ def ratio_report(prior: ProductPrior, params: AgentParams,
     # the budgeted DP goes first (it also checks the dimensions), so an
     # over-budget prior stops before the unbudgeted passes run
     e_ugb = optimal_biased_policy(prior, params, budget).expected_utility
-    e_upr = _expectation_of(value_max_distribution(prior))
+    e_upr = _e_best_value(prior)
     e_ugr = optimal_rational_policy(prior).expected_utility
     return RatioReport(
         e_prophet_rational=e_upr,
@@ -246,7 +248,7 @@ def ratio_row(report: RatioReport, params: AgentParams, n: int,
 
 def gamma_of(prior: ProductPrior) -> Number:
     """E[sum_j S_j*] / E[V*], the dimension-spread factor in [1, k]."""
-    e_v = _expectation_of(value_max_distribution(prior))
+    e_v = _e_best_value(prior)
     if e_v <= 0:
         raise InvalidInput("gamma needs a positive expected best value")
     return _e_sum_dim_maxima(prior) / e_v
@@ -275,7 +277,7 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
     """
     _require_subcritical(prior, params)
     lam, k = params.lam, params.k
-    e_v = _expectation_of(value_max_distribution(prior))
+    e_v = _e_best_value(prior)
     e_sum = _e_sum_dim_maxima(prior)
     alphas = sorted(guarantee_alphas(params))
     exps = [exact_expectation(prior, Policy.from_alpha(a), params,

@@ -31,6 +31,7 @@ from .core import (
     ProductPrior,
     ResourceLimit,
     Sequence,
+    ValueVector,
     _parse_int,
     _parse_number,
     offline_optimal_biased,
@@ -51,6 +52,7 @@ from .instances import (
     gen_random_prior,
     gen_salient_feature,
     gen_worstcase_mixed,
+    random_prior_draws,
 )
 from .policies import (
     DEFAULT_STATE_BUDGET,
@@ -354,8 +356,9 @@ def _verify_paradoxes(rng, params, count) -> List[CheckResult]:
             "quality-gambler-better", rep.gambler_better_on_higher,
             rep.gambler_high, rep.gambler_low,
             {"q": q, "prophet_worse_on_higher": rep.prophet_worse_on_higher}))
-        sigma = gen_random_prior(rng, k=params.k, atoms_max=1)
-        full = Sequence(tuple(d.atoms[0][0] for d in sigma.steps))
+        full = Sequence(tuple(
+            ValueVector(support[0]) for support, _ in
+            random_prior_draws(rng, k=params.k, atoms_max=1)))
         base = full.prefix(rng.randint(1, full.n))
         pr_full = offline_optimal_prophet_utility(full, rational)
         pr_base = offline_optimal_prophet_utility(base, rational)

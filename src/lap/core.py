@@ -202,8 +202,6 @@ class FiniteDistribution:
             raise InvalidInput("distribution needs at least one atom")
         k = atoms[0][0].k
         seen = set()
-        total = 0
-        exact = True
         for v, p in atoms:
             if v.k != k:
                 raise InvalidInput("all atoms must share one dimension")
@@ -213,14 +211,19 @@ class FiniteDistribution:
                 raise InvalidInput(
                     f"duplicate support point {_shown(v.entries)}")
             seen.add(v.entries)
-            exact = exact and isinstance(p, Fraction)
-            total = total + p
-        if exact:
-            if total != 1:
-                raise InvalidInput(
-                    f"probabilities sum to {_shown(total)}, not 1")
-        elif abs(total - 1) > FLOAT_PROB_TOL:
-            raise InvalidInput(f"probabilities sum to {total!r}, not 1")
+        if all(isinstance(p, Fraction) for _, p in atoms):
+            # one int sum over the lcm of the denominators
+            den = math.lcm(*(p.denominator for _, p in atoms))
+            total = sum(p.numerator * (den // p.denominator) for _, p in atoms)
+            if total != den:
+                raise InvalidInput(f"probabilities sum to "
+                                   f"{_shown(Fraction(total, den))}, not 1")
+        else:
+            total = 0
+            for _, p in atoms:
+                total = total + p
+            if abs(total - 1) > FLOAT_PROB_TOL:
+                raise InvalidInput(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -239,11 +242,16 @@ class ProductPrior:
         steps = tuple(self.steps)
         if not steps:
             raise InvalidInput("prior needs at least one step")
-        k = steps[0].k
-        for d in steps:
-            if d.k != k:
+        first = steps[0]
+        if steps[-1] is first and steps.count(first) == len(steps):
+            # an iid prior repeats one object: count's identity test makes
+            # this one C-level pass, with nothing to read per step
+            actual = True
+        else:
+            distinct = {id(d): d for d in steps}.values()
+            if len({d.k for d in distinct}) > 1:
                 raise InvalidInput("all steps must share one dimension")
-        actual = all(d == steps[0] for d in steps[1:])
+            actual = all(d == first for d in distinct)
         if self.iid is None:
             object.__setattr__(self, "iid", actual)
         elif _json_bool(self.iid, "'iid'") != actual:

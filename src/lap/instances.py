@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, localcontext
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .core import (
     AgentParams,
@@ -183,14 +183,10 @@ def gen_dominance_pair(k: int, n: int, lam: Number,
 _RANDOM_VALUE_GRID = tuple(Fraction(i, 2) for i in range(7))
 
 
-def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
-                     ) -> ProductPrior:
-    """Small random prior on a coarse rational grid.
-
-    Every draw comes from the caller's rng, so seeded counterexample hunts
-    replay exactly.  Supports stay tiny on purpose: these priors feed the
-    exact lattice passes and the oracles' enumeration, not sampling.
-    """
+def random_prior_draws(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
+                       ) -> List[Tuple[List[tuple], List[int]]]:
+    """gen_random_prior's rng calls, with no prior built: per step, the
+    sorted support (entry tuples on the grid) and its int weights."""
     _check_counts(n_max, k)
     _count(atoms_max, 1, "atoms_max must be a positive integer")
     steps = []
@@ -200,11 +196,25 @@ def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
         while len(support) < natoms:
             support.add(tuple(rng.choice(_RANDOM_VALUE_GRID)
                               for _ in range(k)))
-        weights = [rng.randint(1, 4) for _ in range(natoms)]
+        steps.append((sorted(support),
+                      [rng.randint(1, 4) for _ in range(natoms)]))
+    return steps
+
+
+def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
+                     ) -> ProductPrior:
+    """Small random prior on a coarse rational grid.
+
+    Every draw comes from the caller's rng, so seeded counterexample hunts
+    replay exactly.  Supports stay tiny on purpose: these priors feed the
+    exact lattice passes and the oracles' enumeration, not sampling.
+    """
+    steps = []
+    for support, weights in random_prior_draws(rng, k, n_max, atoms_max):
         total = sum(weights)
         steps.append(FiniteDistribution(tuple(
             (ValueVector(vec), Fraction(wt, total))
-            for vec, wt in zip(sorted(support), weights))))
+            for vec, wt in zip(support, weights))))
     return ProductPrior(tuple(steps))
 
 

@@ -29,29 +29,35 @@ joins compare small ints, and reads a rule as accept masks: per (step,
 rank state), the int of the row's bits of the atoms it stops on.  A
 compiled arm carries its masks for its own prior; only `run_rule`, on a
 caller's sequence, decides on values and scores them.  V* and each dimension's
-maximum run one max-convolution loop, `_max_convolution`, and
-`_e_sum_dim_maxima` sums the k laws for E[sum_j S_j*] as ints over one
-scale, decoded once.  A pass with two readers on one prior runs once:
-`ProductPrior.memoized` keeps one rank table, one V* distribution and one
-biased DP, the DP per (lambda and its type, resolved budget), so a float
-lambda never gets an exact lambda's result and a budget still binds; a loop
-over lambda holds one DP.  Kept results are shared, so read-only; errors
-are not kept.
+maximum run one max-convolution loop, `_max_convolution`;
+`_e_best_value` sums the V* law for E[V*], and `_e_sum_dim_maxima` the k
+dimension laws for E[sum_j S_j*], each as ints over one scale, decoded
+once.  A pass with two readers on one prior runs once: `ProductPrior.
+memoized` keeps one rank table, one V* law (the int law of
+`_max_convolution(prior, sum)`, which `value_max_distribution` decodes when
+read) and one biased DP, the DP per (lambda and its type, resolved budget),
+so a float lambda never gets an exact lambda's result and a budget still
+binds; a loop over lambda holds one DP.  Kept results are shared, so
+read-only; errors are not kept.
 
-The biased DP, the rational DP, the max-convolution, exact expectation and
-the Monte Carlo walk's stops compute on an integer view of the prior, built
-with the rank table once per distinct step: entries times L, the lcm of
-every entry's denominator, and each step's probabilities as int weights
-over D_t, their lcm.  Sums of products of those ints, and lambda = a/b
-applied as b*v - a*(s - v), stay ints over one positive scale per step, so
-every comparison is the Fraction one and no gcd is paid along the way.
-Ints are decoded to Fractions only for the final values, the rational DP's
-continuation values, the distributions returned and a Monte Carlo stop
+The biased DP, the rational DP, the max-convolution, E[V*], the alpha
+thresholds and the threshold arms' masks, exact expectation and the Monte
+Carlo walk's stops compute on an integer view of the prior, built with the
+rank table once per distinct step: entries times L, the lcm of every
+entry's denominator, and each step's probabilities as int weights over
+D_t, their lcm.  Sums of products of those ints, and lambda = a/b applied
+as b*v - a*(s - v), stay ints over one positive scale per step, so every
+comparison is the Fraction one and no gcd is paid along the way: a tail of
+the V* law is compared with alpha = c/d as tail*d <= c*prod D_t, and a
+scaled value with T = c/d as v*d >= c*L.  Ints are decoded to Fractions
+only for the final values, the rational DP's continuation values, a
+threshold and its coin, the distributions returned and a Monte Carlo stop
 (then converted by float()).  A DP records its decisions only as accept
 masks; its value-keyed `policy_table` is decoded from them when first read.
-When any entry, probability or lambda is a float, the same loops run on the
-identity view (L = b = D_t = 1, weights the probabilities), which performs
-the float operations in the order the Fraction formulas did.
+When any entry, probability or lambda (or alpha, or T) is a float, the
+same loops run on the identity view (L = b = D_t = 1, weights the
+probabilities), which performs the float operations in the order the
+Fraction formulas did.
 """
 
 from __future__ import annotations
@@ -63,8 +69,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import getitem, itemgetter
+from itertools import accumulate, repeat
+from operator import ge, getitem, gt, is_, itemgetter
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -89,9 +95,8 @@ _KINDS = ("threshold", "fixed-index", "optimal-biased",
 
 
 def resolve_budget(budget: Optional[int] = None) -> int:
-    """Explicit argument, else the LAP_BUDGET_STATES env var, else default."""
-    if isinstance(budget, bool):
-        raise InvalidInput("budget must be an integer, got bool")
+    """Explicit argument (an int, not a bool), else the LAP_BUDGET_STATES
+    env var, else default."""
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR)
         if raw is None:
@@ -100,7 +105,7 @@ def resolve_budget(budget: Optional[int] = None) -> int:
             budget = _parse_int(raw)
         except ValueError as err:
             raise InvalidInput(f"bad {BUDGET_ENV_VAR} value {raw!r}") from err
-    if budget <= 0:
+    if _json_int(budget, "budget") <= 0:
         raise InvalidInput("budget must be positive")
     return budget
 
@@ -231,56 +236,66 @@ def _rank_table(prior: ProductPrior):
     index, as the prior's own numbers and as ints times L, the lcm of every
     entry's denominator.  The ints (and every row's exact view) are None
     when any entry or probability is a float.  The validated prior's atoms
-    are read once per distinct step: steps that are one object (an iid
-    prior's) share one row, so a long iid prior costs one row, not n.
+    are read once per distinct step: steps that are one object share one
+    row, and an iid prior's row list is that one row repeated, found by one
+    C-level identity pass, so a long iid prior costs one row, not n.
 
     Rank 0 of every coordinate is Fraction(0), the value the empty history
     starts from (an equal 0.0 is the same value, and `max` would keep the
     Fraction).  Ranks order a coordinate's values as the values do, so the
     join of rank tuples decodes to the join of the values, and sorting by
     ranks sorts by values.  An exact prior's values are keyed by their
-    scaled ints, which hash and compare faster than Fractions."""
-    rows = {}  # id(step) -> its atoms as (entries, l1, p)
-    for step in prior.steps:
-        if id(step) not in rows:
-            rows[id(step)] = tuple((v.entries, v.l1, p)
-                                   for v, p in step.atoms)
-    atoms = [atom for row in rows.values() for atom in row]
+    scaled ints, and its plain L1 values are their sums over L, so no
+    Fraction is hashed or added."""
+    steps = prior.steps
+    first = steps[0]
+    if all(map(is_, steps, repeat(first))):
+        distinct = (first,)
+    else:
+        distinct = tuple({id(step): step for step in steps}.values())
+    atoms = [atom for step in distinct for atom in step.atoms]
     exact = all(isinstance(x, Fraction)
-                for entries, _, p in atoms for x in (p, *entries))
-    scale = math.lcm(*(e.denominator for atom in atoms for e in atom[0])
+                for v, p in atoms for x in (p, *v.entries))
+    scale = math.lcm(*(e.denominator for v, _ in atoms for e in v.entries)
                      ) if exact else 1
-    keyed = {id(atom): tuple(e.numerator * (scale // e.denominator)
-                             for e in atom[0]) if exact else atom[0]
-             for atom in atoms}
+    keyed = {id(v): tuple(e.numerator * (scale // e.denominator)
+                          for e in v.entries) if exact else v.entries
+             for v, _ in atoms}
     levels, scaled, rank_of = [], [], []
     for j in range(prior.k):
         seen = {0: Fraction(0)}  # key -> the first value with that key
-        for atom in atoms:
-            seen.setdefault(keyed[id(atom)][j], atom[0][j])
+        for v, _ in atoms:
+            seen.setdefault(keyed[id(v)][j], v.entries[j])
         order = sorted(seen)
         levels.append(tuple(map(seen.__getitem__, order)))
         scaled.append(tuple(order))
         rank_of.append({x: i for i, x in enumerate(order)})
-    built = {}
-    for key, row in rows.items():
-        ranks = [tuple(map(dict.__getitem__, rank_of, keyed[id(atom)]))
-                 for atom in row]
-        order = sorted(range(len(row)), key=ranks.__getitem__)
-        bit = [0] * len(row)
+    built = []
+    for step in distinct:
+        keys = [keyed[id(v)] for v, _ in step.atoms]
+        ranks = [tuple(map(dict.__getitem__, rank_of, key)) for key in keys]
+        order = sorted(range(len(keys)), key=ranks.__getitem__)
+        bit = [0] * len(keys)
         for place, i in enumerate(order):
             bit[i] = 1 << place
-        plain = tuple(atom + (ranks[i], bit[i])
-                      for i, atom in enumerate(row))
+        norms = list(map(sum, keys)) if exact else None
+        plain = tuple((v.entries, Fraction(norms[i], scale) if exact else v.l1,
+                       p, ranks[i], bit[i])
+                      for i, (v, p) in enumerate(step.atoms))
         den, view = 1, None
         if exact:
-            den = math.lcm(*(p.denominator for _, _, p in row))
-            view = tuple((keyed[id(atom)], sum(keyed[id(atom)]),
-                          atom[2].numerator * (den // atom[2].denominator),
-                          ranks[i], bit[i]) for i, atom in enumerate(row))
-        built[key] = _Row(plain, view, den, tuple(row[i][0] for i in order))
-    return ([built[id(step)] for step in prior.steps], levels,
-            scaled if exact else None, scale)
+            den = math.lcm(*(p.denominator for _, p in step.atoms))
+            view = tuple((keys[i], norms[i],
+                          p.numerator * (den // p.denominator), ranks[i],
+                          bit[i]) for i, (_, p) in enumerate(step.atoms))
+        built.append(_Row(plain, view, den,
+                          tuple(step.atoms[i][0].entries for i in order)))
+    if len(built) == 1:
+        rows = built * len(steps)
+    else:
+        at = {id(step): row for step, row in zip(distinct, built)}
+        rows = [at[id(step)] for step in steps]
+    return rows, levels, scaled if exact else None, scale
 
 
 def _view(row: _Row, exact: bool):
@@ -394,26 +409,31 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
     a fixed index's all bits at its step, the DPs' their own."""
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
-    rows = prior.memoized(_rank_table)[0]
+    rows, _, scaled, unit = prior.memoized(_rank_table)
     if policy.kind == "threshold":
         if policy.alpha is not None:
             policy = threshold_from_alpha(prior, policy.alpha, policy.seed)
         t_value, p = policy.threshold, policy.atom_accept_prob
         distinct = {id(row): row for row in rows}.values()
+        # an exact prior and a rational T build the masks on the integer
+        # view: val >= T iff val * T.den >= T.num * L; the identity view
+        # compares val * 1, the same number, with T
+        exact = scaled is not None and isinstance(t_value, (int, Fraction))
+        den, bar = (t_value.denominator, t_value.numerator * unit) if exact \
+            else (1, t_value)
 
-        def arm(stops):
-            at = {id(row): sum(bit for _, val, _, _, bit in row.plain
-                               if stops(val)) for row in distinct}
-            return _Arm(lambda t, s, entries, val: stops(val), prior,
+        def arm(stops):  # ge: the weak rule; gt: the strict one
+            at = {id(row): sum(atom[4] for atom in _view(row, exact)[0]
+                               if stops(atom[1] * den, bar))
+                  for row in distinct}
+            return _Arm(lambda t, s, entries, val: stops(val, t_value), prior,
                         lambda t, ranks: at[id(rows[t - 1])])
-        weak = lambda val: val >= t_value
-        strict = lambda val: val > t_value
         if p == 1:
-            arms = ((Fraction(1), arm(weak)),)
+            arms = ((Fraction(1), arm(ge)),)
         elif p == 0:
-            arms = ((Fraction(1), arm(strict)),)
+            arms = ((Fraction(1), arm(gt)),)
         else:
-            arms = ((p, arm(weak)), (1 - p, arm(strict)))
+            arms = ((p, arm(ge)), (1 - p, arm(gt)))
         return CompiledPolicy(arms, policy.seed)
     if policy.kind in ("fixed-index", "accept-last"):
         index = policy.index if policy.kind == "fixed-index" else prior.n
@@ -636,12 +656,11 @@ def _expectation_of(dist: Dict[Number, Number]) -> Number:
     return sum((v * p for v, p in dist.items()), Fraction(0))
 
 
-def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
-    """E[sum_j S_j*]: each dimension's maximum law, summed by linearity.
-    On the integer view every law has one scale, L * prod D_t, so the k
-    expectations are one int sum, decoded once; the identity view sums
-    each law's expectation in dimension order."""
-    laws = [_max_convolution(prior, itemgetter(j)) for j in range(prior.k)]
+def _laws_expectation(laws) -> Number:
+    """The summed expectations of `_max_convolution` laws on one view: on
+    the integer view every law has one scale, L * prod D_t, so they are one
+    int sum, decoded once; the identity view sums each law's expectation in
+    order."""
     _, exact, unit, scale = laws[0]
     if not exact:
         return sum((_expectation_of(law) for law, *_ in laws), Fraction(0))
@@ -649,42 +668,71 @@ def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
                     unit * scale)
 
 
+def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
+    """E[sum_j S_j*]: each dimension's maximum law, summed by linearity."""
+    return _laws_expectation([_max_convolution(prior, itemgetter(j))
+                              for j in range(prior.k)])
+
+
+def _e_best_value(prior: ProductPrior) -> Number:
+    """E[V*], from the kept V* law."""
+    return _laws_expectation([prior.memoized(_max_convolution, sum)])
+
+
+def _decoded(law, exact: bool, unit: int, scale: int):
+    """A `_max_convolution` law as values and probabilities."""
+    if not exact:
+        return law
+    return {Fraction(x, unit): Fraction(p, scale) for x, p in law.items()}
+
+
 def max_distribution(prior: ProductPrior,
                      key: Callable[[tuple], Number]) -> Dict[Number, Number]:
     """Exact distribution of max_t key(sigma^(t)) for a scalar `key` of a
     candidate's entries.  `key` reads the entries at the view's scale, so it
     must commute with scaling them (a sum, or one coordinate, does)."""
-    dist, exact, unit, scale = _max_convolution(prior, key)
-    if not exact:
-        return dist
-    return {Fraction(x, unit): Fraction(p, scale) for x, p in dist.items()}
+    return _decoded(*_max_convolution(prior, key))
 
 
 def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
-    """Exact distribution of V* = max_t ||sigma^(t)||_1."""
-    return prior.memoized(max_distribution, sum)
+    """Exact distribution of V* = max_t ||sigma^(t)||_1, decoded from the
+    kept int law."""
+    return _decoded(*prior.memoized(_max_convolution, sum))
 
 
 def threshold_from_alpha(prior: ProductPrior, alpha: Number,
                          seed: Optional[int] = None) -> Policy:
     """Threshold T plus atom-acceptance probability p with
-    Pr[V* > T] + p * Pr[V* = T] = alpha, exactly."""
+    Pr[V* > T] + p * Pr[V* = T] = alpha, exactly.
+
+    T is the least value of V* whose tail Pr[V* > T] is at most alpha.  An
+    exact prior and a Fraction alpha read the kept int law: with weights w
+    over prod D_t, tail <= alpha is tail * alpha.den <= alpha.num * prod D_t,
+    and p = (alpha.num * prod D_t - tail * alpha.den) / (w * alpha.den).  A
+    float alpha or prior reads the decoded law and sums and compares its
+    numbers in the same order."""
     if not 0 < alpha < 1:
         raise InvalidInput("alpha must lie strictly between 0 and 1")
-    dist = value_max_distribution(prior)
-    atoms = sorted(dist)
-    # tail[i] = Pr[V* > atoms[i]]
-    tail = 0
-    tails = [0] * len(atoms)
-    for i in range(len(atoms) - 1, -1, -1):
-        tails[i] = tail
-        tail = tail + dist[atoms[i]]
-    for v, above in zip(atoms, tails):
-        if above <= alpha:
-            p = (alpha - above) / dist[v]
-            return Policy(kind="threshold", threshold=v,
-                          atom_accept_prob=p, seed=seed)
-    raise AssertionError("unreachable: Pr[V* > max atom] = 0 <= alpha")
+    law, exact, unit, scale = prior.memoized(_max_convolution, sum)
+    if exact and isinstance(alpha, Fraction):
+        num, den = alpha.numerator * scale, alpha.denominator
+        fits = lambda tail: tail * den <= num
+    else:
+        law, exact = value_max_distribution(prior), False
+        fits = lambda tail: tail <= alpha
+    values = sorted(law, reverse=True)
+    # each value's tail, summed from the top down; then the least that fits
+    tails = accumulate(map(law.__getitem__, values), initial=0)
+    for v, above in reversed(list(zip(values, tails))):
+        if fits(above):
+            break
+    if exact:
+        p = Fraction(num - above * den, law[v] * den)
+        v = Fraction(v, unit)
+    else:
+        p = (alpha - above) / law[v]
+    return Policy(kind="threshold", threshold=v, atom_accept_prob=p,
+                  seed=seed)
 
 
 def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:

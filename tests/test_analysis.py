@@ -304,7 +304,8 @@ class TestRatioReport:
         def unbudgeted(*args, **kwargs):
             raise AssertionError("ran before the budgeted DP")
 
-        for name in ("value_max_distribution", "optimal_rational_policy"):
+        for name in ("value_max_distribution", "_e_best_value",
+                     "optimal_rational_policy"):
             monkeypatch.setattr(f"lap.analysis.{name}", unbudgeted)
         dist = FiniteDistribution(((vec(1, 0), F(1)),))
         with pytest.raises(ResourceLimit):
@@ -422,8 +423,9 @@ def test_verifier_rejects_dimension_mismatch_first(monkeypatch, verify):
     def no_pass(*args, **kwargs):
         raise AssertionError("a pass ran before the dimension check")
 
-    for name in ("value_max_distribution", "optimal_rational_policy",
-                 "optimal_biased_policy", "_e_sum_dim_maxima"):
+    for name in ("value_max_distribution", "_e_best_value",
+                 "optimal_rational_policy", "optimal_biased_policy",
+                 "_e_sum_dim_maxima"):
         monkeypatch.setattr(analysis, name, no_pass)
     with pytest.raises(InvalidInput, match="dimensions differ"):
         verify(WCM, AgentParams(F(1, 2), 3))

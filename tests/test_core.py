@@ -395,6 +395,32 @@ class TestDistributions:
         with pytest.raises(InvalidInput):
             FiniteDistribution(((v, F(1, 2)), (w, F(1, 3))))
 
+    @pytest.mark.parametrize("kind", [F, Signed, float, "mixed"])
+    def test_sum_message_in_both_modes(self, kind):
+        # an exact sum is one int sum over the lcm of the denominators; the
+        # message gives the total as the running sum of the atoms does
+        rng = random.Random(f"sum/{kind}")
+        for _ in range(100):
+            probs = [F(rng.randint(1, 9), rng.randint(1, 12))
+                     for _ in range(rng.randint(1, 4))]
+            if kind == "mixed":
+                probs[0] = float(probs[0])
+            elif kind is not F:
+                probs = list(map(kind, probs))
+            atoms = tuple((ValueVector((F(i),)), p)
+                          for i, p in enumerate(probs))
+            total = 0
+            for p in probs:
+                total = total + p
+            exact = all(isinstance(p, F) for p in probs)
+            if (total == 1) if exact else abs(total - 1) <= 1e-12:
+                FiniteDistribution(atoms)
+                continue
+            shown = str(total) if exact else repr(total)
+            with pytest.raises(InvalidInput) as err:
+                FiniteDistribution(atoms)
+            assert str(err.value) == f"probabilities sum to {shown}, not 1"
+
     def test_rejects_nonpositive_probability(self):
         v = ValueVector((F(1),))
         w = ValueVector((F(2),))
@@ -438,6 +464,26 @@ class TestDistributions:
             ProductPrior((d1, d1), iid=flag)
         assert str(err.value) == \
             f"'iid' must be a boolean, got {type(flag).__name__}"
+
+    def test_steps_are_read_once_per_distinct_object(self, monkeypatch):
+        # an iid prior repeats one object: no step is compared or asked
+        # for k; otherwise each distinct object is, once
+        reads = []
+        k_of, eq = FiniteDistribution.k, FiniteDistribution.__eq__
+        monkeypatch.setattr(FiniteDistribution, "k", property(
+            lambda d: reads.append("k") or k_of.fget(d)))
+        monkeypatch.setattr(FiniteDistribution, "__eq__", lambda d, o: (
+            reads.append("eq") or eq(d, o)))
+        d1 = FiniteDistribution(((ValueVector((F(1),)), F(1)),))
+        d2 = FiniteDistribution(((ValueVector((F(2),)), F(1)),))
+        assert ProductPrior.iid_prior(d1, 10 ** 5).iid
+        assert reads == []
+        assert not ProductPrior((d1, d2) * 500).iid
+        assert sorted(reads) == ["eq", "eq", "k", "k"]
+        reads.clear()
+        twin = FiniteDistribution(((ValueVector((F(1),)), F(1)),))
+        assert ProductPrior((d1, twin) * 500).iid
+        assert sorted(reads) == ["eq", "eq", "k", "k"]
 
     def test_prior_uniform_k_required(self):
         d1 = FiniteDistribution(((ValueVector((F(1),)), F(1)),))

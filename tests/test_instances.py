@@ -34,9 +34,11 @@ from lap.instances import (
     gen_identical_value,
     gen_partial_sums,
     gen_quality_pair,
+    gen_random_prior,
     gen_salient_feature,
     gen_worstcase_mixed,
     iid_gap_bound_variants,
+    random_prior_draws,
     reduction_probabilities,
     rows_for_slack,
 )
@@ -606,3 +608,18 @@ class TestReductionMetaType:
         with pytest.raises(InvalidInput):
             ReductionMeta(m=2, x=F(1, 4), alpha_exp=2.0, nominal_n=0,
                           epsilon=F(1, 2), log_base="e")
+
+
+@pytest.mark.parametrize("k, atoms_max", [(2, 3), (3, 1), (1, 4)])
+def test_random_prior_draws_are_the_prior_s_draws(k, atoms_max):
+    # the draws alone make the same rng calls as the prior built on them,
+    # so a caller that reads only the supports replays the same stream
+    for seed in range(40):
+        built, drawn = random.Random(seed), random.Random(seed)
+        prior = gen_random_prior(built, k=k, atoms_max=atoms_max)
+        draws = random_prior_draws(drawn, k=k, atoms_max=atoms_max)
+        assert built.getstate() == drawn.getstate()
+        assert [[(v.entries, p) for v, p in step.atoms]
+                for step in prior.steps] == [
+            [(vec, F(wt, sum(weights))) for vec, wt in zip(support, weights)]
+            for support, weights in draws]

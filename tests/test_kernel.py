@@ -218,3 +218,125 @@ def test_one_row_per_distinct_step():
     rows = policies._rank_table(ProductPrior.iid_prior(step, 50))[0]
     assert len(rows) == 50
     assert len({id(row) for row in rows}) == 1
+
+
+def ref_threshold_from_alpha(dist, alpha, seed):
+    """The decoded-law algorithm `threshold_from_alpha` ran before it read
+    the int law: tails summed as numbers from the top, then the least value
+    whose tail is at most alpha."""
+    atoms = sorted(dist)
+    tail = 0
+    tails = [0] * len(atoms)
+    for i in range(len(atoms) - 1, -1, -1):
+        tails[i] = tail
+        tail = tail + dist[atoms[i]]
+    for v, above in zip(atoms, tails):
+        if above <= alpha:
+            return policies.Policy(kind="threshold", threshold=v,
+                                   atom_accept_prob=(alpha - above) / dist[v],
+                                   seed=seed)
+    raise AssertionError("unreachable")
+
+
+def flavored_prior(rng, flavor):
+    """A seeded prior: exact, float, with float probabilities only, or with
+    one step's entries as floats."""
+    steps = random_steps(rng)
+    if flavor == "float-probabilities":
+        return prior_of(steps, float)
+    prior = prior_of(steps)
+    if flavor == "float-prior":
+        return prior_from_json(prior_to_json(prior), exact=False)
+    if flavor == "mixed":
+        j = rng.randrange(len(steps))
+        steps[j] = [(tuple(map(float, v)), p) for v, p in steps[j]]
+        return prior_of(steps)
+    return prior
+
+
+FLAVORS = ["exact", "float-prior", "float-probabilities", "mixed"]
+ALPHAS = [F(1, 3), F(2, 3), F(1, 7), F(9, 10), 0.3]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_threshold_from_alpha_matches_the_decoded_law(flavor):
+    # an exact prior and a Fraction alpha read the int law; the result has
+    # the repr the decoded-law algorithm gives, for every flavor
+    rng = random.Random(f"alpha/{flavor}")
+    for _ in range(150):
+        prior = flavored_prior(rng, flavor)
+        dist = policies.value_max_distribution(prior)
+        for alpha in ALPHAS:
+            assert repr(policies.threshold_from_alpha(prior, alpha, 7)) == \
+                repr(ref_threshold_from_alpha(dist, alpha, 7))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_threshold_masks_match_value_comparisons(flavor):
+    # masks built on the int view stop on the atoms whose values pass
+    # val >= T (val > T for the strict arm), for a drawn or a given T
+    rng = random.Random(f"masks/{flavor}")
+    for _ in range(100):
+        prior = flavored_prior(rng, flavor)
+        params = AgentParams(F(1, 2), prior.k)
+        rows = policies._rank_table(prior)[0]
+        drawn = [policies.threshold_from_alpha(prior, alpha)
+                 for alpha in ALPHAS]
+        given = [policies.Policy.threshold(t, F(1, 2))
+                 for t in (F(3, 2), 2, 1.5, F(7, 3), F(0))]
+        for policy in drawn + given:
+            compiled = policies.compile_policy(policy, prior, params)
+            t_value = policy.threshold
+            tests = [lambda val: val >= t_value, lambda val: val > t_value]
+            if len(compiled.arms) == 1:  # one arm: weak at p = 1, else strict
+                tests = tests[:1] if policy.atom_accept_prob == 1 else \
+                    tests[1:]
+            for (_, arm), stops in zip(compiled.arms, tests):
+                for t, row in enumerate(rows, 1):
+                    assert arm.masks(t, None) == sum(
+                        bit for _, val, _, _, bit in row.plain if stops(val))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_e_best_value_is_the_fraction_sum(flavor):
+    # E[V*] as one int sum decoded once has the repr of the decoded law's
+    # expectation
+    rng = random.Random(f"e-best/{flavor}")
+    for _ in range(200):
+        prior = flavored_prior(rng, flavor)
+        assert repr(policies._e_best_value(prior)) == \
+            repr(_expectation_of(policies.value_max_distribution(prior)))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_rank_table_values_are_the_l1_norms(flavor):
+    # an exact prior's plain values come from the scaled ints, with the
+    # value and type of each vector's own L1 norm
+    rng = random.Random(f"l1/{flavor}")
+    for _ in range(100):
+        prior = flavored_prior(rng, flavor)
+        rows = policies._rank_table(prior)[0]
+        for row, step in zip(rows, prior.steps):
+            assert [typed(val) for _, val, _, _, _ in row.plain] == \
+                [typed(v.l1) for v, _ in step.atoms]
+
+
+def test_an_iid_prior_builds_one_row(monkeypatch):
+    # steps that are one object are read once: one row, repeated n times
+    built, row = [], policies._Row
+
+    def counted(*fields):
+        built.append(fields)
+        return row(*fields)
+
+    monkeypatch.setattr(policies, "_Row", counted)
+    step = prior_of([[((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(1, 2))]]
+                    ).steps[0]
+    other = prior_of([[((F(2), F(0)), F(1))]]).steps[0]
+    rows = policies._rank_table(ProductPrior.iid_prior(step, 10 ** 5))[0]
+    assert len(built) == 1
+    assert rows == [rows[0]] * 10 ** 5
+    built.clear()
+    rows = policies._rank_table(ProductPrior((step, other) * 500))[0]
+    assert len(built) == 2
+    assert len(rows) == 1000 and rows[::2] == [rows[0]] * 500

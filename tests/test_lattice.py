@@ -322,7 +322,7 @@ class TestPriorMemo:
             return wrapper
 
         for name, attr, key in (("ranks", "_rank_table", None),
-                                ("vstar", "max_distribution", sum),
+                                ("vstar", "_max_convolution", sum),
                                 ("biased", "_biased_dp", None),
                                 ("rational", "_rational_dp", None)):
             monkeypatch.setattr(policies, attr, counted(
@@ -376,7 +376,7 @@ class TestPriorMemo:
         verify_online_bound(prior, params)
         ratio_report(prior, params)
         kept = {key[0].__name__ for key in prior.__dict__["_memo"]}
-        assert kept == {"_rank_table", "max_distribution", "_biased_dp"}
+        assert kept == {"_rank_table", "_max_convolution", "_biased_dp"}
         prior = prior_of(self.STEPS)
         exact_expectation(prior, Policy.accept_last(), params)
         assert [key[0].__name__ for key in prior.__dict__["_memo"]] == \

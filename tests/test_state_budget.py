@@ -8,7 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from lap import cli
-from lap.analysis import exact_expectation, monte_carlo
+from lap.analysis import (
+    exact_expectation,
+    monte_carlo,
+    ratio_report,
+    verify_online_bound,
+    verify_prophet_bound,
+)
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -17,7 +23,7 @@ from lap.core import (
     ResourceLimit,
     ValueVector,
 )
-from lap.instances import gen_alternating_linear, gen_random_prior
+from lap.instances import det_to_iid, gen_alternating_linear, gen_random_prior
 from lap.policies import (
     BUDGET_ENV_VAR,
     Policy,
@@ -132,3 +138,58 @@ def test_a_bool_budget_is_refused(flag):
         with pytest.raises(InvalidInput,
                            match="^budget must be an integer, got bool$"):
             call()
+
+
+def budgeted_entries(budget):
+    """Every library entry point that takes a state budget, called with
+    `budget` on one small instance."""
+    sigma = gen_alternating_linear(4, 2)
+    prior = ProductPrior.deterministic(sigma)
+    params = AgentParams(F(1, 2), 2)
+    rules = Policy.accept_last(), Policy.optimal_biased()
+    return {
+        "exact_expectation": lambda: exact_expectation(
+            prior, rules[1], params, budget),
+        "monte_carlo": lambda: monte_carlo(
+            prior, rules[0], params, 10, 1, budget),
+        "ratio_report": lambda: ratio_report(prior, params, budget),
+        "optimal_biased_policy": lambda: optimal_biased_policy(
+            prior, params, budget),
+        "patience_compare": lambda: patience_compare(
+            *rules, prior, params, budget),
+        "verify_prophet_bound": lambda: verify_prophet_bound(
+            prior, params, budget),
+        "verify_online_bound": lambda: verify_online_bound(
+            prior, params, budget),
+        "det_to_iid": lambda: det_to_iid(
+            sigma, params, F(1, 2), n_override=3, budget=budget),
+    }
+
+
+@pytest.mark.parametrize("entry", list(budgeted_entries(None)))
+def test_a_float_budget_is_refused(entry):
+    # a budget counts states: a float or a Fraction is refused, not
+    # compared with the state count
+    for budget in (4.5, 100.0, F(100)):
+        with pytest.raises(InvalidInput, match="^budget must be an integer, "
+                           f"got {type(budget).__name__}$"):
+            budgeted_entries(budget)[entry]()
+    with pytest.raises(InvalidInput, match="^budget must be positive$"):
+        budgeted_entries(0)[entry]()
+    budgeted_entries(100)[entry]()
+
+
+def test_a_long_iid_prior_meets_the_budget_without_a_pass_per_step(
+        tmp_path, capsys):
+    # the steps of a parsed iid prior are one object: validating them and
+    # building the rank table cost one pass per distinct step, so the
+    # budget stops a million-step prior at step 5
+    target = tmp_path / "long.json"
+    target.write_text(
+        '{"k": 2, "n": 1000000, "iid": true, "steps": [{"atoms": ['
+        '{"v": ["1", "0"], "p": "1/2"}, {"v": ["0", "1"], "p": "1/2"}]}]}')
+    code = cli.main(["evaluate", "--in", str(target), "--lambda", "1/2",
+                     "--policy", "accept-last", "--budget-states", "10"])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: resource limit: state budget 10 exceeded "
+           "(12+ states by step 5)\n")
