@@ -42,7 +42,6 @@ from .policies import (
     Policy,
     _e_best_value,
     _e_sum_dim_maxima,
-    _expectation_of,  # unused here; tests import it from this module
     _trial_walk,
     compile_policy,
     guarantee_alphas,

@@ -38,9 +38,8 @@ class InvalidInput(ValueError):
 
 
 class ResourceLimit(RuntimeError):
-    """A limit would be passed: the states an exact pass holds, a candidate
-    count or a listed support past the budget, or a number past the digit
-    limit."""
+    """A limit would be passed: the states an exact pass holds or a
+    candidate count past the budget, or a number past the digit limit."""
 
 
 def _digit_limit() -> str:
@@ -279,30 +278,21 @@ class ProductPrior:
     def support_size(self) -> int:
         return math.prod(len(d.atoms) for d in self.steps)
 
-    def memoized(self, build, *args):
-        """`build(self, *args)`, kept in the instance dict (like
-        ValueVector.l1) per equal arguments of equal types, one result per
-        `build` (a miss drops the kept one first).  An exception is not
-        kept; a kept result is shared, so it is read-only."""
+    def memoized(self, build, *args, **kwargs):
+        """`build(self, *args, **kwargs)`, kept in the instance dict (like
+        ValueVector.l1) in one slot per `build` for equal positional
+        arguments of equal types (compared, not hashed; keyword arguments
+        are no part of the key).  A miss drops the kept result first; an
+        exception is not kept; a kept result is shared, so it is read-only."""
         memo = self.__dict__.setdefault("_memo", {})
-        key = (build, args, tuple(map(type, args)))
-        if key not in memo:
-            for old in [old for old in memo if old[0] is build]:
-                del memo[old]
-            memo[key] = build(self, *args)
-        return memo[key]
+        key = (args, tuple(map(type, args)))
+        if build not in memo or memo[build][0] != key:
+            memo.pop(build, None)
+            memo[build] = (key, build(self, *args, **kwargs))
+        return memo[build][1]
 
-    def realizations(self, budget: Optional[int] = None
-                     ) -> Iterator[Tuple[Sequence, Number]]:
-        """All (sequence, probability) pairs of the product support; past
-        `budget` pairs, none is listed and the size is never built in full."""
-        if budget is not None:
-            size = 1
-            for d in self.steps:
-                size *= len(d.atoms)
-                if size > budget:
-                    raise ResourceLimit(
-                        f"support size {size}+ exceeds budget {budget}")
+    def realizations(self) -> Iterator[Tuple[Sequence, Number]]:
+        """All (sequence, probability) pairs of the product support."""
         for combo in itertools.product(*(d.atoms for d in self.steps)):
             p = 1
             for _, q in combo:

@@ -13,6 +13,7 @@ realized representation reproduces that sequence with high probability.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, localcontext
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .core import (
     ValueVector,
     _coerce,
     _count,
+    _digit_limit,
     _shown,
     is_succinct,
     max_value,
@@ -294,7 +296,8 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
     The decay exponent alpha comes from the gap between sigma's best value
     and its best biased utility; x_override skips that and fixes the decay
     directly (alpha is then back-derived).  The prior uses n_override, else
-    the nominal candidate count; either must fit the state budget.
+    the nominal candidate count; either must fit the state budget.  A
+    probability too long to print is refused before it is computed.
     """
     if sigma.k != params.k:
         raise InvalidInput("sequence and params dimensions differ")
@@ -333,6 +336,13 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
             f"{cap}; pass n_override to simulate at a feasible size")
         err.nominal_n = nominal
         raise err
+    # x = a/b in lowest terms makes the first probability b^(m-1)/S, with S
+    # coprime to b: its numerator has more digits than the int-to-str limit
+    # once (m-1)*log10(b) reaches it (0.30102 < log10(2) keeps this sound)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and ((m - 1) * (x.denominator.bit_length() - 1) * 30102
+                   >= digits * 100000):
+        raise ResourceLimit(_digit_limit())
 
     probs = reduction_probabilities(m, x)
     dist = FiniteDistribution(tuple(zip(sigma.candidates, probs)))

@@ -35,10 +35,11 @@ dimension laws for E[sum_j S_j*], each as ints over one scale, decoded
 once.  A pass with two readers on one prior runs once: `ProductPrior.
 memoized` keeps one rank table, one V* law (the int law of
 `_max_convolution(prior, sum)`, which `value_max_distribution` decodes when
-read) and one biased DP, the DP per (lambda and its type, resolved budget),
-so a float lambda never gets an exact lambda's result and a budget still
-binds; a loop over lambda holds one DP.  Kept results are shared, so
-read-only; errors are not kept.
+read) and one biased DP per lambda and its type, so a float lambda never
+gets an exact lambda's result and a loop over lambda holds one DP; a kept
+DP past a read's budget is refused by a fresh forward pass under that
+budget, which stops once the budget is passed.  Kept results are shared,
+so read-only; errors are not kept.
 
 The biased DP, the rational DP, the max-convolution, E[V*], the alpha
 thresholds and the threshold arms' masks, exact expectation and the Monte
@@ -808,7 +809,11 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
     """
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
-    return prior.memoized(_biased_dp, params.lam, resolve_budget(budget))
+    limit = resolve_budget(budget)
+    res = prior.memoized(_biased_dp, params.lam, budget=limit)
+    if res.state_count > limit:  # kept under a larger budget
+        _biased_dp(prior, params.lam, limit)  # raises at the step it passes
+    return res
 
 
 def _rational_dp(prior: ProductPrior):

@@ -974,10 +974,10 @@ class TestSweep:
         results = []
         solve = policies._biased_dp
 
-        def tracked_solve(*args):
+        def tracked_solve(*args, **kwargs):
             gc.collect()
             assert all(ref() is None for ref in results)
-            result = solve(*args)
+            result = solve(*args, **kwargs)
             results.append(weakref.ref(result))
             return result
 

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from lap import instances
 from lap.core import (
     AgentParams,
     InvalidInput,
@@ -508,6 +510,50 @@ class TestDetToIid:
         with pytest.raises(InvalidInput):
             det_to_iid(two_candidate_sequence(), PARAMS_22, F(0),
                        n_override=4)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_unprintable_probabilities_refused_before_computed(
+            self, monkeypatch):
+        # x is a binary float, so x^(m-1) has ~20 digits per candidate
+        def computed(*args):
+            raise AssertionError("probabilities computed before refusal")
+
+        monkeypatch.setattr(instances, "reduction_probabilities", computed)
+        sigma = Sequence(tuple(ValueVector((F(i),)) for i in range(1, 401)))
+        with pytest.raises(ResourceLimit) as err:
+            det_to_iid(sigma, AgentParams(F(1, 2), 1), F(1, 2), n_override=5)
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == \
+            f"a number past {limit} digits cannot be printed"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_digit_refusal_is_tight_and_sound(self):
+        # x = 2^-64: p_1's numerator 2^(64(m-1)) has 636 digits at m = 34
+        # and 656 at m = 35, against a limit of 640
+        params, x = AgentParams(F(1, 2), 1), F(1, 2 ** 64)
+
+        def reduce(m):
+            sigma = Sequence(tuple(ValueVector((F(i),))
+                                   for i in range(1, m + 1)))
+            return det_to_iid(sigma, params, F(1, 2), n_override=2,
+                              x_override=x)
+
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            prior, _ = reduce(34)
+            assert len(str(prior.steps[0].atoms[0][1].numerator)) == 636
+            with pytest.raises(ResourceLimit, match="past 640 digits"):
+                reduce(35)
+            with pytest.raises(ValueError):
+                str(reduction_probabilities(35, x)[0])
+            sys.set_int_max_str_digits(0)  # no limit: nothing is refused
+            assert reduce(35)[0].steps[0].atoms[0][1] == \
+                reduction_probabilities(35, x)[0]
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_per_candidate_miss_bound(self):
         # Pr[atom i absent] = (1-p_i)^n <= (1 - x^(m-1)/m)^n; the tightest

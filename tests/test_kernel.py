@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from lap import policies
-from lap.analysis import _e_sum_dim_maxima, _expectation_of
+from lap.analysis import _e_sum_dim_maxima
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -24,6 +24,7 @@ from lap.core import (
     prior_from_json,
     prior_to_json,
 )
+from lap.policies import _expectation_of
 
 GRID = tuple(sorted({F(a, b) for a in range(7) for b in (1, 2, 3, 5)}))
 

@@ -29,7 +29,7 @@ from lap.core import (
     ValueVector,
     prior_from_json,
 )
-from lap.instances import gen_alternating_geometric
+from lap.instances import gen_alternating_geometric, gen_random_prior
 from lap.policies import (
     Policy,
     compile_policy,
@@ -315,10 +315,10 @@ class TestPriorMemo:
                                        "rational")}
 
         def counted(name, build, only_key=None):
-            def wrapper(prior, *args):
+            def wrapper(prior, *args, **kwargs):
                 if only_key is None or args == (only_key,):
                     built[name].append(prior)
-                return build(prior, *args)
+                return build(prior, *args, **kwargs)
             return wrapper
 
         for name, attr, key in (("ranks", "_rank_table", None),
@@ -340,8 +340,8 @@ class TestPriorMemo:
         results = []
 
         def kept(build):
-            def wrapper(prior, *args):
-                got = build(prior, *args)
+            def wrapper(prior, *args, **kwargs):
+                got = build(prior, *args, **kwargs)
                 results.append(got[0] if isinstance(got, tuple) else got)
                 return got
             return wrapper
@@ -375,11 +375,11 @@ class TestPriorMemo:
         verify_prophet_bound(prior, params)
         verify_online_bound(prior, params)
         ratio_report(prior, params)
-        kept = {key[0].__name__ for key in prior.__dict__["_memo"]}
+        kept = {build.__name__ for build in prior.__dict__["_memo"]}
         assert kept == {"_rank_table", "_max_convolution", "_biased_dp"}
         prior = prior_of(self.STEPS)
         exact_expectation(prior, Policy.accept_last(), params)
-        assert [key[0].__name__ for key in prior.__dict__["_memo"]] == \
+        assert [build.__name__ for build in prior.__dict__["_memo"]] == \
             ["_rank_table"]
 
     def test_a_lambda_loop_holds_one_biased_dp(self):
@@ -390,25 +390,71 @@ class TestPriorMemo:
         kept = []
         for i in range(101):
             ratio_report(prior, AgentParams(F(i, 50), 2))
-            dps = [result for key, result in prior.__dict__["_memo"].items()
-                   if key[0] is policies._biased_dp]
+            dps = [result for build, (_, result)
+                   in prior.__dict__["_memo"].items()
+                   if build is policies._biased_dp]
             assert len(dps) == 1
             kept.append(weakref.ref(dps[0]))
             del dps
         gc.collect()
         assert [ref() is None for ref in kept] == [True] * 100 + [False]
 
+    @staticmethod
+    def dp_outcome(prior, params, budget=None):
+        try:
+            return repr(optimal_biased_policy(prior, params, budget=budget))
+        except ResourceLimit as err:
+            return str(err)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_kept_dp_answers_every_budget_as_a_fresh_one(self, seed):
+        rng = random.Random(f"kept-dp/{seed}")
+        k = rng.choice([1, 2, 3])
+        prior = gen_random_prior(rng, k=k, n_max=6, atoms_max=3)
+        for lam in (F(1, 3), 0.25):
+            params = AgentParams(lam, k)
+            count = optimal_biased_policy(prior, params).state_count
+            for budget in range(1, count + 2):
+                fresh = ProductPrior(prior.steps)
+                assert self.dp_outcome(prior, params, budget) == \
+                    self.dp_outcome(fresh, params, budget)
+
+    def test_a_kept_dp_is_not_rebuilt_for_another_budget(self, monkeypatch):
+        built = []
+        build = policies._biased_dp
+
+        def counted(*args, **kwargs):
+            result = build(*args, **kwargs)
+            built.append(args)  # a refused pass builds nothing
+            return result
+
+        monkeypatch.setattr(policies, "_biased_dp", counted)
+        prior = prior_of(self.STEPS)
+        params = AgentParams(F(1, 2), 2)
+        first = optimal_biased_policy(prior, params)
+        count = first.state_count
+        for budget in (count, count + 1, None):
+            assert optimal_biased_policy(prior, params, budget=budget) is first
+        for budget in range(1, count):
+            with pytest.raises(ResourceLimit):
+                optimal_biased_policy(prior, params, budget=budget)
+        assert optimal_biased_policy(prior, params) is first
+        assert len(built) == 1
+
     def test_a_miss_drops_only_its_own_pass(self):
         prior = prior_of(self.STEPS)
         params = AgentParams(F(1, 2), 2)
         first = optimal_biased_policy(prior, params)
         table = prior.memoized(policies._rank_table)
-        other = optimal_biased_policy(prior, params, budget=50)
-        assert optimal_biased_policy(prior, params, budget=50) is other
-        # the budget is part of the key: the first DP was dropped, not kept
+        # the budget is no part of the key: the kept DP answers it
+        assert optimal_biased_policy(prior, params, budget=50) is first
+        third = AgentParams(F(1, 3), 2)
+        other = optimal_biased_policy(prior, third)
+        assert optimal_biased_policy(prior, third, budget=50) is other
+        # lambda is part of the key: the first DP was dropped, not kept
         assert optimal_biased_policy(prior, params) is not first
         assert prior.memoized(policies._rank_table) is table
-        assert [key[0].__name__ for key in prior.__dict__["_memo"]] == \
+        assert [build.__name__ for build in prior.__dict__["_memo"]] == \
             ["_rank_table", "_biased_dp"]
 
 
