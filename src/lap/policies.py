@@ -19,11 +19,11 @@ Three families of rules live here:
   of every realization.  The state budget caps the states each exact pass
   holds (`_charge`) and the number of states a Monte Carlo walk interns.
 
-All of these run on one lattice core: one per-prior rank table, one join
-and one stop view.  `_stop_view` gives the biased DP, exact expectation and
-the Monte Carlo walk the view, lambda as a/b and a fresh `_Norms` table, so
-each scores a stop on scaled value v that joins state s as
-b*v - a*(norms[s] - v).  Every walk keys its states on rank tuples (each
+All of these run on one lattice core: one per-prior rank table, one join (once
+per pair in the biased DP) and one stop view.  `_stop_view` gives the biased
+DP, exact expectation and the Monte Carlo walk the view, lambda as a/b and a
+fresh `_Norms` table, so each scores a stop on scaled value v that joins state
+s as b*v - a*(norms[s] - v).  Every walk keys its states on rank tuples (each
 coordinate's values replaced by their rank among its distinct values), so
 joins compare small ints, and reads a rule as accept masks: per (step,
 rank state), the int of the row's bits of the atoms it stops on.  A
@@ -753,21 +753,31 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     """The reachable super candidates before each step as sorted rank
     tuples, whose total count the state budget caps, then backward
     induction over them in the integer view (the identity view when lambda
-    or the prior has a float).  With lambda = a/b, a stop's utility
-    b*v - a*(s - v) is an int over b*L, and V_t(state) one int over
-    b*L*prod_{u>=t} D_u; the stop utility is raised to the continuation's
-    scale before `u >= cont`, so every decision is the Fraction one.  A
-    state's accept mask is kept by (t, ranks), and no state is decoded to
-    its values; stops are scored on `_stop_view`'s norm table."""
+    or the prior has a float).  Each (state, atom) pair is joined once, a
+    step's pairs column-wise; induction reads, then drops, a step's joins.
+    With lambda = a/b, a stop's utility b*v - a*(s - v), an int over b*L,
+    is raised to V_{t+1}'s scale, b*L*prod_{u>t} D_u, before `u >= cont`,
+    so every decision is the Fraction one.  A state's accept mask is kept
+    by (t, ranks); stops are scored, undecoded, on `_stop_view`'s norms."""
     rank_table = rows, _, _, _ = prior.memoized(_rank_table)
     n = prior.n
-    layers = [((0,) * prior.k,)]
-    count = 1
-    for t, row in zip(range(2, n + 1), rows):  # no copy of rows
-        nxt = {_join(s, atom[3]) for s in layers[-1] for atom in row.plain}
-        count += len(nxt)
-        _charge(count, budget, t)
-        layers.append(tuple(sorted(nxt)))
+    layer, layers, joins = ((0,) * prior.k,), [], []
+    cols, count, last = [(0,)] * prior.k, 1, None  # `layer`'s columns
+    for t, row in enumerate(rows, 1):
+        if row is not last:  # `ranks`: the row's atom ranks, column-wise
+            last, ranks = row, tuple(zip(*[atom[3] for atom in row.plain]))
+        cols = [[c if c > x else x for c in col for x in xs]
+                for col, xs in zip(cols, ranks)]
+        joined = tuple(zip(*cols))
+        layers.append(layer)
+        if t < n:  # one pair is its own next layer, columns and all
+            layer = sorted(set(joined)) if len(joined) > 1 else joined
+            if layer is not joined:  # the kept joins share its tuples
+                joined = tuple(map(dict(zip(layer, layer)).get, joined))
+                cols = tuple(zip(*layer))
+            count += len(layer)
+            _charge(count, budget, t + 1)
+        joins.append(joined)  # step n's too, which are not charged
     _, exact, a, b, norms, unit = _stop_view(prior, lam)
     masks: Dict[Tuple[int, tuple], int] = {}
     values: Dict[tuple, Number] = {}
@@ -775,11 +785,11 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     for t in range(n, 0, -1):
         atoms, den = _view(rows[t - 1], exact)
         newvals: Dict[tuple, Number] = {}
-        for s in layers[t - 1]:
+        pairs = iter(joins.pop())
+        for s in layers.pop():
             total = 0
             mask = 0
-            for _, val, p, ranks, bit in atoms:
-                joined = _join(s, ranks)
+            for (_, val, p, _, bit), joined in zip(atoms, pairs):
                 u = (b * val - a * (norms[joined] - val)) * scale
                 # step n takes every offer (cont = u): against declining
                 # everything, 0 - a*s, it gains u - (0 - a*s) = (b + a)*val,
@@ -795,7 +805,7 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
             masks[(t, s)] = mask
         values = newvals
         scale *= den
-    return DPResult(_unscaled(exact, values[layers[0][0]], unit * scale),
+    return DPResult(_unscaled(exact, values[(0,) * prior.k], unit * scale),
                     count, masks, rank_table)
 
 

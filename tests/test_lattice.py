@@ -37,6 +37,8 @@ from lap.policies import (
     optimal_biased_policy,
     patience_compare,
 )
+from test_masks import reachable
+from test_walks import FLAVORS, random_prior
 
 
 def prior_of(steps):
@@ -456,6 +458,48 @@ class TestPriorMemo:
         assert prior.memoized(policies._rank_table) is table
         assert [build.__name__ for build in prior.__dict__["_memo"]] == \
             ["_rank_table", "_biased_dp"]
+
+
+class TestLatticeAgainstReachable:
+    """The biased DP's layers against an independent walk of the reachable
+    rank states (`test_masks.reachable`, which joins through
+    `policies._join`): the mask keys in backward-induction order, the state
+    count, and the budget each layer's running count passes."""
+
+    @staticmethod
+    def priors():
+        rng = random.Random("dp-lattice")
+        for i in range(60):
+            yield random_prior(rng, FLAVORS[i % 4])
+        # one state per layer: every join is its own next layer
+        for k in range(1, 5):
+            for n in (1, 2, 3, 7, 20, 60):
+                yield ProductPrior.deterministic(Sequence(tuple(
+                    ValueVector(tuple(F(rng.randint(0, 12), rng.choice((1, 2)))
+                                      for _ in range(k)))
+                    for _ in range(n))))
+
+    @pytest.mark.parametrize("lam", [F(2, 3), 0.3, 0])
+    def test_masks_count_and_budgets_follow_the_reachable_layers(self, lam):
+        for prior in self.priors():
+            layers = [sorted(layer) for layer in reachable(prior)]
+            res = policies._biased_dp(prior, lam, 10 ** 6)
+            assert list(res.masks) == [(t, s) for t in range(prior.n, 0, -1)
+                                       for s in layers[t - 1]]
+            sizes = [len(layer) for layer in layers]
+            assert res.state_count == sum(sizes)
+            for budget in range(1, res.state_count + 2):
+                if budget >= res.state_count:
+                    got = policies._biased_dp(prior, lam, budget)
+                    assert repr(got) == repr(res)
+                    continue
+                t = next(t for t in range(1, prior.n + 1)
+                         if sum(sizes[:t]) > budget)
+                with pytest.raises(ResourceLimit) as err:
+                    policies._biased_dp(prior, lam, budget)
+                assert str(err.value) == (f"state budget {budget} exceeded "
+                                          f"({sum(sizes[:t])}+ states by "
+                                          f"step {t})")
 
 
 def test_l1_is_read_once_and_leaves_the_vector_unchanged():
