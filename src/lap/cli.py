@@ -7,8 +7,9 @@ and monte-carlo; --format (json or csv) by ratio and sweep; --budget-states
 and --float by every subcommand but generate.  All computation runs on exact
 rationals; --float only changes how report numbers are printed.  Exit codes:
 0 success, 1 a verification check failed (the report is still emitted), 2
-invalid input, resource limit, usage error or an internal error (any other
-exception, reported as `error: internal error: <type>: <message>`).
+invalid input, resource limit (running out of memory is one), usage error or
+an internal error (any other exception, reported as `error: internal error:
+<type>: <message>`).
 _GENERATORS is the one place an instance family's flags live: --gen reads
 its choices from it, and one function checks, passes and prints (in the
 instance id) the flags each family takes.
@@ -619,6 +620,9 @@ def main(argv=None) -> int:
         return 2
     except (ResourceLimit, OverflowError) as err:  # a float past its range
         print(f"error: resource limit: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:  # e.g. an iid prior that declares n = 2**62
+        print("error: resource limit: out of memory", file=sys.stderr)
         return 2
     except Exception as err:  # a defect; exit 1 would read as a counterexample
         print(f"error: internal error: {type(err).__name__}: {err}",

@@ -120,11 +120,6 @@ class ValueVector:
         return ValueVector(tuple(max(a, b)
                                  for a, b in zip(self.entries, other.entries)))
 
-    def dominates(self, other: "ValueVector") -> bool:
-        """Coordinatewise >=."""
-        self._check_dim(other)
-        return all(a >= b for a, b in zip(self.entries, other.entries))
-
     @property
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -206,10 +201,14 @@ class FiniteDistribution:
                 raise InvalidInput("all atoms must share one dimension")
             if (p.numerator if type(p) is Fraction else p) <= 0:
                 raise InvalidInput("probabilities must be strictly positive")
-            if v.entries in seen:
+            # a support point's key is its entries as exact int ratios, so
+            # Fraction(1, 2) and 0.5 collide with no Fraction.__hash__ call;
+            # the key is hashed once, by add
+            size = len(seen)
+            seen.add(tuple(e.as_integer_ratio() for e in v.entries))
+            if len(seen) == size:
                 raise InvalidInput(
                     f"duplicate support point {_shown(v.entries)}")
-            seen.add(v.entries)
         if all(isinstance(p, Fraction) for _, p in atoms):
             # one int sum over the lcm of the denominators
             den = math.lcm(*(p.denominator for _, p in atoms))
@@ -424,14 +423,6 @@ def is_succinct(sigma: Sequence) -> bool:
     return True
 
 
-def pointwise_dominates(a: Sequence, b: Sequence) -> bool:
-    """Every candidate of `a` has at least the L1 value of `b`'s candidate at
-    the same index; sequences must have equal lengths."""
-    if a.n != b.n:
-        raise InvalidInput("point-wise dominance needs equal lengths")
-    return all(x.l1 >= y.l1 for x, y in zip(a.candidates, b.candidates))
-
-
 def higher_quality(a: Sequence, b: Sequence) -> bool:
     """The worst candidate of `a` beats the best candidate of `b`."""
     return min(c.l1 for c in a.candidates) > max(c.l1 for c in b.candidates)
@@ -541,9 +532,27 @@ def _json_list(x, what: str) -> list:
     return x
 
 
-def _vector_from_json(row, exact: bool, what: str) -> ValueVector:
-    return ValueVector(tuple(number_from_json(e, exact)
-                             for e in _json_list(row, what)))
+class _Numbers(dict):
+    """Number string -> number_from_json(string, exact), kept for one
+    prior_from_json or sequence_from_json call, so that an instance is
+    parsed once per distinct number string.  Only str keys go in, so 1,
+    1.0, true and "1" each keep their own check; a string that fails
+    raises as number_from_json does and is not kept."""
+
+    def __init__(self, exact: bool):
+        super().__init__()
+        self.exact = exact
+
+    def __missing__(self, text: str) -> Number:
+        value = self[text] = number_from_json(text, self.exact)
+        return value
+
+    def read(self, x) -> Number:
+        return self[x] if type(x) is str else number_from_json(x, self.exact)
+
+
+def _vector_from_json(row, numbers: _Numbers, what: str) -> ValueVector:
+    return ValueVector(tuple(map(numbers.read, _json_list(row, what))))
 
 
 def sequence_from_json(obj: dict, exact: bool = True) -> Sequence:
@@ -553,7 +562,8 @@ def sequence_from_json(obj: dict, exact: bool = True) -> Sequence:
     except (TypeError, KeyError) as err:
         raise InvalidInput("sequence JSON needs 'k' and 'candidates'") from err
     k = _json_int(k, "'k'")
-    cands = tuple(_vector_from_json(row, exact, "a candidate")
+    numbers = _Numbers(exact)
+    cands = tuple(_vector_from_json(row, numbers, "a candidate")
                   for row in _json_list(rows, "'candidates'"))
     sigma = Sequence(cands)
     if sigma.k != k:
@@ -566,7 +576,7 @@ def _dist_to_json(dist: FiniteDistribution) -> dict:
                        "p": number_to_json(p)} for v, p in dist.atoms]}
 
 
-def _dist_from_json(obj: dict, exact: bool) -> FiniteDistribution:
+def _dist_from_json(obj: dict, numbers: _Numbers) -> FiniteDistribution:
     try:
         atoms = obj["atoms"]
     except (TypeError, KeyError) as err:
@@ -575,8 +585,8 @@ def _dist_from_json(obj: dict, exact: bool) -> FiniteDistribution:
     for a in _json_list(atoms, "'atoms'"):
         if not isinstance(a, dict) or "v" not in a or "p" not in a:
             raise InvalidInput("an atom needs 'v' and 'p'")
-        pairs.append((_vector_from_json(a["v"], exact, "an atom's 'v'"),
-                      number_from_json(a["p"], exact)))
+        pairs.append((_vector_from_json(a["v"], numbers, "an atom's 'v'"),
+                      numbers.read(a["p"])))
     return FiniteDistribution(tuple(pairs))
 
 
@@ -602,13 +612,16 @@ def prior_from_json(obj: dict, exact: bool = True) -> ProductPrior:
     k = _json_int(k, "'k'")
     n = _json_int(n, "'n'")
     iid = _json_bool(iid, "'iid'")
-    dists = [_dist_from_json(s, exact)
-             for s in _json_list(raw_steps, "'steps'")]
+    numbers = _Numbers(exact)
+    dists = tuple(_dist_from_json(s, numbers)
+                  for s in _json_list(raw_steps, "'steps'"))
     if iid and len(dists) == 1 and n > 1:
+        # a tuple, which ProductPrior keeps as it is: an n-step iid prior
+        # holds one n-long array of references while it is read
         dists = dists * n
     if len(dists) != n:
         raise InvalidInput(f"declared n={n} but got {len(dists)} steps")
-    prior = ProductPrior(tuple(dists))
+    prior = ProductPrior(dists)
     if prior.k != k:
         raise InvalidInput(f"declared k={k} but steps have k={prior.k}")
     if iid != prior.iid:

@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
-Everything in this file is deliberately package-free (stdlib only) and written
-in the most direct way possible: plain tuples for value vectors, lists of
-(vector, probability) pairs for per-step distributions, and exhaustive
-recursion instead of any state collapsing.  The point is to cross-check the
-library against code that shares none of its structure.
+Everything in this file but the two dominance predicates at its end is
+deliberately package-free (stdlib only) and written in the most direct way
+possible: plain tuples for value vectors, lists of (vector, probability)
+pairs for per-step distributions, and exhaustive recursion instead of any
+state collapsing.  The point is to cross-check the library against code
+that shares none of its structure.
 """
 
 import itertools
@@ -269,3 +270,25 @@ def random_sequence(rng, n_max=5, k=2, value_grid=VALUE_GRID):
     n = rng.randint(1, n_max)
     return tuple(tuple(rng.choice(value_grid) for _ in range(k))
                  for _ in range(n))
+
+
+# ---------------------------------------------------------------------------
+# The paper's dominance predicates on the library's own objects.  No code in
+# lap calls them; the tests use them as references.  They raise the
+# library's InvalidInput on a dimension or length mismatch.
+# ---------------------------------------------------------------------------
+
+
+def dominates(a, b):
+    """Value vector `a` is coordinatewise >= value vector `b`."""
+    a._check_dim(b)
+    return all(x >= y for x, y in zip(a.entries, b.entries))
+
+
+def pointwise_dominates(a, b):
+    """Every candidate of sequence `a` has at least the L1 value of `b`'s
+    candidate at the same index; the sequences must have equal lengths."""
+    from lap.core import InvalidInput
+    if len(a.candidates) != len(b.candidates):
+        raise InvalidInput("point-wise dominance needs equal lengths")
+    return all(x.l1 >= y.l1 for x, y in zip(a.candidates, b.candidates))

@@ -357,6 +357,24 @@ class TestEvaluate:
         assert err.startswith("error: resource limit")
         assert "Traceback" not in err
 
+    # 2**62 steps pass every check of the JSON, and the interpreter refuses
+    # the n-long step tuple by its size before it allocates: out of memory
+    # is a resource limit; 2**63 does not fit an index at all
+    @pytest.mark.parametrize("power", [62, 63])
+    def test_iid_prior_past_memory_exits_two(self, capsys, tmp_path, power):
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps({**ONE_STEP_PRIOR, "n": 2 ** power}))
+        code, out, err = run_cli(capsys, "evaluate", "--in", str(target),
+                                 "--lambda", "1/2", "--policy",
+                                 "accept-last")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: resource limit: ")
+        assert "internal error" not in err
+        assert "Traceback" not in err
+        if power == 62:
+            assert err == "error: resource limit: out of memory\n"
+
 
 class TestRatio:
     def test_motivating_example(self, capsys):

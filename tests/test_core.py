@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import dominates, pointwise_dominates
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -28,7 +29,6 @@ from lap.core import (
     no_selection_utility,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
-    pointwise_dominates,
     prior_from_json,
     prior_to_json,
     rational_utility,
@@ -175,7 +175,7 @@ class TestSuperCandidate:
             for t in range(1, s.n + 1):
                 cur = super_candidate(s.prefix(t))
                 if prev is not None:
-                    assert cur.dominates(prev)
+                    assert dominates(cur, prev)
                 prev = cur
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import pointwise_dominates
 from lap import instances
 from lap.core import (
     AgentParams,
@@ -24,7 +25,6 @@ from lap.core import (
     max_value,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
-    pointwise_dominates,
     representation,
 )
 from lap.instances import (
