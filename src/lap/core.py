@@ -1,4 +1,4 @@
-"""Domain types and pointwise utility formulas.
+"""Domain types, the offline optima and the exact JSON forms.
 
 The model: a gambler inspects n candidates online, each carrying a
 k-dimensional non-negative value vector.  The reference point at step t is the
@@ -8,7 +8,9 @@ far.  A biased agent with loss-aversion weight lambda receives
     U(sigma, t) = ||sigma^(t)||_1 - lambda * (||s||_1 - ||sigma^(t)||_1)
 
 where s is s^(t) for the online gambler and s^(n) for the offline prophet.
-Rational (lambda = 0) agents just receive the value.
+Rational (lambda = 0) agents just receive the value.  The offline optima
+here score every stop of a sequence; `policies.run_rule` scores the one
+stop an online rule makes, and the lattice passes score stops on a prior.
 
 Two arithmetic modes coexist: exact rationals (fractions.Fraction, the
 default; every closed-form identity is checked exactly) and plain floats for
@@ -25,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -108,17 +110,6 @@ class ValueVector:
         # computed on first read and kept in the instance dict; dataclass
         # equality, hash and repr see only `entries`
         return sum(self.entries)
-
-    def _check_dim(self, other: "ValueVector") -> None:
-        if self.k != other.k:
-            raise InvalidInput(
-                f"dimension mismatch: {self.k} vs {other.k}")
-
-    def join(self, other: "ValueVector") -> "ValueVector":
-        """Coordinatewise maximum."""
-        self._check_dim(other)
-        return ValueVector(tuple(max(a, b)
-                                 for a, b in zip(self.entries, other.entries)))
 
     @property
     def is_zero(self) -> bool:
@@ -319,53 +310,6 @@ def _check_dims(sigma: Sequence, params: AgentParams) -> None:
     if sigma.k != params.k:
         raise InvalidInput(
             f"sequence dimension {sigma.k} != params dimension {params.k}")
-
-
-def super_candidate(prefix) -> ValueVector:
-    """Coordinatewise maximum over a non-empty prefix (the reference point)."""
-    if isinstance(prefix, Sequence):
-        vecs = prefix.candidates
-    else:
-        vecs = tuple(prefix)
-    if not vecs:
-        raise InvalidInput("empty prefix has no super candidate")
-    first = vecs[0]
-    entries = first.entries  # joined as tuples: one vector per call
-    for v in vecs[1:]:
-        first._check_dim(v)
-        entries = tuple(map(max, entries, v.entries))
-    return ValueVector(entries)
-
-
-def rational_utility(sigma: Sequence, t: int) -> Number:
-    _check_index(sigma, t)
-    return sigma.candidates[t - 1].l1
-
-
-def biased_gambler_utility(sigma: Sequence, t: int,
-                           params: AgentParams) -> Number:
-    """Value at t minus lambda times the shortfall to s^(t)."""
-    _check_index(sigma, t)
-    _check_dims(sigma, params)
-    v = sigma.candidates[t - 1].l1
-    s = super_candidate(sigma.candidates[:t]).l1
-    return v - params.lam * (s - v)
-
-
-def biased_prophet_utility(sigma: Sequence, t: int,
-                           params: AgentParams) -> Number:
-    """Like the gambler's utility but referenced against s^(n)."""
-    _check_index(sigma, t)
-    _check_dims(sigma, params)
-    v = sigma.candidates[t - 1].l1
-    s = super_candidate(sigma.candidates).l1
-    return v - params.lam * (s - v)
-
-
-def no_selection_utility(sigma: Sequence, params: AgentParams) -> Number:
-    """Walking away scores as a zero-valued pick against s^(n)."""
-    _check_dims(sigma, params)
-    return -params.lam * super_candidate(sigma.candidates).l1
 
 
 def max_value(sigma: Sequence) -> Number:

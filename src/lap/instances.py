@@ -346,7 +346,7 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
 
     probs = reduction_probabilities(m, x)
     dist = FiniteDistribution(tuple(zip(sigma.candidates, probs)))
-    return ProductPrior((dist,) * n), meta
+    return ProductPrior.iid_prior(dist, n), meta
 
 
 def rows_for_slack(lam: Number, k: int, epsilon: Number) -> int:

@@ -82,6 +82,7 @@ from .core import (
     ResourceLimit,
     Sequence,
     StoppingOutcome,
+    _coerce,
     _json_int,
     _parse_int,
     number_from_json,
@@ -134,6 +135,11 @@ class Policy:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInput(f"unknown policy kind {self.kind!r}")
+        for value, what in ((self.threshold, "threshold"),
+                            (self.atom_accept_prob, "atom_accept_prob"),
+                            (self.alpha, "alpha"), (self.lam, "lambda")):
+            if value is not None:
+                _coerce(value, what)  # a refusal only: the value is kept
         if self.kind == "threshold":
             if self.alpha is not None:
                 if not 0 < self.alpha < 1:
@@ -463,6 +469,8 @@ def run_rule(rule: Rule, sigma: Sequence,
              params: AgentParams) -> StoppingOutcome:
     """Online scan of one deterministic rule over one realization: the one
     scorer of a caller's own values (declining is a zero-valued pick)."""
+    if sigma.k != params.k:
+        raise InvalidInput("sequence and params dimensions differ")
     lam = params.lam
     s = (Fraction(0),) * sigma.k
     for t, vec in enumerate(sigma.candidates, 1):
@@ -488,6 +496,8 @@ def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
     before each step count against the budget as the DP's layers do.  The
     identity view runs the same loops, in the order the Fraction formulas
     did."""
+    if prior.k != params.k:
+        raise InvalidInput("prior and params dimensions differ")
     limit = resolve_budget(budget)
     accept = _accept_masks(rule, prior)
     rows, exact, a, b, norms, unit = _stop_view(prior, params.lam)
@@ -680,25 +690,13 @@ def _e_best_value(prior: ProductPrior) -> Number:
     return _laws_expectation([prior.memoized(_max_convolution, sum)])
 
 
-def _decoded(law, exact: bool, unit: int, scale: int):
-    """A `_max_convolution` law as values and probabilities."""
-    if not exact:
-        return law
-    return {Fraction(x, unit): Fraction(p, scale) for x, p in law.items()}
-
-
-def max_distribution(prior: ProductPrior,
-                     key: Callable[[tuple], Number]) -> Dict[Number, Number]:
-    """Exact distribution of max_t key(sigma^(t)) for a scalar `key` of a
-    candidate's entries.  `key` reads the entries at the view's scale, so it
-    must commute with scaling them (a sum, or one coordinate, does)."""
-    return _decoded(*_max_convolution(prior, key))
-
-
 def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
     """Exact distribution of V* = max_t ||sigma^(t)||_1, decoded from the
-    kept int law."""
-    return _decoded(*prior.memoized(_max_convolution, sum))
+    kept law into a dict of the caller's own."""
+    law, exact, unit, scale = prior.memoized(_max_convolution, sum)
+    if not exact:
+        return dict(law)
+    return {Fraction(x, unit): Fraction(p, scale) for x, p in law.items()}
 
 
 def threshold_from_alpha(prior: ProductPrior, alpha: Number,
@@ -891,6 +889,8 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     again, so the states entered, which the budget caps, are distinct.
     Once `b` has stopped, `a` is still followed until it stops, so a rule
     that leaves its compiled support raises as on a realization scan."""
+    if prior.k != params.k:
+        raise InvalidInput("prior and params dimensions differ")
     limit = resolve_budget(budget)
     accept_a = _accept_masks(_single_rule(a, prior, params, limit), prior)
     accept_b = _accept_masks(_single_rule(b, prior, params, limit), prior)

@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
-Everything in this file but the two dominance predicates at its end is
-deliberately package-free (stdlib only) and written in the most direct way
-possible: plain tuples for value vectors, lists of (vector, probability)
-pairs for per-step distributions, and exhaustive recursion instead of any
-state collapsing.  The point is to cross-check the library against code
+Everything in this file but the three helpers at its end is deliberately
+package-free (stdlib only) and written in the most direct way possible:
+plain tuples for value vectors, lists of (vector, probability) pairs for
+per-step distributions, and exhaustive recursion instead of any state
+collapsing.  The point is to cross-check the library against code
 that shares none of its structure.
 """
 
@@ -273,15 +273,18 @@ def random_sequence(rng, n_max=5, k=2, value_grid=VALUE_GRID):
 
 
 # ---------------------------------------------------------------------------
-# The paper's dominance predicates on the library's own objects.  No code in
-# lap calls them; the tests use them as references.  They raise the
-# library's InvalidInput on a dimension or length mismatch.
+# On the library's own objects: the paper's dominance predicates, which no
+# code in lap calls (the tests use them as references, and they raise the
+# library's InvalidInput on a dimension or length mismatch), and the
+# gambler's utility of one stop as the library scores it.
 # ---------------------------------------------------------------------------
 
 
 def dominates(a, b):
     """Value vector `a` is coordinatewise >= value vector `b`."""
-    a._check_dim(b)
+    from lap.core import InvalidInput
+    if a.k != b.k:
+        raise InvalidInput(f"dimension mismatch: {a.k} vs {b.k}")
     return all(x >= y for x, y in zip(a.entries, b.entries))
 
 
@@ -292,3 +295,10 @@ def pointwise_dominates(a, b):
     if len(a.candidates) != len(b.candidates):
         raise InvalidInput("point-wise dominance needs equal lengths")
     return all(x.l1 >= y.l1 for x, y in zip(a.candidates, b.candidates))
+
+
+def stop_utility(sigma, t, params):
+    """The gambler's utility of stopping at step t of sequence `sigma`, as
+    `run_policy` scores a fixed-index stop (`run_rule` is the scorer)."""
+    from lap.policies import Policy, run_policy
+    return run_policy(Policy.fixed_index(t), sigma, params).utility

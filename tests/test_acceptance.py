@@ -10,13 +10,13 @@ import time
 from fractions import Fraction as F
 
 import oracles
+from oracles import stop_utility
 from lap.core import (
     AgentParams,
     FiniteDistribution,
     ProductPrior,
     Sequence,
     ValueVector,
-    biased_gambler_utility,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
 )
@@ -89,7 +89,7 @@ def test_geometric_family_headline_ratios():
         assert rep.online_ratio == F(2) ** (n // 2 - 1)
         if n >= 6:
             assert sigma.candidates[4].entries == (4, 0)
-            assert biased_gambler_utility(sigma, 5, params) == 0
+            assert stop_utility(sigma, 5, params) == 0
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -111,10 +111,10 @@ def test_supercritical_and_critical_growth():
                 assert rep.e_prophet_rational == beta ** (rows - 1)
                 assert rep.e_gambler_biased_opt == 1
                 assert rep.prophet_ratio == beta ** (rows - 1)
-                assert biased_gambler_utility(sigma, 1, params) == 1
+                assert stop_utility(sigma, 1, params) == 1
                 for r in range(1, rows):
                     if r * k + 1 <= n:
-                        u = biased_gambler_utility(sigma, r * k + 1, params)
+                        u = stop_utility(sigma, r * k + 1, params)
                         assert u == 0
         lam = F(1, k - 1)
         params = AgentParams(lam, k)
@@ -127,7 +127,7 @@ def test_supercritical_and_critical_growth():
             assert rep.e_gambler_biased_opt == 1
             for r in range(rows):
                 if r * k + 1 <= n:
-                    u = biased_gambler_utility(sigma, r * k + 1, params)
+                    u = stop_utility(sigma, r * k + 1, params)
                     assert u == 1
     assert time.perf_counter() - t0 < 1.0
 
@@ -306,7 +306,7 @@ def test_behavioral_closed_forms():
                 assert offline_optimal_prophet_utility(ident, params) == \
                     q * (1 - lam * (k - 1))
                 for t in range(1, k + 1):
-                    assert biased_gambler_utility(ident, t, params) == \
+                    assert stop_utility(ident, t, params) == \
                         q * (1 - lam * (t - 1))
             for a in (F(1), F(3, 4)):
                 for lam in lams:
@@ -320,7 +320,7 @@ def test_behavioral_closed_forms():
                         want = a * r + q * (1 - lam * (r - 1))
                         assert offline_optimal_prophet_utility(
                             part, params) == want
-                        assert biased_gambler_utility(part, r, params) == want
+                        assert stop_utility(part, r, params) == want
     for k in (2, 3, 4):
         for lam in (F(1, 4), F(1, 2), F(1, k - 1), F(3, 2), F(2)):
             low, high = gen_quality_pair(k, F(2))

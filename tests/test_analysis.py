@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import stop_utility
 from lap import analysis
 from lap.core import (
     AgentParams,
@@ -15,7 +16,6 @@ from lap.core import (
     ResourceLimit,
     Sequence,
     ValueVector,
-    biased_gambler_utility,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
 )
@@ -603,7 +603,7 @@ class TestSufferingProphet:
                 for q in (F(1), F(5, 2)):
                     sigma = gen_identical_value(k, q)
                     params = AgentParams(lam, k)
-                    first = biased_gambler_utility(sigma, 1, params)
+                    first = stop_utility(sigma, 1, params)
                     assert first > offline_optimal_prophet_utility(
                         sigma, params)
 

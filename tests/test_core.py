@@ -1,4 +1,4 @@
-"""Core types, utility formulas, and sequence predicates.
+"""Core types, the utility of a stop, offline optima, and sequence predicates.
 
 Expected values are frozen up front: hand-derived numbers carry a short
 derivation note, and anything nontrivial is cross-checked against the
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import dominates, pointwise_dominates
+from oracles import dominates, pointwise_dominates, stop_utility
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -20,23 +20,19 @@ from lap.core import (
     ProductPrior,
     Sequence,
     ValueVector,
-    biased_gambler_utility,
-    biased_prophet_utility,
     higher_quality,
     is_succinct,
     max_value,
     number_from_json,
-    no_selection_utility,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
     prior_from_json,
     prior_to_json,
-    rational_utility,
     representation,
     sequence_from_json,
     sequence_to_json,
-    super_candidate,
 )
+from lap.policies import Policy, run_policy
 
 
 class Signed(F):
@@ -50,6 +46,18 @@ def typed(x):
 
 def seq(*rows):
     return Sequence(tuple(ValueVector(tuple(F(x) for x in row)) for row in rows))
+
+
+def rows_of(sigma):
+    """A sequence in the oracles' form: its candidates' entry tuples."""
+    return [c.entries for c in sigma.candidates]
+
+
+def reference_norm(sigma, t):
+    """||s^(t)||_1 as the library scores a stop at t: at lambda = 1 the
+    stop scores v - (||s^(t)||_1 - v)."""
+    params = AgentParams(F(1), sigma.k)
+    return 2 * sigma.candidates[t - 1].l1 - stop_utility(sigma, t, params)
 
 
 # alternating-geometric stream for n=6, k=2, beta=2
@@ -86,10 +94,6 @@ class TestValueVector:
         with pytest.raises(InvalidInput):
             ValueVector(())
 
-    def test_join_requires_matching_dimension(self):
-        with pytest.raises(InvalidInput):
-            ValueVector((F(1),)).join(ValueVector((F(1), F(2))))
-
     def test_ints_become_exact(self):
         v = ValueVector((1, 2))
         assert isinstance(v.entries[0], F)
@@ -116,55 +120,37 @@ class TestAgentParams:
 
 
 class TestSuperCandidate:
+    """s^(t): the oracle's running maximum, and its L1 norm in the
+    library's score of a stop at t."""
+
     def test_spec_example(self):
-        assert super_candidate(seq((1, 0), (0, 1), (2, 0))).entries == (2, 1)
+        s = seq((1, 0), (0, 1), (2, 0))
+        assert oracles.running_max(rows_of(s)) == (2, 1)
+        assert reference_norm(s, 3) == 3
 
     def test_single_element_identity(self):
-        assert super_candidate(seq((5, 3))).entries == (5, 3)
+        s = seq((5, 3))
+        assert oracles.running_max(rows_of(s)) == (5, 3)
+        assert reference_norm(s, 1) == 8
 
     def test_four_step_scan(self):
-        assert super_candidate(seq((1, 0), (0, 1), (2, 0), (0, 2))).entries == (2, 2)
+        s = seq((1, 0), (0, 1), (2, 0), (0, 2))
+        assert oracles.running_max(rows_of(s)) == (2, 2)
+        assert reference_norm(s, 4) == 4
 
     def test_empty_prefix_rejected(self):
-        with pytest.raises(InvalidInput, match="^empty prefix"):
-            super_candidate(())
+        # no prefix is empty: a sequence needs a candidate, a prefix t >= 1
+        with pytest.raises(InvalidInput,
+                           match="^sequence needs at least one candidate$"):
+            Sequence(())
+        with pytest.raises(InvalidInput, match="^index 0 out of range"):
+            MOTIVATING6.prefix(0)
 
     def test_dimension_mismatch_rejected(self):
         vecs = (ValueVector((1, 2)), ValueVector((3, 4)), ValueVector((5,)))
-        with pytest.raises(InvalidInput, match="^dimension mismatch: 2 vs 1$"):
-            super_candidate(vecs)
-
-    def test_equals_the_chained_join(self):
-        # by type and repr, floats and Fractions mixed, ties common
-        rng = random.Random(17)
-        for _ in range(200):
-            vecs = [ValueVector(tuple(
-                rng.choice((F(x), float(x))) for x in row))
-                for row in oracles.random_sequence(
-                    rng, n_max=6, k=rng.randint(1, 3), value_grid=(0, 1, 2))]
-            want = vecs[0]
-            for v in vecs[1:]:
-                want = want.join(v)
-            assert typed(super_candidate(vecs).entries) == typed(want.entries)
-
-    def test_one_vector_per_call(self, monkeypatch):
-        s = seq(*((t % 7, t % 5) for t in range(200)))
-        p = AgentParams(F(1, 2), 2)
-        built = []
-        init = ValueVector.__post_init__
-
-        def counted(vector):
-            built.append(vector)
-            init(vector)
-
-        monkeypatch.setattr(ValueVector, "__post_init__", counted)
-        for call in (lambda: super_candidate(s),
-                     lambda: biased_gambler_utility(s, s.n, p),
-                     lambda: biased_prophet_utility(s, 1, p),
-                     lambda: no_selection_utility(s, p)):
-            built.clear()
-            call()
-            assert len(built) == 1
+        with pytest.raises(InvalidInput,
+                           match="^all candidates must share one dimension$"):
+            Sequence(vecs)
 
     def test_prefix_monotone(self):
         rng = random.Random(7)
@@ -173,65 +159,70 @@ class TestSuperCandidate:
             s = seq(*rows)
             prev = None
             for t in range(1, s.n + 1):
-                cur = super_candidate(s.prefix(t))
+                cur = ValueVector(oracles.running_max(rows_of(s.prefix(t))))
                 if prev is not None:
                     assert dominates(cur, prev)
                 prev = cur
 
 
 class TestUtilityFormulas:
+    """The gambler's utility of a stop as `run_policy` scores it, and the
+    prophet's and no-selection utilities from the oracles."""
+
     def test_motivating_pick_is_zero(self):
         # 4 - 2*(6 - 4) = 0 at t=5 with lambda=2
         p = AgentParams(F(2), 2)
-        assert biased_gambler_utility(MOTIVATING6, 5, p) == 0
+        assert stop_utility(MOTIVATING6, 5, p) == 0
 
     def test_first_candidate_has_no_regret(self):
         p = AgentParams(F(7), 2)
-        assert biased_gambler_utility(MOTIVATING6, 1, p) == 1
+        assert stop_utility(MOTIVATING6, 1, p) == 1
 
     def test_three_step_derived(self):
         s = seq((3, 0), (0, 2), (4, 3))
         p = AgentParams(F(1, 2), 2)
-        assert biased_gambler_utility(s, 3, p) == 7
+        assert stop_utility(s, 3, p) == 7
 
     def test_index_out_of_range(self):
-        p = AgentParams(F(1), 2)
         with pytest.raises(InvalidInput):
-            biased_gambler_utility(MOTIVATING6, 0, p)
+            Policy.fixed_index(0)
         with pytest.raises(InvalidInput):
-            biased_gambler_utility(MOTIVATING6, 7, p)
+            MOTIVATING6.prefix(7)
 
     def test_prophet_identical_value_family(self):
         # q(1 - lambda(k-1)) with k=3, q=2, lambda=1 -> -2 at every t
-        s = seq((2, 0, 0), (0, 2, 0), (0, 0, 2))
-        p = AgentParams(F(1), 3)
+        rows = rows_of(seq((2, 0, 0), (0, 2, 0), (0, 0, 2)))
         for t in (1, 2, 3):
-            assert biased_prophet_utility(s, t, p) == -2
+            assert oracles.prophet_utility(rows, t, F(1)) == -2
 
     def test_prophet_lambda_zero_is_value(self):
         p = AgentParams(F(0), 2)
         for t in range(1, 7):
-            assert biased_prophet_utility(MOTIVATING6, t, p) == rational_utility(
-                MOTIVATING6, t
-            )
+            assert oracles.prophet_utility(rows_of(MOTIVATING6), t, F(0)) == \
+                stop_utility(MOTIVATING6, t, p) == MOTIVATING6.candidates[
+                    t - 1].l1
 
     def test_prophet_two_step(self):
-        s = seq((1, 0), (0, 1))
-        assert biased_prophet_utility(s, 1, AgentParams(F(1), 2)) == 0
+        assert oracles.prophet_utility(rows_of(seq((1, 0), (0, 1))), 1,
+                                       F(1)) == 0
 
     def test_rational_utility(self):
-        assert rational_utility(seq((4, 3)), 1) == 7
-        assert rational_utility(seq((0, 0)), 1) == 0
-        assert rational_utility(MOTIVATING6, 6) == 4
+        # at lambda = 0 a stop scores its value
+        p = AgentParams(F(0), 2)
+        assert stop_utility(seq((4, 3)), 1, p) == 7
+        assert stop_utility(seq((0, 0)), 1, p) == 0
+        assert stop_utility(MOTIVATING6, 6, p) == 4
 
     def test_no_selection(self):
         s = seq((1, 0), (0, 1))
-        assert no_selection_utility(s, AgentParams(F(0), 2)) == 0
-        assert no_selection_utility(s, AgentParams(F(2), 2)) == -4
+        for lam, want in ((F(0), 0), (F(2), -4)):
+            assert oracles.no_selection(rows_of(s), lam) == want
+            out = run_policy(Policy.threshold(F(100)), s, AgentParams(lam, 2))
+            assert out.selection is None and out.utility == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
-            biased_gambler_utility(MOTIVATING6, 1, AgentParams(F(1), 3))
+            stop_utility(MOTIVATING6, 1, AgentParams(F(1), 3))
 
 
 class TestOfflineOptimal:
@@ -274,7 +265,7 @@ class TestOfflineOptimal:
             out = offline_optimal_biased(s, p)
             assert out.utility <= out.value
             t = out.selection
-            equal = s.candidates[t - 1].entries == super_candidate(s.prefix(t)).entries
+            equal = s.candidates[t - 1].entries == oracles.running_max(rows[:t])
             assert (out.utility == out.value) == equal
 
     def test_prophet_offline_optimal(self):
@@ -284,7 +275,9 @@ class TestOfflineOptimal:
 
     @pytest.mark.parametrize("flavor", ["exact", "float", "mixed"])
     def test_optima_equal_the_oracles_value_and_type(self, flavor):
-        # entries from a 3-value grid, so columns and utilities tie often;
+        # the offline optima and every stop's online score against the
+        # oracles; entries from a 3-value grid, so columns and utilities
+        # tie often;
         # "mixed" draws each entry as a float or a Fraction, so a tie of
         # 1.0 and Fraction(1) shows which one the join keeps
         rng = random.Random(f"offline/{flavor}")
@@ -307,6 +300,16 @@ class TestOfflineOptimal:
                           for t in range(1, len(rows) + 1))
             assert typed(offline_optimal_prophet_utility(sigma, params)) == \
                 typed(prophet)
+            for t in range(1, len(rows) + 1):  # every stop, online
+                got = stop_utility(sigma, t, params)
+                want = oracles.gambler_utility(rows, t, lam)
+                # mixed entries compare by value: the online scan starts
+                # from the empty history's Fraction(0), which a column of
+                # 0.0s leaves in place where the oracle keeps 0.0
+                if flavor == "mixed":
+                    assert got == want
+                else:
+                    assert typed(got) == typed(want)
 
     def test_vectors_built_linear_in_n(self, monkeypatch):
         # one running super candidate, not one rebuilt per stop
@@ -620,8 +623,8 @@ def test_lambda_monotonicity(s, data):
     lam = data.draw(lams)
     lam2 = lam + data.draw(lams)
     t = data.draw(st.integers(1, s.n))
-    u_low = biased_gambler_utility(s, t, AgentParams(lam, 2))
-    u_high = biased_gambler_utility(s, t, AgentParams(lam2, 2))
+    u_low = stop_utility(s, t, AgentParams(lam, 2))
+    u_high = stop_utility(s, t, AgentParams(lam2, 2))
     assert u_low >= u_high
 
 
@@ -640,15 +643,14 @@ def test_reference_point_monotonicity(s, data):
     smaller = Sequence(
         s.candidates[:i] + (scaled,) + s.candidates[i + 1:])
     p = AgentParams(lam, 3)
-    assert biased_gambler_utility(smaller, t, p) >= biased_gambler_utility(s, t, p)
+    assert stop_utility(smaller, t, p) >= stop_utility(s, t, p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(s=seq_strategy(1), data=st.data())
 def test_k1_degenerates_to_running_max(s, data):
     t = data.draw(st.integers(1, s.n))
-    ref = super_candidate(s.prefix(t))
-    assert ref.entries[0] == max(c.entries[0] for c in s.candidates[:t])
+    assert reference_norm(s, t) == max(c.entries[0] for c in s.candidates[:t])
 
 
 @settings(max_examples=60, deadline=None)
@@ -656,9 +658,9 @@ def test_k1_degenerates_to_running_max(s, data):
 def test_lambda_zero_collapses_all_utilities(s, data):
     t = data.draw(st.integers(1, s.n))
     p = AgentParams(F(0), 2)
-    v = rational_utility(s, t)
-    assert biased_gambler_utility(s, t, p) == v
-    assert biased_prophet_utility(s, t, p) == v
+    v = s.candidates[t - 1].l1
+    assert stop_utility(s, t, p) == v
+    assert oracles.prophet_utility(rows_of(s), t, F(0)) == v
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,8 +668,8 @@ def test_lambda_zero_collapses_all_utilities(s, data):
 def test_gambler_utility_at_most_value(s, data):
     t = data.draw(st.integers(1, s.n))
     lam = data.draw(lams)
-    u = biased_gambler_utility(s, t, AgentParams(lam, 2))
-    assert u <= rational_utility(s, t)
+    u = stop_utility(s, t, AgentParams(lam, 2))
+    assert u <= s.candidates[t - 1].l1
 
 
 @settings(max_examples=40, deadline=None)
@@ -675,8 +677,8 @@ def test_gambler_utility_at_most_value(s, data):
 def test_matches_package_free_oracle(s, data):
     t = data.draw(st.integers(1, s.n))
     lam = data.draw(lams)
-    rows = [c.entries for c in s.candidates]
-    assert biased_gambler_utility(s, t, AgentParams(lam, 2)) == \
+    rows = rows_of(s)
+    assert stop_utility(s, t, AgentParams(lam, 2)) == \
         oracles.gambler_utility(rows, t, lam)
-    assert biased_prophet_utility(s, t, AgentParams(lam, 2)) == \
-        oracles.prophet_utility(rows, t, lam)
+    assert offline_optimal_prophet_utility(s, AgentParams(lam, 2)) == \
+        max(oracles.prophet_utility(rows, u, lam) for u in range(1, s.n + 1))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import pointwise_dominates
+from oracles import pointwise_dominates, stop_utility
 from lap import instances
 from lap.core import (
     AgentParams,
@@ -18,8 +18,6 @@ from lap.core import (
     ResourceLimit,
     Sequence,
     ValueVector,
-    biased_gambler_utility,
-    biased_prophet_utility,
     higher_quality,
     is_succinct,
     max_value,
@@ -76,12 +74,12 @@ class TestAlternatingGeometric:
             sigma = gen_alternating_geometric(4 * k, k, beta)
             for i in range(2, 5):
                 t = k * (i - 1) + 1
-                assert biased_gambler_utility(sigma, t, AgentParams(lam, k)) == 0
+                assert stop_utility(sigma, t, AgentParams(lam, k)) == 0
 
     def test_documented_pick_value_four(self):
         sigma = gen_alternating_geometric(6, 2, F(2))
         assert sigma.candidates[4].entries == (4, 0)
-        assert biased_gambler_utility(sigma, 5, AgentParams(F(2), 2)) == 4 - 2 * (6 - 4)
+        assert stop_utility(sigma, 5, AgentParams(F(2), 2)) == 4 - 2 * (6 - 4)
 
     def test_offline_optimal_is_one_supercritical(self):
         for n in (2, 4, 6, 8):
@@ -146,7 +144,7 @@ class TestAlternatingLinear:
         for k, lam in ((2, F(1)), (3, F(1, 2)), (4, F(1, 3))):
             sigma = gen_alternating_linear(3 * k, k)
             for i in (1, 2, 3):
-                assert biased_gambler_utility(
+                assert stop_utility(
                     sigma, k * (i - 1) + 1, AgentParams(lam, k)) == 1
 
     def test_offline_optimal_critical(self):
@@ -183,7 +181,7 @@ class TestPartialSums:
             beta = lam * (k - 1)
             sigma = gen_partial_sums(w, k, beta)
             for i in range(w):
-                assert biased_gambler_utility(
+                assert stop_utility(
                     sigma, i * k + 1, AgentParams(lam, k)) == 1
 
     def test_succinct(self):
@@ -271,7 +269,7 @@ class TestIdenticalValue:
         k, q, lam = 3, F(2), F(1)
         sigma = gen_identical_value(k, q)
         for t in range(1, k + 1):
-            assert biased_prophet_utility(sigma, t, AgentParams(lam, k)) == \
+            assert oracles.prophet_utility(entries(sigma), t, lam) == \
                 q * (1 - lam * (k - 1))
 
     def test_gambler_utility_by_stop_index(self):
@@ -280,7 +278,7 @@ class TestIdenticalValue:
         for lam in (F(0), F(1, 2), F(2)):
             for t in range(1, k + 1):
                 expected = q * (1 - lam * (t - 1))
-                assert biased_gambler_utility(
+                assert stop_utility(
                     sigma, t, AgentParams(lam, k)) == expected
 
     def test_validation(self):
@@ -299,7 +297,7 @@ class TestSalientFeature:
         k, a, q, lam = 3, F(1), F(2), F(1, 2)
         sigma = gen_salient_feature(k, a, q)
         for t in range(1, k + 1):
-            assert biased_prophet_utility(sigma, t, AgentParams(lam, k)) == \
+            assert oracles.prophet_utility(entries(sigma), t, lam) == \
                 a * k + q * (1 - lam * (k - 1))
 
     def test_gambler_utility_fixed_dimension(self):
@@ -307,7 +305,7 @@ class TestSalientFeature:
         k, a, q, lam = 4, F(1), F(3), F(1, 2)
         sigma = gen_salient_feature(k, a, q)
         for r in range(1, k + 1):
-            assert biased_gambler_utility(sigma, r, AgentParams(lam, k)) == \
+            assert stop_utility(sigma, r, AgentParams(lam, k)) == \
                 a * k + q * (1 - lam * (r - 1))
 
     def test_gambler_utility_last_of_r_dimensions(self):
@@ -316,7 +314,7 @@ class TestSalientFeature:
         a, q, lam = F(2), F(3), F(1, 3)
         for r in range(1, 5):
             sigma = gen_salient_feature(r, a, q)
-            assert biased_gambler_utility(sigma, r, AgentParams(lam, r)) == \
+            assert stop_utility(sigma, r, AgentParams(lam, r)) == \
                 a * r + q * (1 - lam * (r - 1))
 
     def test_validation(self):
@@ -340,10 +338,8 @@ class TestQualityPair:
     def test_prophet_prefers_lower_quality_when_bias_large(self):
         low, high = gen_quality_pair(2, F(2))
         lam = F(3, 2)  # lam > 1/(k-1)
-        u_low = max(biased_prophet_utility(low, t, AgentParams(lam, 2))
-                    for t in (1, 2))
-        u_high = max(biased_prophet_utility(high, t, AgentParams(lam, 2))
-                    for t in (1, 2))
+        u_low = offline_optimal_prophet_utility(low, AgentParams(lam, 2))
+        u_high = offline_optimal_prophet_utility(high, AgentParams(lam, 2))
         assert u_low == -1 and u_high == -2
         assert u_low > u_high
 

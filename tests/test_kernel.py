@@ -1,6 +1,6 @@
 """The integer exact kernel against the Fraction formulas it replaced.
 
-`_biased_dp`, `_rational_dp` and `max_distribution` run on scaled ints for
+`_biased_dp`, `_rational_dp` and `_max_convolution` run on scaled ints for
 exact priors and exact lambda, and on the prior's own numbers otherwise.
 The reference passes below are the earlier formulas, kept here on value
 tuples: every comparison and sum in the order the library used to make it,
@@ -193,7 +193,7 @@ def test_kernel_matches_the_fraction_formulas(flavor):
 @pytest.mark.parametrize("flavor", ["exact", "float-prior",
                                     "float-probabilities"])
 def test_e_sum_dim_maxima_is_the_fraction_sum(flavor):
-    # one int sum decoded once equals the k decoded laws summed as numbers
+    # one int sum decoded once equals the k reference laws summed as numbers
     rng = random.Random(f"e-sum/{flavor}")
     for _ in range(200):
         steps = random_steps(rng)
@@ -201,8 +201,9 @@ def test_e_sum_dim_maxima_is_the_fraction_sum(flavor):
                          else lambda p: p)
         if flavor == "float-prior":
             prior = prior_from_json(prior_to_json(prior), exact=False)
-        old = sum((_expectation_of(policies.max_distribution(
-            prior, itemgetter(j))) for j in range(prior.k)), F(0))
+        old = sum((sum((x * p for x, p in ref_max_distribution(
+            own_steps(prior), itemgetter(j))), F(0))
+            for j in range(prior.k)), F(0))
         assert typed(_e_sum_dim_maxima(prior)) == typed(old)
 
 

@@ -28,6 +28,7 @@ from lap.core import (
     Sequence,
     ValueVector,
     prior_from_json,
+    prior_to_json,
 )
 from lap.instances import gen_alternating_geometric, gen_random_prior
 from lap.policies import (
@@ -36,6 +37,8 @@ from lap.policies import (
     dp_result_to_json,
     optimal_biased_policy,
     patience_compare,
+    threshold_from_alpha,
+    value_max_distribution,
 )
 from test_masks import reachable
 from test_walks import FLAVORS, random_prior
@@ -293,6 +296,18 @@ class TestPriorMemo:
             assert got == fresh
             assert [type(x) for x in got] == [type(x) for x in fresh]
             assert type(got[0]) is type(lam)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_read_v_star_law_is_the_callers_own(self, exact):
+        # clearing a returned law leaves the kept one, and the thresholds
+        # read from it, as they were
+        prior = prior_from_json(prior_to_json(prior_of(self.STEPS)),
+                                exact=exact)
+        law = value_max_distribution(prior)
+        kept, policy = dict(law), threshold_from_alpha(prior, 0.5)
+        law.clear()
+        assert value_max_distribution(prior) == kept
+        assert threshold_from_alpha(prior, 0.5) == policy
 
     def test_budget_binds_on_a_memoized_prior(self, monkeypatch):
         params = AgentParams(F(1, 2), 2)

@@ -20,7 +20,6 @@ from lap.core import (
     Sequence,
     ValueVector,
     max_value,
-    no_selection_utility,
     offline_optimal_biased,
 )
 from lap.policies import (
@@ -147,7 +146,8 @@ class TestRunPolicy:
         out = run_policy(Policy.threshold(F(100)), s, params)
         assert out.selection is None
         assert out.value == 0
-        assert out.utility == no_selection_utility(s, params)
+        assert out.utility == oracles.no_selection(
+            [c.entries for c in s.candidates], params.lam)
 
     def test_accept_last(self):
         s = seq((3, 0), (0, 2), (4, 3))

@@ -20,7 +20,6 @@ from lap.core import (
     ProductPrior,
     Sequence,
     ValueVector,
-    rational_utility,
 )
 from lap.instances import (
     ReductionMeta,
@@ -38,7 +37,10 @@ from lap.policies import (
     Policy,
     compile_policy,
     optimal_biased_policy,
+    patience_compare,
+    rule_expectation,
     run_policy,
+    run_rule,
 )
 
 HALF = F(1, 2)
@@ -57,6 +59,15 @@ META = dict(m=3, x=HALF, alpha_exp=1.0, nominal_n=5, epsilon=HALF,
             log_base="e")
 
 
+def accept_first(t, s, entries, val):
+    """A rule that stops on the first candidate."""
+    return True
+
+
+ACCEPT_LAST = compile_policy(Policy.accept_last(), PRIOR,
+                             AgentParams(HALF, 1))  # compiled on PRIOR, k = 1
+
+
 def refuses(call, message):
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call()
@@ -73,7 +84,7 @@ COUNTS = {
                     "dimension must be a positive integer", 0),
     "iid_prior n": (lambda c: ProductPrior.iid_prior(DIST, c),
                     "n must be at least 1", 0),
-    "index": (lambda c: rational_utility(SUCCINCT, c),
+    "index": (lambda c: SUCCINCT.prefix(c),
               "index {c} out of range 1..3", 0),
     "gen_quality_pair k": (lambda c: gen_quality_pair(c, F(2)),
                            "quality pair needs k > 1", 1),
@@ -118,8 +129,8 @@ def test_a_count_must_be_an_int():
 
 
 def test_the_largest_index_is_still_refused_past_n():
-    refuses(lambda: rational_utility(SUCCINCT, 4), "index 4 out of range 1..3")
-    assert rational_utility(SUCCINCT, 3) == 2
+    refuses(lambda: SUCCINCT.prefix(4), "index 4 out of range 1..3")
+    assert SUCCINCT.prefix(3) == SUCCINCT
 
 
 # the argument checks no other test reaches; each (call, message)
@@ -165,12 +176,51 @@ UNREACHED = {
     "optimal_biased_policy dims": (
         lambda: optimal_biased_policy(PRIOR, PARAMS),
         "prior and params dimensions differ"),
+    # the entry points that take a rule or a compiled policy, not a Policy
+    "rule_expectation dims": (
+        lambda: rule_expectation(accept_first, PRIOR, PARAMS),
+        "prior and params dimensions differ"),
+    "patience_compare dims": (
+        lambda: patience_compare(ACCEPT_LAST, ACCEPT_LAST, PRIOR, PARAMS),
+        "prior and params dimensions differ"),
+    "run_rule dims": (
+        lambda: run_rule(accept_first, SUCCINCT, AgentParams(HALF, 1)),
+        "sequence and params dimensions differ"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(UNREACHED))
 def test_refused_with_its_message(entry):
     refuses(*UNREACHED[entry])
+
+
+# a Policy's number fields, each checked as a ValueVector entry is: a
+# policy with the field set to x, and the field's name in the message
+POLICY_FIELDS = {
+    "threshold": (lambda x: Policy.threshold(x), "threshold"),
+    "atom_accept_prob": (lambda x: Policy.threshold(F(1), x),
+                         "atom_accept_prob"),
+    "alpha": (lambda x: Policy.from_alpha(x), "alpha"),
+    "lam": (lambda x: Policy.optimal_biased(x), "lambda"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(POLICY_FIELDS))
+@pytest.mark.parametrize("value, message", [
+    (True, "{} must be a number, got bool"),
+    ("1/2", "{} must be int, float, or Fraction"),
+    (float("inf"), "{} must be finite"),
+    (float("nan"), "{} must be finite"),
+], ids=["bool", "str", "inf", "nan"])
+def test_policy_number_fields(field, value, message):
+    make, what = POLICY_FIELDS[field]
+    refuses(lambda: make(value), message.format(what))
+
+
+def test_policy_keeps_an_accepted_number_as_given():
+    assert repr(Policy.threshold(3).threshold) == "3"
+    assert repr(Policy.from_alpha(0.5).alpha) == "0.5"
+    assert repr(Policy.optimal_biased(HALF).lam) == "Fraction(1, 2)"
 
 
 def test_reduction_takes_any_succinct_sequence():
