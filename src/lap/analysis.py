@@ -3,8 +3,10 @@ and reduction diagnostics.
 
 Exact arithmetic is the default everywhere: expectations are int sums over
 one scale across the reachable (step, super candidate) states, decoded
-once at the end; the two headline inequalities are checked without
-rounding, and the reduction's two diagnostics (does a draw represent
+once at the end, and the arms of a compiled policy share one walk and are
+decoded once, as one mixed sum; the two headline inequalities are checked
+without rounding, from constants kept on the params for every prior of a
+command, and the reduction's two diagnostics (does a draw represent
 sigma, does an adjacent pair invert) are forward chains over the prior's
 steps.  The one sampler, monte_carlo, exists for the priors whose reachable
 states exceed the budget; it is seeded and replayable.  It keeps the rng,
@@ -42,13 +44,14 @@ from .policies import (
     Policy,
     _e_best_value,
     _e_sum_dim_maxima,
+    _expectation_walk,
     _trial_walk,
+    _unscaled,
     compile_policy,
     guarantee_alphas,
     optimal_biased_policy,
     optimal_rational_policy,
     resolve_budget,
-    rule_expectation,
     run_rule,  # unused here; perfbench/tracing.py wraps it by this name
     value_max_distribution,  # unused here; perfbench/tracing.py wraps it
 )
@@ -148,13 +151,23 @@ class QualityParadoxReport:
 def exact_expectation(prior: ProductPrior, policy: Policy,
                       params: AgentParams,
                       budget: Optional[int] = None) -> Number:
-    """Exact expected utility of a policy: mixing arms times each arm's
-    lattice pass over the reachable (step, super candidate) states.  The
-    budget, resolved once, caps the states each pass holds."""
+    """Exact expected utility of a policy: its arms, walked together over
+    the reachable (step, super candidate) states (`_expectation_walk`),
+    each holding at most the budget's states.  On the integer view with
+    Fraction weights their int totals are mixed and decoded once; else
+    each arm is decoded and weighted in turn, as the Fraction formula
+    did."""
     limit = resolve_budget(budget)
     compiled = compile_policy(policy, prior, params, limit)
-    return sum((weight * rule_expectation(rule, prior, params, limit)
-                for weight, rule in compiled.arms), Fraction(0))
+    weights, rules = zip(*compiled.arms)
+    exact, totals, scale = _expectation_walk(rules, prior, params.lam, limit)
+    if exact and all(isinstance(w, Fraction) for w in weights):
+        den = math.lcm(*(w.denominator for w in weights))
+        return Fraction(sum(w.numerator * (den // w.denominator) * total
+                            for w, total in zip(weights, totals)),
+                        den * scale)
+    return sum((w * _unscaled(exact, total, scale)
+                for w, total in zip(weights, totals)), Fraction(0))
 
 
 def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
@@ -266,6 +279,17 @@ def _require_subcritical(prior: ProductPrior, params: AgentParams) -> None:
             f"bound needs subcritical bias, got {_shown(params.bias)}")
 
 
+def _bound_constants(params: AgentParams):
+    """What the bound checks read of the params alone, kept on them: the
+    sorted guarantee alphas, their threshold policies, and the operands
+    1 - bias, 1 + lam + k, 2 + lam and 1 + lam (not quotients, so a float
+    lambda rounds as the formulas do)."""
+    lam, k = params.lam, params.k
+    alphas = tuple(sorted(guarantee_alphas(params)))
+    return (alphas, tuple(map(Policy.from_alpha, alphas)), 1 - params.bias,
+            1 + lam + k, 2 + lam, 1 + lam)
+
+
 def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
                          budget: Optional[int] = None) -> CheckResult:
     """Check the guarantee against the rational prophet on one prior.
@@ -275,16 +299,16 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
     (1 - bias) * max(E[sum_j S_j*] / (1+lam+k), E[V*] / (2+lam)).
     """
     _require_subcritical(prior, params)
-    lam, k = params.lam, params.k
+    alphas, thresholds, margin, dims_den, value_den, _ = params.memoized(
+        _bound_constants)
     e_v = _e_best_value(prior)
     e_sum = _e_sum_dim_maxima(prior)
-    alphas = sorted(guarantee_alphas(params))
-    exps = [exact_expectation(prior, Policy.from_alpha(a), params,
-                              budget=budget) for a in alphas]
+    exps = [exact_expectation(prior, policy, params, budget=budget)
+            for policy in thresholds]
     best = max(exps)
     opt = optimal_biased_policy(prior, params, budget).expected_utility
-    route_dims = (1 - params.bias) * e_sum / (1 + lam + k)
-    route_value = (1 - params.bias) * e_v / (2 + lam)
+    route_dims = margin * e_sum / dims_den
+    route_value = margin * e_v / value_den
     rhs = max(route_dims, route_value)
     passed = best >= rhs and opt >= rhs
     detail = {
@@ -303,8 +327,8 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
     if not passed:
         counterexample = {
             "prior": prior_to_json(prior),
-            "lambda": number_to_json(lam),
-            "k": k,
+            "lambda": number_to_json(params.lam),
+            "k": params.k,
             "best_threshold_expectation": number_to_json(best),
             "optimal_biased_expectation": number_to_json(opt),
             "rhs": number_to_json(rhs),
@@ -318,11 +342,12 @@ def verify_online_bound(prior: ProductPrior, params: AgentParams,
     """Check (1 - bias) * E[U_gr*] <= (1 + lam) * E[U_gb*], the
     cross-multiplied cap on how much bias can cost an optimal gambler."""
     _require_subcritical(prior, params)
+    _, _, margin, _, _, one_plus_lam = params.memoized(_bound_constants)
     # the budgeted DP goes first, as in ratio_report
     e_gb = optimal_biased_policy(prior, params, budget).expected_utility
     e_gr = optimal_rational_policy(prior).expected_utility
-    lhs = (1 - params.bias) * e_gr
-    rhs = (1 + params.lam) * e_gb
+    lhs = margin * e_gr
+    rhs = one_plus_lam * e_gb
     passed = lhs <= rhs
     detail = {"e_gambler_rational_opt": e_gr, "e_gambler_biased_opt": e_gb}
     counterexample = None

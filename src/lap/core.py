@@ -149,9 +149,27 @@ class Sequence:
         return Sequence(self.candidates[:t])
 
 
+class _Memoizing:
+    """One kept result per builder on an immutable instance."""
+
+    def memoized(self, build, *args, **kwargs):
+        """`build(self, *args, **kwargs)`, kept in the instance dict (like
+        ValueVector.l1) in one slot per `build` for equal positional
+        arguments of equal types (compared, not hashed; keyword arguments
+        are no part of the key).  A miss drops the kept result first; an
+        exception is not kept; a kept result is shared, so it is read-only."""
+        memo = self.__dict__.setdefault("_memo", {})
+        key = (args, tuple(map(type, args)))
+        if build not in memo or memo[build][0] != key:
+            memo.pop(build, None)
+            memo[build] = (key, build(self, *args, **kwargs))
+        return memo[build][1]
+
+
 @dataclass(frozen=True)
-class AgentParams:
-    """Loss-aversion weight lambda plus the ambient dimension k."""
+class AgentParams(_Memoizing):
+    """Loss-aversion weight lambda plus the ambient dimension k; what a
+    command derives from them alone it keeps with `memoized`."""
 
     lam: Number
     k: int
@@ -160,9 +178,10 @@ class AgentParams:
         object.__setattr__(self, "lam", _coerce_nonnegative(self.lam, "lambda"))
         _count(self.k, 1, "k must be a positive integer")
 
-    @property
+    @cached_property
     def bias(self) -> Number:
-        """The feature-amplified bias lambda * (k - 1)."""
+        """The feature-amplified bias lambda * (k - 1), kept on first read
+        (like ValueVector.l1)."""
         return self.lam * (self.k - 1)
 
     @property
@@ -221,7 +240,7 @@ class FiniteDistribution:
 
 
 @dataclass(frozen=True)
-class ProductPrior:
+class ProductPrior(_Memoizing):
     """n independent per-step distributions; iid flags identical steps."""
 
     steps: Tuple[FiniteDistribution, ...]
@@ -268,19 +287,6 @@ class ProductPrior:
     def support_size(self) -> int:
         return math.prod(len(d.atoms) for d in self.steps)
 
-    def memoized(self, build, *args, **kwargs):
-        """`build(self, *args, **kwargs)`, kept in the instance dict (like
-        ValueVector.l1) in one slot per `build` for equal positional
-        arguments of equal types (compared, not hashed; keyword arguments
-        are no part of the key).  A miss drops the kept result first; an
-        exception is not kept; a kept result is shared, so it is read-only."""
-        memo = self.__dict__.setdefault("_memo", {})
-        key = (args, tuple(map(type, args)))
-        if build not in memo or memo[build][0] != key:
-            memo.pop(build, None)
-            memo[build] = (key, build(self, *args, **kwargs))
-        return memo[build][1]
-
     def realizations(self) -> Iterator[Tuple[Sequence, Number]]:
         """All (sequence, probability) pairs of the product support."""
         for combo in itertools.product(*(d.atoms for d in self.steps)):
@@ -308,8 +314,7 @@ def _check_index(sigma: Sequence, t: int) -> None:
 
 def _check_dims(sigma: Sequence, params: AgentParams) -> None:
     if sigma.k != params.k:
-        raise InvalidInput(
-            f"sequence dimension {sigma.k} != params dimension {params.k}")
+        raise InvalidInput("sequence and params dimensions differ")
 
 
 def max_value(sigma: Sequence) -> Number:

@@ -188,17 +188,20 @@ _RANDOM_VALUE_GRID = tuple(Fraction(i, 2) for i in range(7))
 def random_prior_draws(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
                        ) -> List[Tuple[List[tuple], List[int]]]:
     """gen_random_prior's rng calls, with no prior built: per step, the
-    sorted support (entry tuples on the grid) and its int weights."""
+    sorted support (entry tuples on the grid) and its int weights.  Points
+    are drawn as grid indices (`randrange` makes `choice`'s one
+    `_randbelow` call), hashed and sorted as ints, then mapped to the
+    grid."""
     _check_counts(n_max, k)
     _count(atoms_max, 1, "atoms_max must be a positive integer")
+    size, value = len(_RANDOM_VALUE_GRID), _RANDOM_VALUE_GRID.__getitem__
     steps = []
     for _ in range(rng.randint(1, n_max)):
         natoms = rng.randint(1, atoms_max)
         support = set()
         while len(support) < natoms:
-            support.add(tuple(rng.choice(_RANDOM_VALUE_GRID)
-                              for _ in range(k)))
-        steps.append((sorted(support),
+            support.add(tuple([rng.randrange(size) for _ in range(k)]))
+        steps.append(([tuple(map(value, point)) for point in sorted(support)],
                       [rng.randint(1, 4) for _ in range(natoms)]))
     return steps
 

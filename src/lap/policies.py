@@ -16,7 +16,8 @@ Three families of rules live here:
   -lambda * ||s^(n)||_1, and taking the last offer never scores less.
 * exact expectations, patience comparison and Monte Carlo trial walks of
   compiled rules, over the reachable (step, super candidate) states instead
-  of every realization.  The state budget caps the states each exact pass
+  of every realization; one expectation walk carries every arm of a
+  compiled policy.  The state budget caps the states each exact pass
   holds (`_charge`) and the number of states a Monte Carlo walk interns.
 
 All of these run on one lattice core: one per-prior rank table, one join (once
@@ -35,11 +36,12 @@ dimension laws for E[sum_j S_j*], each as ints over one scale, decoded
 once.  A pass with two readers on one prior runs once: `ProductPrior.
 memoized` keeps one rank table, one V* law (the int law of
 `_max_convolution(prior, sum)`, which `value_max_distribution` decodes when
-read) and one biased DP per lambda and its type, so a float lambda never
-gets an exact lambda's result and a loop over lambda holds one DP; a kept
-DP past a read's budget is refused by a fresh forward pass under that
-budget, which stops once the budget is passed.  Kept results are shared,
-so read-only; errors are not kept.
+read), its tails for the alpha thresholds, and one biased DP per lambda
+and its type, so a float lambda never gets an exact lambda's result and
+a loop over lambda holds one DP; a kept DP past a read's budget is
+refused by a fresh forward pass under that budget, which stops once the
+budget is passed.  Kept results are shared, so read-only; errors are not
+kept.
 
 The biased DP, the rational DP, the max-convolution, E[V*], the alpha
 thresholds and the threshold arms' masks, exact expectation and the Monte
@@ -51,10 +53,11 @@ as b*v - a*(s - v), stay ints over one positive scale per step, so every
 comparison is the Fraction one and no gcd is paid along the way: a tail of
 the V* law is compared with alpha = c/d as tail*d <= c*prod D_t, and a
 scaled value with T = c/d as v*d >= c*L.  Ints are decoded to Fractions
-only for the final values, the rational DP's continuation values, a
-threshold and its coin, the distributions returned and a Monte Carlo stop
-(then converted by float()).  A DP records its decisions only as accept
-masks; its value-keyed `policy_table` is decoded from them when first read.
+only for the final values, the rational DP's continuation values that are
+read, a threshold and its coin, the distributions returned and a Monte
+Carlo stop (then converted by float()).  A DP records its decisions only
+as accept masks; its value-keyed `policy_table` is decoded from them when
+first read.
 When any entry, probability or lambda (or alpha, or T) is a float, the
 same loops run on the identity view (L = b = D_t = 1, weights the
 probabilities), which performs the float operations in the order the
@@ -71,7 +74,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import ge, getitem, gt, is_, itemgetter
+from operator import ge, getitem, gt, is_, itemgetter, le, lt
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -120,6 +123,19 @@ def _charge(count: int, budget: int, t: int) -> None:
                             f"({count}+ states by step {t})")
 
 
+def _ratio(x: Number) -> Tuple[Number, Number]:
+    """A Fraction as (numerator, denominator), any other number as (x, 1),
+    so a bound is tested with no Fraction comparison."""
+    return (x.numerator, x.denominator) if type(x) is Fraction else (x, 1)
+
+
+def _in_unit(x: Number, below) -> bool:
+    """0 `below` x `below` 1, with `below` lt (the open interval) or le
+    (the closed one)."""
+    num, den = _ratio(x)
+    return below(0, num) and below(num, den)
+
+
 @dataclass(frozen=True)
 class Policy:
     """A stopping-rule description (not yet bound to any prior)."""
@@ -142,23 +158,23 @@ class Policy:
                 _coerce(value, what)  # a refusal only: the value is kept
         if self.kind == "threshold":
             if self.alpha is not None:
-                if not 0 < self.alpha < 1:
+                if not _in_unit(self.alpha, lt):
                     raise InvalidInput("alpha must lie in (0, 1)")
             elif self.threshold is None:
                 raise InvalidInput("threshold policy needs alpha or threshold")
             else:
-                if self.threshold < 0:
+                if _ratio(self.threshold)[0] < 0:
                     raise InvalidInput("threshold must be non-negative")
                 p = self.atom_accept_prob
                 if p is None:
                     object.__setattr__(self, "atom_accept_prob", Fraction(1))
-                elif not 0 <= p <= 1:
+                elif not _in_unit(p, le):
                     raise InvalidInput("atom_accept_prob must lie in [0, 1]")
         elif self.kind == "fixed-index":
             if self.index is None or _json_int(self.index, "index") < 1:
                 raise InvalidInput("fixed-index policy needs index >= 1")
         elif self.kind == "optimal-biased":
-            if self.lam is not None and self.lam < 0:
+            if self.lam is not None and _ratio(self.lam)[0] < 0:
                 raise InvalidInput("lambda must be non-negative")
 
     @staticmethod
@@ -435,9 +451,10 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                   for row in distinct}
             return _Arm(lambda t, s, entries, val: stops(val, t_value), prior,
                         lambda t, ranks: at[id(rows[t - 1])])
-        if p == 1:
+        p_num, p_den = _ratio(p)
+        if p_num == p_den:
             arms = ((Fraction(1), arm(ge)),)
-        elif p == 0:
+        elif p_num == 0:
             arms = ((Fraction(1), arm(gt)),)
         else:
             arms = ((p, arm(ge)), (1 - p, arm(gt)))
@@ -448,8 +465,8 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                    lambda t, ranks: (1 << len(rows[t - 1].plain)) - 1
                    if t == index else 0)
     elif policy.kind == "optimal-rational":
-        res, cont = _rational_dp(prior)  # cont[t]: value on reaching t
-        arm = _Arm(lambda t, s, entries, val: val >= cont[t + 1], prior,
+        res, cont = _rational_dp(prior)  # cont(t): value on reaching t
+        arm = _Arm(lambda t, s, entries, val: val >= cont(t + 1), prior,
                    lambda t, ranks: res.masks[(t, ())])
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
@@ -484,48 +501,71 @@ def run_rule(rule: Rule, sigma: Sequence,
 
 def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
                      budget: Optional[int] = None) -> Number:
-    """Exact expected utility of one deterministic rule over the prior.
-
-    Probability mass moves forward keyed by the super candidate's ranks
-    before each step; where the rule's mask stops, mass times the stop's
-    utility is banked, and mass still unstopped after step n scores
-    -lambda * ||s^(n)||_1.  In the integer view, with lambda = a/b, the
-    mass before step t is an int over prod_{u<t} D_u and the total one int
-    over b*L*prod_{u<t} D_u, raised by D_t before step t banks into it;
-    stops are scored on `_stop_view`'s norm table; the states holding mass
-    before each step count against the budget as the DP's layers do.  The
-    identity view runs the same loops, in the order the Fraction formulas
-    did."""
+    """Exact expected utility of one deterministic rule over the prior:
+    the one-rule case of `_expectation_walk`."""
     if prior.k != params.k:
         raise InvalidInput("prior and params dimensions differ")
     limit = resolve_budget(budget)
-    accept = _accept_masks(rule, prior)
-    rows, exact, a, b, norms, unit = _stop_view(prior, params.lam)
-    total = 0
-    mass = {(0,) * prior.k: 1}
-    count = 0
+    exact, (total,), den = _expectation_walk((rule,), prior, params.lam,
+                                             limit)
+    return _unscaled(exact, total, den)
+
+
+def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
+    """Exact expected utilities of deterministic rules in one forward
+    pass, as (exact, totals, scale): rule i's is `_unscaled(exact,
+    totals[i], scale)`.
+
+    Each rule's probability mass moves forward keyed by the super
+    candidate's ranks before each step; where its mask stops, mass times
+    the stop's utility is banked, and mass unstopped after step n scores
+    -lambda * ||s^(n)||_1.  In the integer view, with lambda = a/b, mass
+    before step t is an int over prod_{u<t} D_u and a total one int over
+    b*L*prod_{u<t} D_u.  The rules share the stop view, its norm table and
+    each step's view; each keeps its own mass dict, so the identity view
+    sums in the order the Fraction formulas did.  Each rule's states count
+    against the budget as the DP's layers do, and the error raised is the
+    one walking the rules in turn raises: a rule past the budget stops the
+    rules after it, and the rules before it walk on."""
+    rows, exact, a, b, norms, unit = _stop_view(prior, lam)
+    root = (0,) * prior.k
+    # per rule: masks, mass before the step, total, states counted
+    walks = [[_accept_masks(rule, prior), {root: 1}, 0, 0] for rule in rules]
+    live, failed = len(walks), None  # walks[:live] go on
     scale = 1  # prod D_u over the steps so far
     for t, row in enumerate(rows, 1):
-        count += len(mass)
-        _charge(count, limit, t)
         atoms, den = _view(row, exact)
         scale *= den
-        total *= den
-        nxt: Dict[tuple, Number] = {}
+        for i in range(live):
+            walk = walks[i]
+            accept, mass, total, count = walk
+            count += len(mass)
+            if count > limit:
+                live, failed = i, (count, t)
+                break
+            total *= den
+            nxt: Dict[tuple, Number] = {}
+            for s, m in mass.items():
+                mask = accept(t, s)
+                banked = 0
+                for _, val, p, ranks, bit in atoms:
+                    joined = _join(s, ranks)
+                    if mask & bit:
+                        banked += p * (b * val - a * (norms[joined] - val))
+                    else:
+                        nxt[joined] = nxt.get(joined, 0) + m * p
+                total += m * banked
+            walk[1:] = nxt, total, count
+        if not live:
+            break
+    if failed is not None:
+        _charge(failed[0], limit, failed[1])
+    totals = []
+    for _, mass, total, _ in walks:
         for s, m in mass.items():
-            mask = accept(t, s)
-            banked = 0
-            for _, val, p, ranks, bit in atoms:
-                joined = _join(s, ranks)
-                if mask & bit:
-                    banked += p * (b * val - a * (norms[joined] - val))
-                else:
-                    nxt[joined] = nxt.get(joined, 0) + m * p
-            total += m * banked
-        mass = nxt
-    for s, m in mass.items():
-        total += m * (0 - a * norms[s])
-    return _unscaled(exact, total, unit * scale)
+            total += m * (0 - a * norms[s])
+        totals.append(total)
+    return exact, totals, unit * scale
 
 
 class _State:
@@ -699,39 +739,47 @@ def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
     return {Fraction(x, unit): Fraction(p, scale) for x, p in law.items()}
 
 
+def _value_tails(prior: ProductPrior):
+    """The kept int V* law's values from the top down, and each one's tail
+    Pr[V* > v] as an int over prod D_t."""
+    law = prior.memoized(_max_convolution, sum)[0]
+    values = sorted(law, reverse=True)
+    return values, list(accumulate(map(law.__getitem__, values[:-1]),
+                                   initial=0))
+
+
 def threshold_from_alpha(prior: ProductPrior, alpha: Number,
                          seed: Optional[int] = None) -> Policy:
     """Threshold T plus atom-acceptance probability p with
     Pr[V* > T] + p * Pr[V* = T] = alpha, exactly.
 
     T is the least value of V* whose tail Pr[V* > T] is at most alpha.  An
-    exact prior and a Fraction alpha read the kept int law: with weights w
-    over prod D_t, tail <= alpha is tail * alpha.den <= alpha.num * prod D_t,
-    and p = (alpha.num * prod D_t - tail * alpha.den) / (w * alpha.den).  A
-    float alpha or prior reads the decoded law and sums and compares its
+    exact prior and a Fraction alpha bisect the kept int tails
+    (`_value_tails`, rising as the values fall): with weights w over
+    prod D_t, tail <= alpha is tail <= alpha.num * prod D_t // alpha.den,
+    and p = (alpha.num * prod D_t - tail * alpha.den) / (w * alpha.den).
+    A float alpha or prior reads the decoded law and sums and compares its
     numbers in the same order."""
-    if not 0 < alpha < 1:
+    if not _in_unit(alpha, lt):
         raise InvalidInput("alpha must lie strictly between 0 and 1")
     law, exact, unit, scale = prior.memoized(_max_convolution, sum)
     if exact and isinstance(alpha, Fraction):
+        values, tails = prior.memoized(_value_tails)
         num, den = alpha.numerator * scale, alpha.denominator
-        fits = lambda tail: tail * den <= num
-    else:
-        law, exact = value_max_distribution(prior), False
-        fits = lambda tail: tail <= alpha
+        i = bisect_right(tails, num // den) - 1
+        v, above = values[i], tails[i]
+        return Policy(kind="threshold", threshold=Fraction(v, unit),
+                      atom_accept_prob=Fraction(num - above * den,
+                                                law[v] * den), seed=seed)
+    law = value_max_distribution(prior)
     values = sorted(law, reverse=True)
     # each value's tail, summed from the top down; then the least that fits
     tails = accumulate(map(law.__getitem__, values), initial=0)
     for v, above in reversed(list(zip(values, tails))):
-        if fits(above):
+        if above <= alpha:
             break
-    if exact:
-        p = Fraction(num - above * den, law[v] * den)
-        v = Fraction(v, unit)
-    else:
-        p = (alpha - above) / law[v]
-    return Policy(kind="threshold", threshold=v, atom_accept_prob=p,
-                  seed=seed)
+    return Policy(kind="threshold", threshold=v,
+                  atom_accept_prob=(alpha - above) / law[v], seed=seed)
 
 
 def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:
@@ -760,15 +808,18 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     rank_table = rows, _, _, _ = prior.memoized(_rank_table)
     n = prior.n
     layer, layers, joins = ((0,) * prior.k,), [], []
-    cols, count, last = [(0,)] * prior.k, 1, None  # `layer`'s columns
+    cols, count, last = None, 1, None  # `layer`'s columns, once built
     for t, row in enumerate(rows, 1):
         if row is not last:  # `ranks`: the row's atom ranks, column-wise
             last, ranks = row, tuple(zip(*[atom[3] for atom in row.plain]))
-        cols = [[c if c > x else x for c in col for x in xs]
-                for col, xs in zip(cols, ranks)]
-        joined = tuple(zip(*cols))
+        if len(layer) == len(row.plain) == 1:  # one pair: no columns
+            joined, cols = (tuple(map(max, layer[0], row.plain[0][3])),), None
+        else:
+            cols = [[c if c > x else x for c in col for x in xs]
+                    for col, xs in zip(cols or zip(*layer), ranks)]
+            joined = tuple(zip(*cols))
         layers.append(layer)
-        if t < n:  # one pair is its own next layer, columns and all
+        if t < n:  # one pair is its own next layer
             layer = sorted(set(joined)) if len(joined) > 1 else joined
             if layer is not joined:  # the kept joins share its tuples
                 joined = tuple(map(dict(zip(layer, layer)).get, joined))
@@ -825,15 +876,16 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
 
 
 def _rational_dp(prior: ProductPrior):
-    """Backward induction on L1 values in the integer view: cont[t], the
-    optimal value on reaching t, is one int over L*prod_{u>=t} D_u until it
-    is decoded."""
+    """Backward induction on L1 values in the integer view, and cont(t),
+    the optimal value on reaching t (Fraction(0) off steps 1..n), an int
+    over L*prod_{u>=t} D_u until it is read."""
     rank_table = rows, _, scaled, unit = prior.memoized(_rank_table)
     exact = scaled is not None
     n = prior.n
-    cont = [Fraction(0)] * (n + 2)  # cont[t] = optimal value on reaching t
+    totals = [0] * (n + 1)  # totals[t] over dens[t]: the value on reaching t
+    dens = [1] * (n + 1)
     masks = dict.fromkeys([(t, ()) for t in range(1, n + 1)], 0)  # t order
-    nxt = 0  # cont[t + 1] at its scale
+    nxt = 0  # cont(t + 1) at its scale
     scale = 1  # prod_{u>t} D_u
     for t in range(n, 0, -1):
         atoms, den = _view(rows[t - 1], exact)
@@ -847,11 +899,16 @@ def _rational_dp(prior: ProductPrior):
             else:
                 choice = nxt
             total = total + p * choice
-        nxt = total
+        nxt = totals[t] = total
         scale *= den
-        cont[t] = _unscaled(exact, total, unit * scale)
+        dens[t] = unit * scale
         masks[(t, ())] = mask
-    return DPResult(cont[1], n + 1, masks, rank_table), cont
+
+    def cont(t: int) -> Number:
+        if not 1 <= t <= n:
+            return Fraction(0)
+        return _unscaled(exact, totals[t], dens[t])
+    return DPResult(cont(1), n + 1, masks, rank_table), cont
 
 
 def optimal_rational_policy(prior: ProductPrior) -> DPResult:

@@ -665,3 +665,34 @@ def test_random_prior_draws_are_the_prior_s_draws(k, atoms_max):
                 for step in prior.steps] == [
             [(vec, F(wt, sum(weights))) for vec, wt in zip(support, weights)]
             for support, weights in draws]
+
+
+def ref_random_prior_draws(rng, k, n_max=4, atoms_max=3):
+    """The draws as first written: each entry a `choice` of the grid's
+    Fractions, the support hashed and sorted as Fraction tuples."""
+    grid = tuple(F(i, 2) for i in range(7))
+    steps = []
+    for _ in range(rng.randint(1, n_max)):
+        natoms = rng.randint(1, atoms_max)
+        support = set()
+        while len(support) < natoms:
+            support.add(tuple(rng.choice(grid) for _ in range(k)))
+        steps.append((sorted(support),
+                      [rng.randint(1, 4) for _ in range(natoms)]))
+    return steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("atoms_max", [1, 3])
+def test_random_prior_draws_match_the_fraction_draws(k, atoms_max):
+    # drawn on grid indices, the supports, their types, the weights and the
+    # rng state afterwards are those of the Fraction draws
+    for seed in range(1000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = random_prior_draws(rng, k=k, atoms_max=atoms_max)
+        want = ref_random_prior_draws(ref, k, atoms_max=atoms_max)
+        assert got == want
+        assert [[tuple(map(type, point)) for point in support]
+                for support, _ in got] == [
+            [(F,) * k for _ in support] for support, _ in want]
+        assert rng.getstate() == ref.getstate()

@@ -153,7 +153,8 @@ def check(prior, lam, allow_no_selection=True):
     ref_value, ref_table, ref_cont = ref_rational(steps)
     assert typed(rational.expected_utility) == typed(ref_value)
     assert typed(list(rational.policy_table.items())) == typed(ref_table)
-    assert typed(cont) == typed(ref_cont)
+    # cont decodes the value on reaching t when read
+    assert typed([cont(t) for t in range(len(ref_cont))]) == typed(ref_cont)
     assert typed(list(policies.value_max_distribution(prior).items())) == \
         typed(ref_max_distribution(steps, sum))
     e_sum = sum((sum((x * p for x, p in ref_max_distribution(

@@ -20,6 +20,8 @@ from lap.core import (
     ProductPrior,
     Sequence,
     ValueVector,
+    offline_optimal_biased,
+    offline_optimal_prophet_utility,
 )
 from lap.instances import (
     ReductionMeta,
@@ -185,6 +187,14 @@ UNREACHED = {
         "prior and params dimensions differ"),
     "run_rule dims": (
         lambda: run_rule(accept_first, SUCCINCT, AgentParams(HALF, 1)),
+        "sequence and params dimensions differ"),
+    # the offline optima refuse a mismatch with the online scorer's message
+    "offline_optimal_biased dims": (
+        lambda: offline_optimal_biased(SUCCINCT, AgentParams(HALF, 3)),
+        "sequence and params dimensions differ"),
+    "offline_optimal_prophet_utility dims": (
+        lambda: offline_optimal_prophet_utility(SUCCINCT,
+                                                AgentParams(HALF, 3)),
         "sequence and params dimensions differ"),
 }
 
