@@ -4,7 +4,8 @@ and reduction diagnostics.
 Exact arithmetic is the default everywhere: expectations are int sums over
 one scale across the reachable (step, super candidate) states, decoded
 once at the end, and the arms of a compiled policy share one walk and are
-decoded once, as one mixed sum; the two headline inequalities are checked
+decoded once, as one mixed sum (the prophet bound's two thresholds share
+one walk too); the two headline inequalities are checked
 without rounding, from constants kept on the params for every prior of a
 command, and the reduction's two diagnostics (does a draw represent
 sigma, does an adjacent pair invert) are forward chains over the prior's
@@ -157,17 +158,37 @@ def exact_expectation(prior: ProductPrior, policy: Policy,
     Fraction weights their int totals are mixed and decoded once; else
     each arm is decoded and weighted in turn, as the Fraction formula
     did."""
+    return _expectations(prior, (policy,), params, budget)[0]
+
+
+def _expectations(prior: ProductPrior, policies, params: AgentParams,
+                  budget: Optional[int] = None) -> list:
+    """`exact_expectation` of each policy, the arms of all of them walked
+    in one pass and each policy's totals mixed as for it alone.  The walk
+    raises the error of the first arm to pass the budget once the arms
+    before it finish, which is what the calls in turn raise as long as
+    compiling a policy after the first raises no ResourceLimit (a
+    threshold's compile never does)."""
     limit = resolve_budget(budget)
-    compiled = compile_policy(policy, prior, params, limit)
-    weights, rules = zip(*compiled.arms)
+    arms = [compile_policy(policy, prior, params, limit).arms
+            for policy in policies]
+    rules = [rule for policy_arms in arms for _, rule in policy_arms]
     exact, totals, scale = _expectation_walk(rules, prior, params.lam, limit)
-    if exact and all(isinstance(w, Fraction) for w in weights):
-        den = math.lcm(*(w.denominator for w in weights))
-        return Fraction(sum(w.numerator * (den // w.denominator) * total
-                            for w, total in zip(weights, totals)),
-                        den * scale)
-    return sum((w * _unscaled(exact, total, scale)
-                for w, total in zip(weights, totals)), Fraction(0))
+    values, start = [], 0
+    for policy_arms in arms:
+        weights = [w for w, _ in policy_arms]
+        own = totals[start:start + len(weights)]
+        start += len(weights)
+        if exact and all(isinstance(w, Fraction) for w in weights):
+            den = math.lcm(*(w.denominator for w in weights))
+            values.append(Fraction(
+                sum(w.numerator * (den // w.denominator) * total
+                    for w, total in zip(weights, own)), den * scale))
+        else:
+            values.append(sum((w * _unscaled(exact, total, scale)
+                               for w, total in zip(weights, own)),
+                              Fraction(0)))
+    return values
 
 
 def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
@@ -303,8 +324,7 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
         _bound_constants)
     e_v = _e_best_value(prior)
     e_sum = _e_sum_dim_maxima(prior)
-    exps = [exact_expectation(prior, policy, params, budget=budget)
-            for policy in thresholds]
+    exps = _expectations(prior, thresholds, params, budget)
     best = max(exps)
     opt = optimal_biased_policy(prior, params, budget).expected_utility
     route_dims = margin * e_sum / dims_den

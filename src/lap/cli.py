@@ -334,6 +334,10 @@ def _cmd_ratio(args) -> Tuple[str, bool]:
 
 
 def _verify_bounds(rng, params, count, budget) -> List[CheckResult]:
+    if params.bias < 1:
+        # read once for every prior; a supercritical bias is refused by the
+        # first check before the budget is read, as it was
+        budget = resolve_budget(budget)
     checks = []
     for _ in range(count):
         prior = gen_random_prior(rng, k=params.k)

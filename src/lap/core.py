@@ -322,12 +322,44 @@ def max_value(sigma: Sequence) -> Number:
     return max(c.l1 for c in sigma.candidates)
 
 
+def _integer_view(sigma: Sequence, lam: Number):
+    """The candidates' entries as ints times L, the lcm of their
+    denominators, with lambda = a/b, as (rows, a, b, L): a stop on scaled
+    value v whose super candidate's scaled norm is S scores
+    (a + b) * v - a * S over b * L.  None when lambda or any entry is not
+    a Fraction; the formulas then run on the numbers themselves."""
+    if type(lam) is not Fraction:
+        return None
+    entries = [c.entries for c in sigma.candidates]
+    if not all(type(e) is Fraction for row in entries for e in row):
+        return None
+    unit = math.lcm(*(e.denominator for row in entries for e in row))
+    rows = [tuple(e.numerator * (unit // e.denominator) for e in row)
+            for row in entries]
+    return rows, lam.numerator, lam.denominator, unit
+
+
 def offline_optimal_biased(sigma: Sequence,
                            params: AgentParams) -> StoppingOutcome:
     """Arg-max of the biased gambler utility over stops; ties resolve to the
     smallest index.  Walking away, which scores -lambda * ||s^(n)||_1, is
-    never better: a pick at t scores at least -lambda * ||s^(t)||_1."""
+    never better: a pick at t scores at least -lambda * ||s^(t)||_1.  On
+    the integer view each stop is scored as an int and the winner decoded
+    once."""
     _check_dims(sigma, params)
+    view = _integer_view(sigma, params.lam)
+    if view is not None:
+        rows, a, b, unit = view
+        gain = a + b
+        best_t, best_u = 0, None
+        s = rows[0]
+        for t, row in enumerate(rows):
+            s = tuple(map(max, s, row))
+            u = gain * sum(row) - a * sum(s)
+            if best_u is None or u > best_u:
+                best_t, best_u = t, u
+        return StoppingOutcome(best_t + 1, sigma.candidates[best_t].l1,
+                               Fraction(best_u, b * unit))
     best: Optional[StoppingOutcome] = None
     s = sigma.candidates[0].entries  # s^(t)'s entries; no vector per step
     for t, c in enumerate(sigma.candidates, 1):
@@ -343,6 +375,13 @@ def offline_optimal_prophet_utility(sigma: Sequence,
                                     params: AgentParams) -> Number:
     """Best biased-prophet utility over all picks (the offline agent)."""
     _check_dims(sigma, params)
+    view = _integer_view(sigma, params.lam)
+    if view is not None:
+        # every pick shares s^(n), so the best is the largest scaled value;
+        # the first row is passed twice so one row's columns are its own
+        rows, a, b, unit = view
+        s = sum(map(max, rows[0], *rows))
+        return Fraction((a + b) * max(map(sum, rows)) - a * s, b * unit)
     # s^(n)'s L1 norm: the sum of the column maxima
     s = sum(map(max, zip(*(c.entries for c in sigma.candidates))))
     return max(c.l1 - params.lam * (s - c.l1) for c in sigma.candidates)

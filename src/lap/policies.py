@@ -66,6 +66,7 @@ Fraction formulas did.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import os
 import random
@@ -254,14 +255,41 @@ class _Row(NamedTuple):
     ordered: tuple  # the step's entries, sorted
 
 
+class _OneRow(collections.abc.Sequence):
+    """The rows of a prior whose steps are one object: its one row at each
+    of the n step indices, with no n-long list behind them."""
+
+    __slots__ = ("row", "n")
+
+    def __init__(self, row: _Row, n: int):
+        self.row, self.n = row, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> _Row:
+        if not -self.n <= i < self.n:
+            raise IndexError("row index out of range")
+        return self.row
+
+    def __iter__(self):
+        return repeat(self.row, self.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def _rank_table(prior: ProductPrior):
     """Per step a `_Row`, and per coordinate the sorted values its ranks
     index, as the prior's own numbers and as ints times L, the lcm of every
     entry's denominator.  The ints (and every row's exact view) are None
     when any entry or probability is a float.  The validated prior's atoms
     are read once per distinct step: steps that are one object share one
-    row, and an iid prior's row list is that one row repeated, found by one
-    C-level identity pass, so a long iid prior costs one row, not n.
+    row, and an iid prior's rows are that one row at every index (found by
+    one C-level identity pass, and no n-long list), so a long iid prior
+    costs one row, not n.
 
     Rank 0 of every coordinate is Fraction(0), the value the empty history
     starts from (an equal 0.0 is the same value, and `max` would keep the
@@ -314,7 +342,7 @@ def _rank_table(prior: ProductPrior):
         built.append(_Row(plain, view, den,
                           tuple(step.atoms[i][0].entries for i in order)))
     if len(built) == 1:
-        rows = built * len(steps)
+        rows = _OneRow(built[0], len(steps))
     else:
         at = {id(step): row for step, row in zip(distinct, built)}
         rows = [at[id(step)] for step in steps]

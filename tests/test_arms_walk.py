@@ -1,19 +1,22 @@
-"""`exact_expectation` walks a compiled policy's arms in one lattice pass.
+"""`exact_expectation` walks a compiled policy's arms in one lattice pass,
+and the prophet bound walks both guarantee thresholds' arms in one.
 
-Against the arms walked one after another by `rule_expectation`: under
-every budget up to what the arms need, the one pass raises the message
-the arms in turn raise (the first arm's to pass the budget, though a later
-arm passes it at an earlier step), or returns a number of the same value,
-type and float bits as the weighted sum of the arms' expectations."""
+Against the arms walked one after another by `rule_expectation`, and the
+two thresholds by `exact_expectation` in turn: under every budget up to
+what the arms need, the one pass raises the message the calls in turn
+raise (the first arm's to pass the budget, though a later arm passes it
+at an earlier step), or returns numbers of the same value, type and float
+bits."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from lap.analysis import exact_expectation
+from lap.analysis import _expectations, exact_expectation
 from lap.core import AgentParams, ResourceLimit
-from lap.policies import Policy, compile_policy, rule_expectation
+from lap.policies import (Policy, compile_policy, guarantee_alphas,
+                          rule_expectation)
 from test_walks import FLAVORS, GRID, policies_for, random_prior
 
 
@@ -62,3 +65,37 @@ def test_one_walk_raises_and_returns_as_the_arms_in_turn(flavor):
                         later_arm_first += 1
     assert two_armed > 20
     assert later_arm_first > 0
+
+
+def test_guarantee_pair_walks_as_the_two_calls_in_turn():
+    budgets = differ = 0
+    for flavor in FLAVORS:
+        rng = random.Random(f"pair-walk/{flavor}")
+        for _ in range(15):
+            prior = random_prior(rng, flavor)
+            # a subcritical lambda: bias = lambda * (k - 1) at most 5/6
+            exact_lam = F(rng.randint(0, 5), 6 * max(prior.k - 1, 1))
+            for lam in (exact_lam, float(exact_lam)):
+                params = AgentParams(lam, prior.k)
+                pair = [Policy.from_alpha(alpha, seed=rng.randrange(9))
+                        for alpha in sorted(guarantee_alphas(params))]
+                budget = 0
+                while True:
+                    budget += 1
+                    want = outcome(lambda: [exact_expectation(
+                        prior, policy, params, budget=budget)
+                        for policy in pair])
+                    got = outcome(lambda: _expectations(prior, pair, params,
+                                                        budget))
+                    assert got == want, (flavor, pair, budget)
+                    budgets += 1
+                    if not isinstance(want, tuple):
+                        break
+                    # both fail alone, each with its own message
+                    alone = [outcome(lambda: exact_expectation(
+                        prior, policy, params, budget=budget))
+                        for policy in pair]
+                    differ += alone[0] != alone[1] and \
+                        all(isinstance(x, tuple) for x in alone)
+    assert budgets > 500
+    assert differ > 10

@@ -329,6 +329,76 @@ class TestOfflineOptimal:
         assert len(built) <= 3 * n
 
 
+class TestOfflineIntegerView:
+    """The offline optima score stops as ints when lambda and every entry
+    are Fractions, and on the numbers themselves otherwise; either way the
+    pick, its value and both optima equal the oracles' in value and type."""
+
+    def check(self, rows, lam):
+        sigma = Sequence(tuple(map(ValueVector, rows)))
+        params = AgentParams(lam, len(rows[0]))
+        lam = params.lam  # an int lambda is kept as a Fraction
+        utilities = [oracles.gambler_utility(rows, t, lam)
+                     for t in range(1, len(rows) + 1)]
+        best = max(utilities)
+        out = offline_optimal_biased(sigma, params)
+        assert out.selection == utilities.index(best) + 1  # the first best
+        assert typed(out.utility) == typed(best)
+        assert typed(out.value) == typed(sigma.candidates[out.selection - 1].l1)
+        prophet = max(oracles.prophet_utility(rows, t, lam)
+                      for t in range(1, len(rows) + 1))
+        assert typed(offline_optimal_prophet_utility(sigma, params)) == \
+            typed(prophet)
+        return out
+
+    @pytest.mark.parametrize("lam", [F(0), F(1, 3), F(5, 2), 2, 0.25])
+    def test_one_candidate(self, lam):
+        for row in ((F(3, 2),), (F(0), F(7, 3)), (F(1), F(0), F(2, 5))):
+            assert self.check((row,), lam).selection == 1
+
+    @pytest.mark.parametrize("lam", [F(0), F(1, 2), 1])
+    def test_tie_resolves_to_the_smallest_index(self, lam):
+        # the stops of each sequence past a zero stop share one value, so
+        # they tie at lambda 0; above it a later stop falls short of its
+        # super candidate and scores less (the last two of the third tie)
+        assert self.check(((F(1), F(0)), (F(0), F(1))), lam).selection == 1
+        assert self.check(((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)),
+                           (F(1), F(0))), lam).selection == 1
+        out = self.check(((F(0), F(0)), (F(2), F(1)), (F(1), F(2)),
+                          (F(2), F(1))), lam)
+        assert out.selection == 2
+
+    @pytest.mark.parametrize("flavor", ["exact", "float-lambda", "mixed"])
+    def test_random_sequences(self, flavor):
+        # entries on a grid of thirds and halves, so scaled ints, ties and
+        # the lcm of the denominators all vary
+        rng = random.Random(f"offline-ints/{flavor}")
+        grid = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
+        lams = (F(0), F(1, 4), F(1, 2), F(2), 1, 3) if flavor != \
+            "float-lambda" else (0.0, 0.25, 0.5, 2.0)
+        for _ in range(200):
+            k, n = rng.randint(1, 3), rng.randint(1, 6)
+            rows = tuple(tuple(rng.choice(grid) for _ in range(k))
+                         for _ in range(n))
+            if flavor == "mixed":
+                t, j = rng.randrange(n), rng.randrange(k)
+                row = list(rows[t])
+                row[j] = float(row[j])
+                rows = rows[:t] + (tuple(row),) + rows[t + 1:]
+            self.check(rows, rng.choice(lams))
+
+    def test_integer_view_only_when_every_number_is_a_fraction(self):
+        from lap.core import _integer_view
+        exact = seq((1, 0), (F(1, 2), F(2, 3)))
+        mixed = Sequence((ValueVector((F(1), 0.0)), ValueVector((F(1), F(0)))))
+        rows, a, b, unit = _integer_view(exact, F(3, 4))
+        assert (rows, a, b, unit) == ([(6, 0), (3, 4)], 3, 4, 6)
+        assert _integer_view(exact, 0.75) is None
+        assert _integer_view(mixed, F(3, 4)) is None
+        subclassed = Sequence((ValueVector((Signed(1), F(0))),))
+        assert _integer_view(subclassed, F(1)) is None
+
+
 class TestSequencePredicates:
     def test_representation_dedupes_in_first_occurrence_order(self):
         a, b, c = (1, 0), (0, 1), (2, 2)

@@ -8,6 +8,7 @@ so exact results must be equal and float results bit-identical, with the
 same types, table keys and table order."""
 
 import random
+import sys
 from fractions import Fraction as F
 from operator import itemgetter
 
@@ -343,3 +344,17 @@ def test_an_iid_prior_builds_one_row(monkeypatch):
     rows = policies._rank_table(ProductPrior((step, other) * 500))[0]
     assert len(built) == 2
     assert len(rows) == 1000 and rows[::2] == [rows[0]] * 500
+
+
+def test_an_iid_prior_holds_no_row_list():
+    # the one row at every index, with nothing n long behind it
+    step = prior_of([[((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(1, 2))]]
+                    ).steps[0]
+    n = 10 ** 6
+    rows = policies._rank_table(ProductPrior.iid_prior(step, n))[0]
+    assert len(rows) == n and rows[0] is rows[n - 1] is rows[-n]
+    assert sys.getsizeof(rows) < 1000
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert set(map(id, rows)) == {id(rows[0])}
