@@ -145,8 +145,26 @@ class Sequence:
         return self.candidates[0].k
 
     def prefix(self, t: int) -> "Sequence":
+        """The first t candidates; they read this sequence's scaled
+        entries, if it has them, and build none of their own."""
         _check_index(self, t)
-        return Sequence(self.candidates[:t])
+        head = Sequence(self.candidates[:t])
+        scaled = self._scaled
+        if scaled is not None:  # kept where `cached_property` keeps it
+            head.__dict__["_scaled"] = (scaled[0][:t], scaled[1])
+        return head
+
+    @cached_property
+    def _scaled(self):
+        """The entries as ints times L, the lcm of their denominators, and
+        L; None when any entry is not a Fraction.  Built on first read; a
+        prefix's are its sequence's, at that sequence's L."""
+        entries = [c.entries for c in self.candidates]
+        if not all(type(e) is Fraction for row in entries for e in row):
+            return None
+        unit = math.lcm(*(e.denominator for row in entries for e in row))
+        return [tuple(e.numerator * (unit // e.denominator) for e in row)
+                for row in entries], unit
 
 
 class _Memoizing:
@@ -323,19 +341,15 @@ def max_value(sigma: Sequence) -> Number:
 
 
 def _integer_view(sigma: Sequence, lam: Number):
-    """The candidates' entries as ints times L, the lcm of their
-    denominators, with lambda = a/b, as (rows, a, b, L): a stop on scaled
-    value v whose super candidate's scaled norm is S scores
-    (a + b) * v - a * S over b * L.  None when lambda or any entry is not
-    a Fraction; the formulas then run on the numbers themselves."""
-    if type(lam) is not Fraction:
+    """The candidates' entries as ints times L (`Sequence._scaled`, built
+    once per sequence and shared by its prefixes), with lambda = a/b, as
+    (rows, a, b, L): a stop on scaled value v whose super candidate's
+    scaled norm is S scores (a + b) * v - a * S over b * L.  None when
+    lambda or any entry is not a Fraction; the formulas then run on the
+    numbers themselves."""
+    if type(lam) is not Fraction or sigma._scaled is None:
         return None
-    entries = [c.entries for c in sigma.candidates]
-    if not all(type(e) is Fraction for row in entries for e in row):
-        return None
-    unit = math.lcm(*(e.denominator for row in entries for e in row))
-    rows = [tuple(e.numerator * (unit // e.denominator) for e in row)
-            for row in entries]
+    rows, unit = sigma._scaled
     return rows, lam.numerator, lam.denominator, unit
 
 

@@ -56,8 +56,9 @@ scaled value with T = c/d as v*d >= c*L.  Ints are decoded to Fractions
 only for the final values, the rational DP's continuation values that are
 read, a threshold and its coin, the distributions returned and a Monte
 Carlo stop (then converted by float()).  A DP records its decisions only
-as accept masks; its value-keyed `policy_table` is decoded from them when
-first read.
+as accept masks, per step a tuple aligned with the step's sorted rank
+states, which `DPResult.mask` bisects; no (step, state) key is built.
+Its value-keyed `policy_table` is decoded from them when first read.
 When any entry, probability or lambda (or alpha, or T) is a float, the
 same loops run on the identity view (L = b = D_t = 1, weights the
 probabilities), which performs the float operations in the order the
@@ -70,13 +71,14 @@ import collections.abc
 import math
 import os
 import random
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import ge, getitem, gt, is_, itemgetter, le, lt
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
     AgentParams,
@@ -211,23 +213,37 @@ Policy.threshold = staticmethod(_threshold_policy)
 
 @dataclass(frozen=True)
 class DPResult:
-    """Backward-induction output: the value, the state count, and per (t,
-    rank state) the accept mask over the prior's `rank_table` rows (the
-    rational DP's one state is ())."""
+    """Backward-induction output: the value, the state count, and per step
+    t the accept masks over the prior's `rank_table` rows, `masks[t - 1]`,
+    aligned with that step's sorted rank states, `layers[t - 1]`.  The
+    rational DP has no layers (None): its one state at each step is ()."""
 
     expected_utility: Number
     state_count: int
-    masks: Dict[Tuple[int, tuple], int]
+    masks: List[Tuple[int, ...]]
     rank_table: tuple = field(repr=False, compare=False)
+    layers: Optional[List[collections.abc.Sequence]] = None
+
+    def mask(self, t: int, ranks: tuple) -> int:
+        """The accept mask of the reachable rank state `ranks` before t,
+        found by bisecting the step's sorted layer."""
+        if self.layers is None:
+            return self.masks[t - 1][0]
+        return self.masks[t - 1][bisect_left(self.layers[t - 1], ranks)]
 
     @cached_property
     def policy_table(self) -> Dict[Tuple[int, tuple], Tuple[tuple, ...]]:
         """The masks decoded on first read: per (t, the state's values),
-        the sorted entries it accepts."""
+        the sorted entries it accepts; the biased DP's from step n down and
+        each step's states in order, the rational DP's from step 1 up."""
         rows, levels = self.rank_table[:2]
+        n = len(self.masks)
+        steps = range(n, 0, -1) if self.layers else range(1, n + 1)
+        layers = self.layers or [((),)] * n
         return {(t, _decode(levels, s)): tuple(
             e for i, e in enumerate(rows[t - 1].ordered) if mask >> i & 1)
-            for (t, s), mask in self.masks.items()}
+            for t in steps
+            for s, mask in zip(layers[t - 1], self.masks[t - 1])}
 
 
 @dataclass(frozen=True)
@@ -253,6 +269,7 @@ class _Row(NamedTuple):
     exact: Optional[tuple]  # ints: entries times L, weights over `den`
     den: int  # D_t, the lcm of the step's probability denominators
     ordered: tuple  # the step's entries, sorted
+    columns: tuple  # per coordinate, the atoms' ranks in the prior's order
 
 
 class _OneRow(collections.abc.Sequence):
@@ -340,7 +357,8 @@ def _rank_table(prior: ProductPrior):
                           p.numerator * (den // p.denominator), ranks[i],
                           bit[i]) for i, (_, p) in enumerate(step.atoms))
         built.append(_Row(plain, view, den,
-                          tuple(step.atoms[i][0].entries for i in order)))
+                          tuple(step.atoms[i][0].entries for i in order),
+                          tuple(zip(*ranks))))
     if len(built) == 1:
         rows = _OneRow(built[0], len(steps))
     else:
@@ -495,7 +513,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
     elif policy.kind == "optimal-rational":
         res, cont = _rational_dp(prior)  # cont(t): value on reaching t
         arm = _Arm(lambda t, s, entries, val: val >= cont(t + 1), prior,
-                   lambda t, ranks: res.masks[(t, ())])
+                   res.mask)
     else:  # optimal-biased
         lam = policy.lam if policy.lam is not None else params.lam
         res = optimal_biased_policy(prior, AgentParams(lam, params.k), budget)
@@ -506,25 +524,30 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                 raise InvalidInput(
                     "realization leaves the compiled prior's support")
             return entries in acc
-        arm = _Arm(decide, prior, lambda t, ranks: res.masks[(t, ranks)])
+        arm = _Arm(decide, prior, res.mask)
     return CompiledPolicy(((Fraction(1), arm),), policy.seed)
 
 
 def run_rule(rule: Rule, sigma: Sequence,
              params: AgentParams) -> StoppingOutcome:
     """Online scan of one deterministic rule over one realization: the one
-    scorer of a caller's own values (declining is a zero-valued pick)."""
+    scorer of a caller's own values (declining is a zero-valued pick).
+    Rules see the super candidate joined from the empty history's
+    Fraction(0)s; a stop is scored on the join from the first candidate's
+    own entries, as the offline optima score it, so a 0.0 entry keeps its
+    type."""
     if sigma.k != params.k:
         raise InvalidInput("sequence and params dimensions differ")
     lam = params.lam
     s = (Fraction(0),) * sigma.k
+    top = sigma.candidates[0].entries
     for t, vec in enumerate(sigma.candidates, 1):
         entries, val = vec.entries, vec.l1
-        joined = _join(s, entries)
+        top = _join(top, entries)
         if rule(t, s, entries, val):
-            return StoppingOutcome(t, val, val - lam * (sum(joined) - val))
-        s = joined
-    return StoppingOutcome(None, Fraction(0), 0 - lam * (sum(s) - 0))
+            return StoppingOutcome(t, val, val - lam * (sum(top) - val))
+        s = _join(s, entries)
+    return StoppingOutcome(None, Fraction(0), 0 - lam * (sum(top) - 0))
 
 
 def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
@@ -828,62 +851,67 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     tuples, whose total count the state budget caps, then backward
     induction over them in the integer view (the identity view when lambda
     or the prior has a float).  Each (state, atom) pair is joined once, a
-    step's pairs column-wise; induction reads, then drops, a step's joins.
-    With lambda = a/b, a stop's utility b*v - a*(s - v), an int over b*L,
-    is raised to V_{t+1}'s scale, b*L*prod_{u>t} D_u, before `u >= cont`,
-    so every decision is the Fraction one.  A state's accept mask is kept
-    by (t, ranks); stops are scored, undecoded, on `_stop_view`'s norms."""
+    step's pairs column-wise, and kept only as its index into the next
+    layer, an `array` of ints (the last step's pairs are each their own
+    state, which the budget does not count); induction reads, then drops,
+    a step's indices.  The next layer's continuation values and scaled
+    norms are lists aligned with it, so a pair hashes nothing.  With
+    lambda = a/b, a stop's utility b*v - a*(s - v), an int over b*L, is
+    raised to V_{t+1}'s scale, b*L*prod_{u>t} D_u, before `u >= cont`, so
+    every decision is the Fraction one.  Each step's masks are a tuple
+    aligned with its layer; norms are read once per state from
+    `_stop_view`'s table."""
     rank_table = rows, _, _, _ = prior.memoized(_rank_table)
     n = prior.n
-    layer, layers, joins = ((0,) * prior.k,), [], []
-    cols, count, last = None, 1, None  # `layer`'s columns, once built
+    layer, layers, links, count = ((0,) * prior.k,), [], [], 1
     for t, row in enumerate(rows, 1):
-        if row is not last:  # `ranks`: the row's atom ranks, column-wise
-            last, ranks = row, tuple(zip(*[atom[3] for atom in row.plain]))
-        if len(layer) == len(row.plain) == 1:  # one pair: no columns
-            joined, cols = (tuple(map(max, layer[0], row.plain[0][3])),), None
+        layers.append(layer)
+        if len(layer) == len(row.plain) == 1:  # one pair: its own layer
+            layer, link = (tuple(map(max, layer[0], row.plain[0][3])),), (0,)
         else:
             cols = [[c if c > x else x for c in col for x in xs]
-                    for col, xs in zip(cols or zip(*layer), ranks)]
+                    for col, xs in zip(zip(*layer), row.columns)]
             joined = tuple(zip(*cols))
-        layers.append(layer)
-        if t < n:  # one pair is its own next layer
-            layer = sorted(set(joined)) if len(joined) > 1 else joined
-            if layer is not joined:  # the kept joins share its tuples
-                joined = tuple(map(dict(zip(layer, layer)).get, joined))
-                cols = tuple(zip(*layer))
+            if t == n:  # step n's pairs are each a state of their own
+                layer, link = joined, range(len(joined))
+            else:
+                layer = sorted(set(joined))
+                index = dict(zip(layer, range(len(layer))))
+                link = array("I", map(index.__getitem__, joined))
+        links.append(link)
+        if t < n:  # the budget counts the layers before steps 1..n
             count += len(layer)
             _charge(count, budget, t + 1)
-        joins.append(joined)  # step n's too, which are not charged
     _, exact, a, b, norms, unit = _stop_view(prior, lam)
-    masks: Dict[Tuple[int, tuple], int] = {}
-    values: Dict[tuple, Number] = {}
+    # after step n the continuation is walking away, 0 - a*s, on which a
+    # stop gains (b + a)*v >= 0 (in floats too, as rounding is monotone):
+    # step n stops on every atom
+    nrm = list(map(norms.__getitem__, layer))
+    vals = [0 - a * s for s in nrm]
+    masks = [()] * n
     scale = 1  # prod_{u>t} D_u: lifts a stop utility to V_{t+1}'s scale
     for t in range(n, 0, -1):
         atoms, den = _view(rows[t - 1], exact)
-        newvals: Dict[tuple, Number] = {}
-        pairs = iter(joins.pop())
-        for s in layers.pop():
-            total = 0
-            mask = 0
-            for (_, val, p, _, bit), joined in zip(atoms, pairs):
-                u = (b * val - a * (norms[joined] - val)) * scale
-                # step n takes every offer (cont = u): against declining
-                # everything, 0 - a*s, it gains u - (0 - a*s) = (b + a)*val,
-                # never negative
-                cont = values[joined] if t < n else u
+        pairs = iter(links.pop())
+        newvals, mask_row, here = [], [], []
+        for s in layers[t - 1]:
+            total = mask = 0
+            for (_, val, p, _, bit), j in zip(atoms, pairs):
+                u = (b * val - a * (nrm[j] - val)) * scale
+                cont = vals[j]
                 if u >= cont:
                     mask |= bit
-                    choice = u
+                    total = total + p * u
                 else:
-                    choice = cont
-                total = total + p * choice
-            newvals[s] = total
-            masks[(t, s)] = mask
-        values = newvals
+                    total = total + p * cont
+            newvals.append(total)
+            mask_row.append(mask)
+            here.append(norms[s])
+        masks[t - 1] = tuple(mask_row)
+        vals, nrm = newvals, here
         scale *= den
-    return DPResult(_unscaled(exact, values[(0,) * prior.k], unit * scale),
-                    count, masks, rank_table)
+    return DPResult(_unscaled(exact, vals[0], unit * scale), count, masks,
+                    rank_table, layers)
 
 
 def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
@@ -912,7 +940,7 @@ def _rational_dp(prior: ProductPrior):
     n = prior.n
     totals = [0] * (n + 1)  # totals[t] over dens[t]: the value on reaching t
     dens = [1] * (n + 1)
-    masks = dict.fromkeys([(t, ()) for t in range(1, n + 1)], 0)  # t order
+    masks = [()] * n
     nxt = 0  # cont(t + 1) at its scale
     scale = 1  # prod_{u>t} D_u
     for t in range(n, 0, -1):
@@ -930,7 +958,7 @@ def _rational_dp(prior: ProductPrior):
         nxt = totals[t] = total
         scale *= den
         dens[t] = unit * scale
-        masks[(t, ())] = mask
+        masks[t - 1] = (mask,)
 
     def cont(t: int) -> Number:
         if not 1 <= t <= n:

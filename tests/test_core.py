@@ -303,13 +303,7 @@ class TestOfflineOptimal:
             for t in range(1, len(rows) + 1):  # every stop, online
                 got = stop_utility(sigma, t, params)
                 want = oracles.gambler_utility(rows, t, lam)
-                # mixed entries compare by value: the online scan starts
-                # from the empty history's Fraction(0), which a column of
-                # 0.0s leaves in place where the oracle keeps 0.0
-                if flavor == "mixed":
-                    assert got == want
-                else:
-                    assert typed(got) == typed(want)
+                assert typed(got) == typed(want)
 
     def test_vectors_built_linear_in_n(self, monkeypatch):
         # one running super candidate, not one rebuilt per stop
@@ -386,6 +380,24 @@ class TestOfflineIntegerView:
                 row[j] = float(row[j])
                 rows = rows[:t] + (tuple(row),) + rows[t + 1:]
             self.check(rows, rng.choice(lams))
+
+    def test_a_prefix_reads_its_sequence_view(self):
+        # an exact sequence's prefix is scaled at the sequence's L (30, not
+        # its own 6) and scores as the same candidates on their own, which
+        # the larger last candidate would change; a prefix of a sequence
+        # with a float scales itself when it can
+        full = seq((1, F(1, 3)), (F(1, 2), 2), (F(16, 5), 3))
+        mixed = Sequence(full.candidates[:2] + (ValueVector((0.5, F(1))),))
+        for whole, unit in ((full, 30), (mixed, 6)):
+            base = whole.prefix(2)
+            alone = Sequence(whole.candidates[:2])
+            assert base._scaled[1] == unit and alone._scaled[1] == 6
+            for lam in (F(0), F(1, 2), F(3)):
+                params = AgentParams(lam, 2)
+                assert typed(offline_optimal_biased(base, params)) == \
+                    typed(offline_optimal_biased(alone, params))
+                assert typed(offline_optimal_prophet_utility(base, params)) \
+                    == typed(offline_optimal_prophet_utility(alone, params))
 
     def test_integer_view_only_when_every_number_is_a_fraction(self):
         from lap.core import _integer_view

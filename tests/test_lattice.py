@@ -501,8 +501,10 @@ class TestLatticeAgainstReachable:
         for prior in self.priors():
             layers = [sorted(layer) for layer in reachable(prior)]
             res = policies._biased_dp(prior, lam, 10 ** 6)
-            assert list(res.masks) == [(t, s) for t in range(prior.n, 0, -1)
-                                       for s in layers[t - 1]]
+            assert [(t, s) for t in range(prior.n, 0, -1)
+                    for s, _ in zip(res.layers[t - 1], res.masks[t - 1],
+                                    strict=True)] == \
+                [(t, s) for t in range(prior.n, 0, -1) for s in layers[t - 1]]
             sizes = [len(layer) for layer in layers]
             assert res.state_count == sum(sizes)
             for budget in range(1, res.state_count + 2):
@@ -517,6 +519,20 @@ class TestLatticeAgainstReachable:
                 assert str(err.value) == (f"state budget {budget} exceeded "
                                           f"({sum(sizes[:t])}+ states by "
                                           f"step {t})")
+
+    def test_policy_tables_list_the_decoded_layers(self):
+        # the biased DP's from step n down, each step's states sorted; the
+        # rational DP's one state () per step, from step 1 up
+        for prior in self.priors():
+            decoded = list(reachable(prior))
+            for lam in (F(2, 3), 0.3):
+                res = policies._biased_dp(prior, lam, 10 ** 6)
+                assert list(res.policy_table) == [
+                    (t, values) for t in range(prior.n, 0, -1)
+                    for values in decoded[t - 1].values()]
+            rational = policies._rational_dp(prior)[0]
+            assert list(rational.policy_table) == [
+                (t, ()) for t in range(1, prior.n + 1)]
 
 
 def test_l1_is_read_once_and_leaves_the_vector_unchanged():
