@@ -125,11 +125,6 @@ class _Grid(collections.abc.Sequence):
     def __getitem__(self, i: int) -> Fraction:
         return self.start + range(self.count)[i] * self.step
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, collections.abc.Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 def grid(text: str) -> _Grid:
     """Inclusive start:stop:step grid of exact rationals; step defaults

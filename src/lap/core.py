@@ -15,7 +15,9 @@ stop an online rule makes, and the lattice passes score stops on a prior.
 Two arithmetic modes coexist: exact rationals (fractions.Fraction, the
 default; every closed-form identity is checked exactly) and plain floats for
 Monte Carlo work.  Integers are normalized to Fraction on entry so that
-untyped literals stay exact.
+untyped literals stay exact.  Each formula is written once: the offline
+optima score an exact sequence on its integer view, and float inputs run
+the same code on the identity view (`_integer_view`).
 """
 
 from __future__ import annotations
@@ -341,64 +343,50 @@ def max_value(sigma: Sequence) -> Number:
 
 
 def _integer_view(sigma: Sequence, lam: Number):
-    """The candidates' entries as ints times L (`Sequence._scaled`, built
-    once per sequence and shared by its prefixes), with lambda = a/b, as
-    (rows, a, b, L): a stop on scaled value v whose super candidate's
-    scaled norm is S scores (a + b) * v - a * S over b * L.  None when
-    lambda or any entry is not a Fraction; the formulas then run on the
-    numbers themselves."""
-    if type(lam) is not Fraction or sigma._scaled is None:
-        return None
-    rows, unit = sigma._scaled
-    return rows, lam.numerator, lam.denominator, unit
+    """The candidates' entries and lambda = a/b as (rows, a, b, L, exact),
+    so that a stop on value v whose super candidate's norm is S scores
+    b*v - a*(S - v) over b*L.  On the integer view (`exact`) the rows are
+    the entries as ints times L (`Sequence._scaled`, built once per
+    sequence and shared by its prefixes); when lambda or any entry is not a
+    Fraction, the identity view: the entries themselves, with a = lambda
+    and b = L = 1, so the same formula runs on the numbers themselves."""
+    if type(lam) is Fraction and sigma._scaled is not None:
+        rows, unit = sigma._scaled
+        return rows, lam.numerator, lam.denominator, unit, True
+    return [c.entries for c in sigma.candidates], lam, 1, 1, False
 
 
 def offline_optimal_biased(sigma: Sequence,
                            params: AgentParams) -> StoppingOutcome:
     """Arg-max of the biased gambler utility over stops; ties resolve to the
     smallest index.  Walking away, which scores -lambda * ||s^(n)||_1, is
-    never better: a pick at t scores at least -lambda * ||s^(t)||_1.  On
-    the integer view each stop is scored as an int and the winner decoded
-    once."""
+    never better: a pick at t scores at least -lambda * ||s^(t)||_1.  Each
+    stop is scored on `_integer_view` and the winner decoded once."""
     _check_dims(sigma, params)
-    view = _integer_view(sigma, params.lam)
-    if view is not None:
-        rows, a, b, unit = view
-        gain = a + b
-        best_t, best_u = 0, None
-        s = rows[0]
-        for t, row in enumerate(rows):
-            s = tuple(map(max, s, row))
-            u = gain * sum(row) - a * sum(s)
-            if best_u is None or u > best_u:
-                best_t, best_u = t, u
-        return StoppingOutcome(best_t + 1, sigma.candidates[best_t].l1,
-                               Fraction(best_u, b * unit))
-    best: Optional[StoppingOutcome] = None
-    s = sigma.candidates[0].entries  # s^(t)'s entries; no vector per step
-    for t, c in enumerate(sigma.candidates, 1):
-        s = tuple(map(max, s, c.entries))
-        v = c.l1
-        u = v - params.lam * (sum(s) - v)
-        if best is None or u > best.utility:
-            best = StoppingOutcome(t, v, u)
-    return best
+    rows, a, b, unit, exact = _integer_view(sigma, params.lam)
+    best_t, best_u = 0, None
+    s = rows[0]  # s^(t)'s entries; no vector per step
+    for t, row in enumerate(rows):
+        s = tuple(map(max, s, row))
+        v = sum(row)
+        u = b * v - a * (sum(s) - v)
+        if best_u is None or u > best_u:
+            best_t, best_u = t, u
+    return StoppingOutcome(best_t + 1, sigma.candidates[best_t].l1,
+                           Fraction(best_u, b * unit) if exact else best_u)
 
 
 def offline_optimal_prophet_utility(sigma: Sequence,
                                     params: AgentParams) -> Number:
-    """Best biased-prophet utility over all picks (the offline agent)."""
+    """Best biased-prophet utility over all picks (the offline agent), on
+    `_integer_view`: every pick shares s^(n), and the first best is kept."""
     _check_dims(sigma, params)
-    view = _integer_view(sigma, params.lam)
-    if view is not None:
-        # every pick shares s^(n), so the best is the largest scaled value;
-        # the first row is passed twice so one row's columns are its own
-        rows, a, b, unit = view
-        s = sum(map(max, rows[0], *rows))
-        return Fraction((a + b) * max(map(sum, rows)) - a * s, b * unit)
-    # s^(n)'s L1 norm: the sum of the column maxima
-    s = sum(map(max, zip(*(c.entries for c in sigma.candidates))))
-    return max(c.l1 - params.lam * (s - c.l1) for c in sigma.candidates)
+    rows, a, b, unit, exact = _integer_view(sigma, params.lam)
+    # s^(n)'s L1 norm, the sum of the column maxima; the first row is
+    # passed twice so one row's columns are its own
+    s = sum(map(max, rows[0], *rows))
+    u = max(b * v - a * (s - v) for v in map(sum, rows))
+    return Fraction(u, b * unit) if exact else u
 
 
 def representation(sigma: Sequence) -> Sequence:
@@ -417,12 +405,8 @@ def representation(sigma: Sequence) -> Sequence:
 
 def is_succinct(sigma: Sequence) -> bool:
     """No duplicate candidates and no all-zero candidate."""
-    seen = set()
-    for c in sigma.candidates:
-        if c.is_zero or c.entries in seen:
-            return False
-        seen.add(c.entries)
-    return True
+    return len({c.entries for c in sigma.candidates if not c.is_zero}) == \
+        sigma.n
 
 
 def higher_quality(a: Sequence, b: Sequence) -> bool:

@@ -17,7 +17,8 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, localcontext
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from itertools import accumulate
+from typing import Callable, List, Optional, Tuple, Union
 
 from .core import (
     AgentParams,
@@ -50,29 +51,27 @@ def _check_counts(n: int, k: int) -> None:
     _count(k, 1, "dimension must be a positive integer")
 
 
+def _alternating(n: int, k: int, value: Callable[[int], Number]
+                 ) -> Sequence:
+    """n candidates, row r (from 0) worth value(r) on one axis, cycling the
+    dimensions."""
+    return Sequence(tuple(_single_axis(value(t // k), t % k + 1, k)
+                          for t in range(n)))
+
+
 def gen_alternating_geometric(n: int, k: int, beta: Number) -> Sequence:
     """Row r carries value beta^(r-1), cycling one nonzero dimension."""
     _check_counts(n, k)
     beta = _coerce(beta, "beta")
     if beta <= 0:
         raise InvalidInput("beta must be positive")
-    rows = []
-    for t in range(1, n + 1):
-        row = (t - 1) // k
-        dim = (t - 1) % k + 1
-        rows.append(_single_axis(beta ** row, dim, k))
-    return Sequence(tuple(rows))
+    return _alternating(n, k, lambda row: beta ** row)
 
 
 def gen_alternating_linear(n: int, k: int) -> Sequence:
     """Row r carries value r, cycling one nonzero dimension."""
     _check_counts(n, k)
-    rows = []
-    for t in range(1, n + 1):
-        row = (t - 1) // k + 1
-        dim = (t - 1) % k + 1
-        rows.append(_single_axis(Fraction(row), dim, k))
-    return Sequence(tuple(rows))
+    return _alternating(n, k, lambda row: Fraction(row + 1))
 
 
 def gen_partial_sums(w: int, k: int, beta: Number) -> Sequence:
@@ -85,13 +84,9 @@ def gen_partial_sums(w: int, k: int, beta: Number) -> Sequence:
     beta = _coerce(beta, "beta")
     if beta <= 0:
         raise InvalidInput("beta must be positive")
-    rows = []
-    total = Fraction(0)
-    for i in range(w):
-        total = total + beta ** i
-        for dim in range(1, k + 1):
-            rows.append(_single_axis(total, dim, k))
-    return Sequence(tuple(rows))
+    totals = list(accumulate((beta ** i for i in range(w)),
+                             initial=Fraction(0)))
+    return _alternating(w * k, k, lambda row: totals[row + 1])
 
 
 def gen_worstcase_mixed(w: int, k: int, lam: Number,
@@ -124,7 +119,7 @@ def gen_worstcase_mixed(w: int, k: int, lam: Number,
 
 def gen_identical_value(k: int, q: Number) -> Sequence:
     """Candidate i is worth q on dimension i alone; all picks tie in value."""
-    _check_counts(k, k)
+    _count(k, 1, "dimension must be a positive integer")
     q = _coerce(q, "q")
     if q <= 0:
         raise InvalidInput("q must be positive")
@@ -133,7 +128,7 @@ def gen_identical_value(k: int, q: Number) -> Sequence:
 
 def gen_salient_feature(k: int, a: Number, q: Number) -> Sequence:
     """Candidate i is worth a everywhere plus a bonus q on dimension i."""
-    _check_counts(k, k)
+    _count(k, 1, "dimension must be a positive integer")
     a = _coerce(a, "a")
     q = _coerce(q, "q")
     if a <= 0:

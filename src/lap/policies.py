@@ -51,15 +51,16 @@ entry's denominator, and each step's probabilities as int weights over
 D_t, their lcm.  Sums of products of those ints, and lambda = a/b applied
 as b*v - a*(s - v), stay ints over one positive scale per step, so every
 comparison is the Fraction one and no gcd is paid along the way: a tail of
-the V* law is compared with alpha = c/d as tail*d <= c*prod D_t, and a
-scaled value with T = c/d as v*d >= c*L.  Ints are decoded to Fractions
+the V* law is compared with alpha = c/d (its `as_integer_ratio`, so a
+float alpha's too) as tail <= c*prod D_t // d, and a scaled value with
+T = c/d as v*d >= c*L.  Ints are decoded to Fractions
 only for the final values, the rational DP's continuation values that are
 read, a threshold and its coin, the distributions returned and a Monte
 Carlo stop (then converted by float()).  A DP records its decisions only
 as accept masks, per step a tuple aligned with the step's sorted rank
 states, which `DPResult.mask` bisects; no (step, state) key is built.
 Its value-keyed `policy_table` is decoded from them when first read.
-When any entry, probability or lambda (or alpha, or T) is a float, the
+When any entry, probability or lambda (or T) is a float, the
 same loops run on the identity view (L = b = D_t = 1, weights the
 probabilities), which performs the float operations in the order the
 Fraction formulas did.
@@ -291,11 +292,6 @@ class _OneRow(collections.abc.Sequence):
 
     def __iter__(self):
         return repeat(self.row, self.n)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, collections.abc.Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def _rank_table(prior: ProductPrior):
@@ -759,15 +755,12 @@ def _expectation_of(dist: Dict[Number, Number]) -> Number:
 
 
 def _laws_expectation(laws) -> Number:
-    """The summed expectations of `_max_convolution` laws on one view: on
-    the integer view every law has one scale, L * prod D_t, so they are one
-    int sum, decoded once; the identity view sums each law's expectation in
-    order."""
+    """The summed expectations of `_max_convolution` laws on one view, each
+    law summed first (the identity view's floats add in that order), decoded
+    once: on the integer view every law has one scale, L * prod D_t."""
     _, exact, unit, scale = laws[0]
-    if not exact:
-        return sum((_expectation_of(law) for law, *_ in laws), Fraction(0))
-    return Fraction(sum(x * p for law, *_ in laws for x, p in law.items()),
-                    unit * scale)
+    return _unscaled(exact, sum(sum(x * p for x, p in law.items())
+                                for law, *_ in laws), unit * scale)
 
 
 def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
@@ -785,14 +778,14 @@ def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
     """Exact distribution of V* = max_t ||sigma^(t)||_1, decoded from the
     kept law into a dict of the caller's own."""
     law, exact, unit, scale = prior.memoized(_max_convolution, sum)
-    if not exact:
-        return dict(law)
-    return {Fraction(x, unit): Fraction(p, scale) for x, p in law.items()}
+    return {_unscaled(exact, x, unit): _unscaled(exact, p, scale)
+            for x, p in law.items()}
 
 
 def _value_tails(prior: ProductPrior):
-    """The kept int V* law's values from the top down, and each one's tail
-    Pr[V* > v] as an int over prod D_t."""
+    """The kept V* law's values from the top down, and each one's tail
+    Pr[V* > v], summed in that order at the law's scale (an int over
+    prod D_t on the integer view)."""
     law = prior.memoized(_max_convolution, sum)[0]
     values = sorted(law, reverse=True)
     return values, list(accumulate(map(law.__getitem__, values[:-1]),
@@ -804,33 +797,29 @@ def threshold_from_alpha(prior: ProductPrior, alpha: Number,
     """Threshold T plus atom-acceptance probability p with
     Pr[V* > T] + p * Pr[V* = T] = alpha, exactly.
 
-    T is the least value of V* whose tail Pr[V* > T] is at most alpha.  An
-    exact prior and a Fraction alpha bisect the kept int tails
-    (`_value_tails`, rising as the values fall): with weights w over
-    prod D_t, tail <= alpha is tail <= alpha.num * prod D_t // alpha.den,
-    and p = (alpha.num * prod D_t - tail * alpha.den) / (w * alpha.den).
-    A float alpha or prior reads the decoded law and sums and compares its
-    numbers in the same order."""
+    T is the least value of V* whose tail Pr[V* > T] is at most alpha: one
+    bisection of the kept tails (`_value_tails`, rising as the values
+    fall).  On the integer view, with weights w over prod D_t and
+    (c, d) = alpha.as_integer_ratio(), tail <= alpha is
+    tail <= c * prod D_t // d, exact for a float alpha too; a Fraction
+    alpha then gets p = (c * prod D_t - tail * d) / (w * d).  Otherwise
+    p = (alpha - tail) / w on the decoded tail and weight.  A float prior
+    runs the same code on the identity view, comparing and subtracting its
+    own numbers."""
     if not _in_unit(alpha, lt):
         raise InvalidInput("alpha must lie strictly between 0 and 1")
     law, exact, unit, scale = prior.memoized(_max_convolution, sum)
+    values, tails = prior.memoized(_value_tails)
+    c, d = alpha.as_integer_ratio()
+    i = bisect_right(tails, c * scale // d if exact else alpha) - 1
+    v, above, w = values[i], tails[i], law[values[i]]
     if exact and isinstance(alpha, Fraction):
-        values, tails = prior.memoized(_value_tails)
-        num, den = alpha.numerator * scale, alpha.denominator
-        i = bisect_right(tails, num // den) - 1
-        v, above = values[i], tails[i]
-        return Policy(kind="threshold", threshold=Fraction(v, unit),
-                      atom_accept_prob=Fraction(num - above * den,
-                                                law[v] * den), seed=seed)
-    law = value_max_distribution(prior)
-    values = sorted(law, reverse=True)
-    # each value's tail, summed from the top down; then the least that fits
-    tails = accumulate(map(law.__getitem__, values), initial=0)
-    for v, above in reversed(list(zip(values, tails))):
-        if above <= alpha:
-            break
-    return Policy(kind="threshold", threshold=v,
-                  atom_accept_prob=(alpha - above) / law[v], seed=seed)
+        p = Fraction(c * scale - above * d, w * d)
+    else:
+        p = (alpha - _unscaled(exact, above, scale)) / \
+            _unscaled(exact, w, scale)
+    return Policy(kind="threshold", threshold=_unscaled(exact, v, unit),
+                  atom_accept_prob=p, seed=seed)
 
 
 def guarantee_alphas(params: AgentParams) -> Tuple[Number, Number]:

@@ -39,13 +39,13 @@ ONE_STEP_PRIOR = {"k": 1, "n": 1, "iid": True, "steps": [
 
 class TestArgumentTypes:
     def test_grid_fractional_step(self):
-        assert cli.grid("0.1:0.5:0.2") == [F(1, 10), F(3, 10), F(1, 2)]
+        assert list(cli.grid("0.1:0.5:0.2")) == [F(1, 10), F(3, 10), F(1, 2)]
 
     def test_grid_default_step(self):
-        assert cli.grid("1:4") == [F(1), F(2), F(3), F(4)]
+        assert list(cli.grid("1:4")) == [F(1), F(2), F(3), F(4)]
 
     def test_grid_single_point(self):
-        assert cli.grid("2") == [F(2)]
+        assert list(cli.grid("2")) == [F(2)]
 
     def test_grid_rejects_bad_shapes(self):
         for text in ("1:2:3:4", "2:1", "1:3:0", "1:3:-1"):

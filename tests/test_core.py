@@ -403,12 +403,17 @@ class TestOfflineIntegerView:
         from lap.core import _integer_view
         exact = seq((1, 0), (F(1, 2), F(2, 3)))
         mixed = Sequence((ValueVector((F(1), 0.0)), ValueVector((F(1), F(0)))))
-        rows, a, b, unit = _integer_view(exact, F(3, 4))
-        assert (rows, a, b, unit) == ([(6, 0), (3, 4)], 3, 4, 6)
-        assert _integer_view(exact, 0.75) is None
-        assert _integer_view(mixed, F(3, 4)) is None
+        assert _integer_view(exact, F(3, 4)) == \
+            ([(6, 0), (3, 4)], 3, 4, 6, True)
+        # anything else is the identity view: the entries, a = lambda and
+        # b = L = 1
+        assert _integer_view(exact, 0.75) == \
+            ([(F(1), F(0)), (F(1, 2), F(2, 3))], 0.75, 1, 1, False)
+        assert _integer_view(mixed, F(3, 4)) == \
+            ([(F(1), 0.0), (F(1), F(0))], F(3, 4), 1, 1, False)
         subclassed = Sequence((ValueVector((Signed(1), F(0))),))
-        assert _integer_view(subclassed, F(1)) is None
+        assert _integer_view(subclassed, F(1)) == \
+            ([(Signed(1), F(0))], F(1), 1, 1, False)
 
 
 class TestSequencePredicates:

@@ -339,7 +339,7 @@ def test_an_iid_prior_builds_one_row(monkeypatch):
     other = prior_of([[((F(2), F(0)), F(1))]]).steps[0]
     rows = policies._rank_table(ProductPrior.iid_prior(step, 10 ** 5))[0]
     assert len(built) == 1
-    assert rows == [rows[0]] * 10 ** 5
+    assert list(rows) == [rows[0]] * 10 ** 5
     built.clear()
     rows = policies._rank_table(ProductPrior((step, other) * 500))[0]
     assert len(built) == 2

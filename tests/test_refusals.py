@@ -27,9 +27,11 @@ from lap.instances import (
     ReductionMeta,
     det_to_iid,
     gen_alternating_linear,
+    gen_identical_value,
     gen_partial_sums,
     gen_quality_pair,
     gen_random_prior,
+    gen_salient_feature,
     gen_worstcase_mixed,
     iid_gap_bound_variants,
     reduction_probabilities,
@@ -88,6 +90,10 @@ COUNTS = {
                     "n must be at least 1", 0),
     "index": (lambda c: SUCCINCT.prefix(c),
               "index {c} out of range 1..3", 0),
+    "gen_identical_value k": (lambda c: gen_identical_value(c, F(2)),
+                              "dimension must be a positive integer", 0),
+    "gen_salient_feature k": (lambda c: gen_salient_feature(c, F(1), F(2)),
+                              "dimension must be a positive integer", 0),
     "gen_quality_pair k": (lambda c: gen_quality_pair(c, F(2)),
                            "quality pair needs k > 1", 1),
     "gen_random_prior atoms_max": (
