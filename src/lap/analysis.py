@@ -11,11 +11,13 @@ command, and the reduction's two diagnostics (does a draw represent
 sigma, does an adjacent pair invert) are forward chains over the prior's
 steps.  The one sampler, monte_carlo, exists for the priors whose reachable
 states exceed the budget; it is seeded and replayable.  It keeps the rng,
-the arm draws and the statistics; `policies._trial_walk` picks the atoms
-from the rank table's rows and walks them over interned rank states, each
-(step, state, atom) outcome computed once as the exact stop utility
-converted by float().  The rng makes the calls a scan of sampled sequences
-would make, so estimates are the same to the last bit.  E[V*] and
+the arm draws and the statistics; `policies._trial_walk` draws each
+step's uniform as a trial walks over interned rank states, picks that
+step's atom from the rank table's row, and draws the uniforms after the
+trial's stop unread.  Each (step, state, atom) outcome is computed once: a
+stop's float is the correctly rounded quotient of its scaled ints.  The rng
+makes the calls a scan of sampled sequences would make, in the same order,
+so estimates are the same to the last bit.  E[V*] and
 E[sum_j S_j*] come from `policies`, beside the max-convolution they read,
 each one int sum on an exact prior.
 """
@@ -200,10 +202,12 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     the policy's mixing arm (two-armed policies only), then one uniform
     per step for all n steps, even past the step where the rule stops, so
     a rerun with the same arguments is bit identical.  The policy's own
-    seed is not consulted here.  Each arm's walk (`_trial_walk`) turns the
-    uniforms into atom indices and walks them over interned
-    super-candidate states, whose count the state budget caps, and each
-    utility is the exact one converted with float().
+    seed is not consulted here.  Each arm's walk (`_trial_walk`) draws a
+    step's uniform when the trial reaches that step, turns it into an atom
+    index and moves over interned super-candidate states, whose count the
+    state budget caps; after the stop it draws the remaining steps'
+    uniforms unread.  Each utility is the exact one rounded once to a
+    float: the correctly rounded quotient of the stop's scaled ints.
     """
     _count(trials, 1, "trials must be positive")
     limit = resolve_budget(budget)
@@ -211,12 +215,13 @@ def monte_carlo(prior: ProductPrior, policy: Policy, params: AgentParams,
     walks = [_trial_walk(rule, prior, params.lam, limit)
              for _, rule in compiled.arms]
     rng = random.Random(seed)
+    draw = rng.random
     walk = walks[0]
     total = total_sq = 0.0
     for _ in range(trials):
         if len(walks) > 1:
             walk = walks[compiled.draw_arm(rng)]
-        u = walk(rng.random)
+        u = walk(draw)
         total += u
         total_sq += u * u
     mean = total / trials

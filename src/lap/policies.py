@@ -55,8 +55,9 @@ the V* law is compared with alpha = c/d (its `as_integer_ratio`, so a
 float alpha's too) as tail <= c*prod D_t // d, and a scaled value with
 T = c/d as v*d >= c*L.  Ints are decoded to Fractions
 only for the final values, the rational DP's continuation values that are
-read, a threshold and its coin, the distributions returned and a Monte
-Carlo stop (then converted by float()).  A DP records its decisions only
+read, a threshold and its coin and the distributions returned; a Monte
+Carlo stop goes straight to a float, the correctly rounded quotient of
+its scaled ints.  A DP records its decisions only
 as accept masks, per step a tuple aligned with the step's sorted rank
 states, which `DPResult.mask` bisects; no (step, state) key is built.
 Its value-keyed `policy_table` is decoded from them when first read.
@@ -451,18 +452,19 @@ class CompiledPolicy:
     def deterministic(self) -> bool:
         return len(self.arms) == 1
 
+    @cached_property
+    def _arm_sums(self) -> tuple:
+        """The running float sums of the arms' probabilities, all but the
+        last arm's, added in the arms' order."""
+        return tuple(accumulate(float(p) for p, _ in self.arms[:-1]))
+
     def draw_arm(self, rng: random.Random) -> int:
-        """The index of the arm one draw picks; a deterministic policy
-        makes no rng call."""
+        """The index of the arm one draw picks: the first whose running
+        sum passes the uniform, else the last; a deterministic policy makes
+        no rng call."""
         if self.deterministic:
             return 0
-        u = rng.random()
-        acc = 0.0
-        for i, (p, _) in enumerate(self.arms[:-1]):
-            acc += float(p)
-            if u < acc:
-                return i
-        return len(self.arms) - 1
+        return bisect_right(self._arm_sums, rng.random())
 
     def draw_rule(self, rng: random.Random) -> Rule:
         return self.arms[self.draw_arm(rng)][1]
@@ -616,26 +618,30 @@ def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
 
 
 class _State:
-    """An interned (step, super candidate) state of a Monte Carlo walk: the
-    super candidate's rank tuple, the rule's accept mask there, and per
-    atom of the step what a trial drawing that atom does next: None until
-    computed, then the stop utility as a float or the next _State."""
+    """An interned (step, super candidate) state of a Monte Carlo walk: its
+    step t, the super candidate's rank tuple, the rule's accept mask there,
+    step t's running float sums that a draw bisects for an atom index, and
+    per atom of the step what a trial drawing that atom does next: None
+    until computed, then the stop utility as a float or the next _State."""
 
-    __slots__ = ("ranks", "mask", "next")
+    __slots__ = ("t", "ranks", "mask", "cums", "next")
 
-    def __init__(self, ranks: tuple, mask: int, width: int):
-        self.ranks = ranks
-        self.mask = mask
-        self.next = [None] * width
+    def __init__(self, t: int, ranks: tuple, mask: int, cums: tuple):
+        self.t, self.ranks, self.mask, self.cums = t, ranks, mask, cums
+        self.next = [None] * len(cums)
 
 
 def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
     """One deterministic rule's trials as a function of `draw` (the rng's
-    `random`) to the utility as a float.  A trial first draws n uniforms;
-    the first of a row's running float sums past one picks the atom (the
-    last sum is infinity, so a draw past the rounded total picks it).  A
-    stop is scored on `_stop_view` as the exact passes score it, then
-    converted by float().
+    `random`) to the utility as a float.  A trial draws each step's uniform
+    when its walk reaches that step; the first of the row's running float
+    sums past it picks the atom (the last sum is infinity, so a draw past
+    the rounded total picks it).  After the rule stops, the trial draws the
+    uniforms of its remaining steps unread, so every trial makes n draws,
+    as a scan of a sampled sequence does.  A stop is scored on
+    `_stop_view` as the exact passes score it; its float is the correctly
+    rounded quotient of the scaled ints (the value float() of the Fraction
+    gives), or float() of the identity view's number.
 
     A state is interned the first time a trial reaches it, while fewer
     than `limit` are, so the rule is asked for its accept mask there once.
@@ -651,13 +657,18 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
                       math.inf)
             for row in {id(row): row for row in rows}.values()}
     cums = [sums[id(row)] for row in rows]
-    states: Dict[Tuple[int, tuple], _State] = {}  # (t, ranks) before step t
+    # per step t, the states before step t by their ranks
+    layers: Dict[int, Dict[tuple, _State]] = collections.defaultdict(dict)
+    held = 0  # states interned, over all steps
 
     def intern(t, ranks):
-        state = states.get((t, ranks))
-        if state is None and len(states) < limit:
-            state = states[(t, ranks)] = _State(
-                ranks, accept(t, ranks), len(rows[t - 1].plain))
+        nonlocal held
+        layer = layers[t]
+        state = layer.get(ranks)
+        if state is None and held < limit:
+            state = layer[ranks] = _State(t, ranks, accept(t, ranks),
+                                          cums[t - 1])
+            held += 1
         return state
 
     def outcome(t, ranks, mask, i, norms=norms):
@@ -670,35 +681,40 @@ def _trial_walk(rule: Rule, prior: ProductPrior, lam: Number, limit: int):
             if t < n:
                 return joined
             val = 0  # every candidate declined: a zero-valued pick
-        return float(_unscaled(exact, b * val - a * (norms[joined] - val),
-                               unit))
+        u = b * val - a * (norms[joined] - val)
+        return u / unit if exact else float(u)
 
-    def unstored(t, r, picks):
+    def unstored(t, r, draw):
         once = _Norms(norms.levels)  # this trial's stop norm, not kept
         while r.__class__ is not float:
-            r = outcome(t, r, accept(t, r), picks[t - 1], once)
+            r = outcome(t, r, accept(t, r), bisect_right(cums[t - 1], draw()),
+                        once)
             t += 1
+        for _ in range(n + 1 - t):
+            draw()
         return r
 
     root = intern(1, (0,) * prior.k)
 
     def walk(draw) -> float:
-        picks = [bisect_right(c, draw()) for c in cums]
         state = root
-        for t, i in enumerate(picks, 1):
+        while True:
+            i = bisect_right(state.cums, draw())
             r = state.next[i]
             if r is None:
+                t = state.t
                 r = outcome(t, state.ranks, state.mask, i)
                 if r.__class__ is not float:
                     following = intern(t + 1, r)
                     if following is None:
-                        return unstored(t + 1, r, picks)
+                        return unstored(t + 1, r, draw)
                     r = following
                 state.next[i] = r
             if r.__class__ is float:
+                for _ in range(n - state.t):
+                    draw()
                 return r
             state = r
-        raise AssertionError("unreachable: step n always ends the trial")
 
     return walk
 
@@ -748,10 +764,6 @@ def _max_convolution(prior: ProductPrior, key: Callable[[tuple], Number]):
                 new[y] = new.get(y, 0) + pm * px
         dist = new
     return dist, exact, unit, scale
-
-
-def _expectation_of(dist: Dict[Number, Number]) -> Number:
-    return sum((v * p for v, p in dist.items()), Fraction(0))
 
 
 def _laws_expectation(laws) -> Number:

@@ -25,13 +25,19 @@ from lap.core import (
     prior_from_json,
     prior_to_json,
 )
-from lap.policies import _expectation_of
 
 GRID = tuple(sorted({F(a, b) for a in range(7) for b in (1, 2, 3, 5)}))
 
 
 def join(s, v):
     return tuple(map(max, s, v))
+
+
+def expectation_of(dist):
+    """A decoded law's expectation, summed from a Fraction(0) in the
+    law's order (the formula E[V*] was summed by before it was one int
+    sum)."""
+    return sum((v * p for v, p in dist.items()), F(0))
 
 
 def ref_biased(steps, lam, allow_no_selection):
@@ -309,7 +315,7 @@ def test_e_best_value_is_the_fraction_sum(flavor):
     for _ in range(200):
         prior = flavored_prior(rng, flavor)
         assert repr(policies._e_best_value(prior)) == \
-            repr(_expectation_of(policies.value_max_distribution(prior)))
+            repr(expectation_of(policies.value_max_distribution(prior)))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

@@ -5,8 +5,11 @@ states and reuses each (step, state, atom) outcome.  The reference below is
 the former loop, kept here: draw the arm the former way, build one
 `Sequence` per trial from one uniform per step, scan it with `run_rule`, and
 convert each utility with float().  Both must give the same mean and half
-width to the last bit, on exact and float priors alike."""
+width to the last bit, on exact and float priors alike, and on entries
+whose scaled ints are past the float range.  The walk itself must make the
+scan's n rng calls per trial, wherever its rule stops."""
 
+import json
 import math
 import random
 from bisect import bisect_right
@@ -14,6 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from lap import cli
 from lap.analysis import CI_Z, monte_carlo
 from lap.core import (
     AgentParams,
@@ -24,7 +28,7 @@ from lap.core import (
     prior_from_json,
     prior_to_json,
 )
-from lap.policies import Policy, compile_policy, run_rule
+from lap.policies import Policy, _trial_walk, compile_policy, run_rule
 
 GRID = tuple(sorted({F(a, b) for a in range(7) for b in (1, 2, 3, 5)}))
 
@@ -160,3 +164,78 @@ def test_a_full_memo_admits_no_more_states(budget):
     same(prior, Policy.accept_last(), AgentParams(F(1, 2), 3), 100, 2,
          budget=budget)
 
+
+
+def counting(rng):
+    """The rng's `random` with a count of its calls."""
+    calls = [0]
+
+    def draw():
+        calls[0] += 1
+        return rng.random()
+    return draw, calls
+
+
+@pytest.mark.parametrize("limit", [1, 2, 10 ** 6])
+def test_every_trial_draws_one_uniform_per_step(limit):
+    """A trial draws its steps' uniforms as it walks and the rest after
+    its stop, unread: n calls whether the rule stops at step 1, in the
+    middle or at step n, declines everything, or walks past the memo."""
+    rng = random.Random("mc/draws")
+    priors = [random_prior(rng) for _ in range(12)] + [fresh_prior(40)]
+    for prior in priors:
+        params = AgentParams(F(1, 2), prior.k)
+        for policy in (Policy.fixed_index(1),
+                       Policy.fixed_index((prior.n + 1) // 2),
+                       Policy.accept_last(),
+                       Policy.threshold(F(10 ** 6), F(0)),  # declines all
+                       Policy.optimal_biased()):
+            for _, rule in compile_policy(policy, prior, params).arms:
+                walk = _trial_walk(rule, prior, params.lam, limit)
+                draw, calls = counting(random.Random(limit))
+                for trial in range(1, 41):
+                    walk(draw)
+                    assert calls[0] == trial * prior.n
+
+
+def huge_prior():
+    """Three steps over two coordinates whose entries are (a*D + j*(D//3))
+    / (D + j), D = 10**389: about a + j/3, over 390-digit denominators."""
+    d = 10 ** 389
+
+    def e(a, j):
+        return f"{a * d + j * (d // 3)}/{d + j}"
+    steps = [[((e(1, 1), "0"), "1/3"), (("0", e(2, 3)), "2/3")],
+             [((e(3, 7), e(1, 9)), "1/2"), (("1", e(2, 11)), "1/2")],
+             [((e(2, 13), "0"), "1/4"), ((e(1, 17), e(3, 19)), "3/4")]]
+    return prior_from_json({"k": 2, "n": 3, "iid": False, "steps": [
+        {"atoms": [{"v": list(v), "p": p} for v, p in step]}
+        for step in steps]})
+
+
+def test_huge_denominators_keep_the_float_bits():
+    """Stops whose scaled ints are past the float range round to the
+    float the Fraction gives, on every policy kind."""
+    prior = huge_prior()
+    rng = random.Random("mc/huge")
+    for lam in (F(1, 2), F(3, 7)):
+        for policy in policies_for(rng, prior):
+            same(prior, policy, AgentParams(lam, 2), 300, 11)
+
+
+@pytest.mark.parametrize("policy", ["accept-last", "optimal-biased",
+                                    "fixed:1"])
+def test_a_utility_past_the_float_range_exits_2(tmp_path, capsys, policy):
+    """A 400-digit entry makes a stop's utility too large for a float: the
+    command exits 2 with the division's error and no traceback."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"k": 1, "n": 2, "iid": False, "steps": [
+        {"atoms": [{"v": [str(10 ** 399)], "p": "1/2"},
+                   {"v": ["1"], "p": "1/2"}]},
+        {"atoms": [{"v": ["2"], "p": "1"}]}]}))
+    code = cli.main(["monte-carlo", "--in", str(path), "--lambda", "1/2",
+                     "--policy", policy, "--trials", "10", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: resource limit: integer division result too "
+                   "large for a float\n")
