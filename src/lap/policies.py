@@ -20,9 +20,15 @@ Three families of rules live here:
   compiled policy.  The state budget caps the states each exact pass
   holds (`_charge`) and the number of states a Monte Carlo walk interns.
 
-All of these run on one lattice core: one per-prior rank table, one join (once
-per pair in the biased DP) and one stop view.  `_stop_view` gives the biased
-DP, exact expectation and the Monte Carlo walk the view, lambda as a/b and a
+All of these run on one lattice core: one per-prior rank table, one join
+kernel and one stop view.  `_joins` joins a step's (state, atom) pairs a
+coordinate column at a time, for the biased DP and for each step of an
+expectation walk that holds at least `_COLUMN_JOINS` states.  A walk step
+with fewer states is cheaper with one `_join` call per pair (the
+constant's comment has the timings), and `patience_compare` and the Monte
+Carlo walk, which hold one state per frame or per trial, join one pair at
+a time too.  `_stop_view` gives the biased DP, exact expectation and the
+Monte Carlo walk the view, lambda as a/b and a
 fresh `_Norms` table, so each scores a stop on scaled value v that joins state
 s as b*v - a*(norms[s] - v).  Every walk keys its states on rank tuples (each
 coordinate's values replaced by their rank among its distinct values), so
@@ -411,6 +417,15 @@ def _join(s: tuple, entries: tuple) -> tuple:
     return tuple(map(max, s, entries))
 
 
+def _joins(states, row: _Row) -> tuple:
+    """Every (state, atom of `row`) pair's join, state-major: the join of
+    the i-th state with atom j at i * len(row.plain) + j, built one
+    coordinate column at a time, so a pair costs no call."""
+    cols = [[c if c > x else x for c in col for x in xs]
+            for col, xs in zip(zip(*states), row.columns)]
+    return tuple(zip(*cols))
+
+
 class _Arm:
     """One deterministic arm of a compiled policy: a `Rule` on values, and
     on `prior`, the prior it was compiled on, `masks(t, ranks)`: the bits
@@ -560,6 +575,16 @@ def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
     return _unscaled(exact, total, den)
 
 
+# An expectation-walk step of at least this many states joins its pairs by
+# `_joins`, a smaller one by one `_join` call per pair.  Walk time in
+# process against the per-pair loop (min of 15 rounds, five processes a
+# side, Python 3.11, shared cores), with the kernel from 1, 2, 4 or 8
+# states: 0.57-0.60x, 0.55-0.61x, 0.57-0.62x and 0.62-0.66x on the walks
+# of the benchmark's exact-enum priors, and 1.19-1.26x, 1.01-1.06x,
+# 0.97-1.00x and 0.97-1.01x on those of its many-small verify commands.
+_COLUMN_JOINS = 4
+
+
 def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
     """Exact expected utilities of deterministic rules in one forward
     pass, as (exact, totals, scale): rule i's is `_unscaled(exact,
@@ -572,10 +597,13 @@ def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
     before step t is an int over prod_{u<t} D_u and a total one int over
     b*L*prod_{u<t} D_u.  The rules share the stop view, its norm table and
     each step's view; each keeps its own mass dict, so the identity view
-    sums in the order the Fraction formulas did.  Each rule's states count
-    against the budget as the DP's layers do, and the error raised is the
-    one walking the rules in turn raises: a rule past the budget stops the
-    rules after it, and the rules before it walk on."""
+    sums in the order the Fraction formulas did.  A rule's step that holds
+    at least `_COLUMN_JOINS` states takes its pairs' joins from `_joins`,
+    state-major, and zips each state's run with the atoms; a smaller one
+    calls `_join` per pair.  Each rule's states count against the budget
+    as the DP's layers do, and the error raised is the one walking the
+    rules in turn raises: a rule past the budget stops the rules after it,
+    and the rules before it walk on."""
     rows, exact, a, b, norms, unit = _stop_view(prior, lam)
     root = (0,) * prior.k
     # per rule: masks, mass before the step, total, states counted
@@ -594,16 +622,28 @@ def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
                 break
             total *= den
             nxt: Dict[tuple, Number] = {}
-            for s, m in mass.items():
-                mask = accept(t, s)
-                banked = 0
-                for _, val, p, ranks, bit in atoms:
-                    joined = _join(s, ranks)
-                    if mask & bit:
-                        banked += p * (b * val - a * (norms[joined] - val))
-                    else:
-                        nxt[joined] = nxt.get(joined, 0) + m * p
-                total += m * banked
+            if len(mass) < _COLUMN_JOINS:
+                for s, m in mass.items():
+                    mask = accept(t, s)
+                    banked = 0
+                    for _, val, p, ranks, bit in atoms:
+                        to = _join(s, ranks)
+                        if mask & bit:
+                            banked += p * (b * val - a * (norms[to] - val))
+                        else:
+                            nxt[to] = nxt.get(to, 0) + m * p
+                    total += m * banked
+            else:  # the step's joins, state-major: each state's atoms' run
+                pairs = iter(_joins(mass, row))
+                for s, m in mass.items():
+                    mask = accept(t, s)
+                    banked = 0
+                    for (_, val, p, _, bit), to in zip(atoms, pairs):
+                        if mask & bit:
+                            banked += p * (b * val - a * (norms[to] - val))
+                        else:
+                            nxt[to] = nxt.get(to, 0) + m * p
+                    total += m * banked
             walk[1:] = nxt, total, count
         if not live:
             break
@@ -852,11 +892,11 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
     tuples, whose total count the state budget caps, then backward
     induction over them in the integer view (the identity view when lambda
     or the prior has a float).  Each (state, atom) pair is joined once, a
-    step's pairs column-wise, and kept only as its index into the next
-    layer, an `array` of ints (the last step's pairs are each their own
-    state, which the budget does not count); induction reads, then drops,
-    a step's indices.  The next layer's continuation values and scaled
-    norms are lists aligned with it, so a pair hashes nothing.  With
+    step's pairs column-wise (`_joins`), and kept only as its index into
+    the next layer, an `array` of ints (the last step's pairs are each
+    their own state, which the budget does not count); induction reads,
+    then drops, a step's indices.  The next layer's continuation values
+    and scaled norms are lists aligned with it, so a pair hashes nothing.  With
     lambda = a/b, a stop's utility b*v - a*(s - v), an int over b*L, is
     raised to V_{t+1}'s scale, b*L*prod_{u>t} D_u, before `u >= cont`, so
     every decision is the Fraction one.  Each step's masks are a tuple
@@ -870,9 +910,7 @@ def _biased_dp(prior: ProductPrior, lam: Number, budget: int) -> DPResult:
         if len(layer) == len(row.plain) == 1:  # one pair: its own layer
             layer, link = (tuple(map(max, layer[0], row.plain[0][3])),), (0,)
         else:
-            cols = [[c if c > x else x for c in col for x in xs]
-                    for col, xs in zip(zip(*layer), row.columns)]
-            joined = tuple(zip(*cols))
+            joined = _joins(layer, row)
             if t == n:  # step n's pairs are each a state of their own
                 layer, link = joined, range(len(joined))
             else:

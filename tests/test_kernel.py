@@ -364,3 +364,32 @@ def test_an_iid_prior_holds_no_row_list():
         with pytest.raises(IndexError):
             rows[i]
     assert set(map(id, rows)) == {id(rows[0])}
+
+
+def test_joins_are_the_per_pair_joins():
+    # the column-wise kernel of the biased DP and the expectation walk
+    # gives every (state, atom) pair's join, state-major, in the order the
+    # per-pair loop makes them: layer 1 is the one root state, a k = 1
+    # prior, an iid prior's one shared row, and a float prior's row
+    rng = random.Random("joins")
+    one_dim = [[((x,), F(1, 2)), ((x + 1,), F(1, 2))] for x in GRID[:5]]
+    step = prior_of([[((F(1), F(0)), F(1, 3)), ((F(0), F(2)), F(1, 3)),
+                      ((F(1, 2), F(1, 2)), F(1, 3))]]).steps[0]
+    priors = [prior_of(one_dim), ProductPrior.iid_prior(step, 5)]
+    priors += [flavored_prior(rng, flavor) for flavor in FLAVORS * 25]
+    shapes = set()
+    for prior in priors:
+        rows = policies._rank_table(prior)[0]
+        layers = policies.optimal_biased_policy(
+            prior, AgentParams(F(1, 2), prior.k)).layers
+        for states, row in zip(layers, rows):
+            want = [policies._join(s, atom[3])
+                    for s in states for atom in row.plain]
+            assert list(policies._joins(states, row)) == want
+            # the walk hands it a mass dict, whose keys are the states
+            assert list(policies._joins(dict.fromkeys(states), row)) == want
+            shapes.add((prior.k, len(states) > 1, type(rows).__name__,
+                        row.exact is None))
+    assert {(1, True), (2, False)} <= {shape[:2] for shape in shapes}
+    assert {"_OneRow", "list"} <= {shape[2] for shape in shapes}
+    assert {True, False} <= {shape[3] for shape in shapes}
