@@ -18,8 +18,8 @@ trial's stop unread.  Each (step, state, atom) outcome is computed once: a
 stop's float is the correctly rounded quotient of its scaled ints.  The rng
 makes the calls a scan of sampled sequences would make, in the same order,
 so estimates are the same to the last bit.  E[V*] and
-E[sum_j S_j*] come from `policies`, beside the max-convolution they read,
-each one int sum on an exact prior.
+E[sum_j S_j*] come from `policies`, beside the CDF-product sweep they
+read, each one int sum on an exact prior.
 """
 
 import math

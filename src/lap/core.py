@@ -310,10 +310,8 @@ class ProductPrior(_Memoizing):
     def realizations(self) -> Iterator[Tuple[Sequence, Number]]:
         """All (sequence, probability) pairs of the product support."""
         for combo in itertools.product(*(d.atoms for d in self.steps)):
-            p = 1
-            for _, q in combo:
-                p = p * q
-            yield Sequence(tuple(v for v, _ in combo)), p
+            yield (Sequence(tuple(v for v, _ in combo)),
+                   math.prod(q for _, q in combo))
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,8 @@ def gen_worstcase_mixed(w: int, k: int, lam: Number,
     if beta >= 1:
         raise InvalidInput("needs subcritical bias lam*(k-1) < 1")
     # beta = 0 (k = 1 or lam = 0) collapses every partial sum to 1
-    rows = [Fraction(1)]
-    for i in range(1, w):
-        rows.append(rows[-1] + beta ** i)
+    rows = list(accumulate((beta ** i for i in range(1, w)),
+                           initial=Fraction(1)))
     psum = rows[-1]
     big = (1 - epsilon) * (1 + lam) * psum / epsilon
     steps = [FiniteDistribution(((_single_axis(rows[i], dim, k), Fraction(1)),))

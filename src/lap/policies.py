@@ -35,21 +35,31 @@ coordinate's values replaced by their rank among its distinct values), so
 joins compare small ints, and reads a rule as accept masks: per (step,
 rank state), the int of the row's bits of the atoms it stops on.  A
 compiled arm carries its masks for its own prior; only `run_rule`, on a
-caller's sequence, decides on values and scores them.  V* and each dimension's
-maximum run one max-convolution loop, `_max_convolution`;
-`_e_best_value` sums the V* law for E[V*], and `_e_sum_dim_maxima` the k
-dimension laws for E[sum_j S_j*], each as ints over one scale, decoded
-once.  A pass with two readers on one prior runs once: `ProductPrior.
-memoized` keeps one rank table, one V* law (the int law of
-`_max_convolution(prior, sum)`, which `value_max_distribution` decodes when
-read), its tails for the alpha thresholds, and one biased DP per lambda
+caller's sequence, decides on values and scores them.
+
+V* and each dimension's maximum come from one sweep, `_cdf_sweeps`: steps
+are independent, so Pr[max_t key(sigma^(t)) <= x] = prod_t Pr[key(sigma^(t))
+<= x].  Over every (step, atom), sorted by key, one pass from the bottom up
+sums each step's CDF, and one from the top down keeps the product of the
+CDFs as each atom leaves its step's.  A law is its distinct values from
+the top down and each one's CDF; a weight Pr[max = x] is the CDF's fall
+to the next lower value, a tail Pr[max > x] the scale prod D_t less the
+CDF, and a mean the sum of x * weight from the bottom up.
+`value_max_distribution` returns the V* law in ascending value order.  The
+pass holds two entries per (step, atom), linear in the input, so it
+charges no state budget.  E[V*] is the V* law's mean, and E[sum_j S_j*]
+the k dimension laws' means summed, each an int over one scale, decoded
+once.  A pass with two readers on one prior runs once:
+`ProductPrior.memoized` keeps one rank table, one V* law
+(`_cdf_sweeps(prior, (None,))`, read by E[V*], the alpha thresholds and
+`value_max_distribution`, which decodes it), and one biased DP per lambda
 and its type, so a float lambda never gets an exact lambda's result and
 a loop over lambda holds one DP; a kept DP past a read's budget is
 refused by a fresh forward pass under that budget, which stops once the
 budget is passed.  Kept results are shared, so read-only; errors are not
 kept.
 
-The biased DP, the rational DP, the max-convolution, E[V*], the alpha
+The biased DP, the rational DP, the CDF sweep, E[V*], the alpha
 thresholds and the threshold arms' masks, exact expectation and the Monte
 Carlo walk's stops compute on an integer view of the prior, built with the
 rank table once per distinct step: entries times L, the lcm of every
@@ -70,7 +80,13 @@ Its value-keyed `policy_table` is decoded from them when first read.
 When any entry, probability or lambda (or T) is a float, the
 same loops run on the identity view (L = b = D_t = 1, weights the
 probabilities), which performs the float operations in the order the
-Fraction formulas did.
+Fraction formulas did.  The sweep's float CDFs are products: each step's
+CDF F is summed from 0 by its atoms' probabilities from the bottom key up,
+the product P starts at the product of the steps' sums, and an atom
+passed from the top down sets P to P / F * F', F' its step's CDF just
+below it; a weight is the fall of P, a tail the top value's P less P.  So
+a float prior's V* law, E[V*], E[sum_j S_j*] and threshold coins round as
+products, not as a max-convolution's sums.
 """
 
 from __future__ import annotations
@@ -84,8 +100,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import ge, getitem, gt, is_, itemgetter, le, lt
+from itertools import accumulate, repeat, starmap
+from operator import ge, getitem, gt, is_, itemgetter, le, lt, mul, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -778,70 +794,88 @@ def run_policy(policy: Policy, sigma: Sequence, params: AgentParams,
 # ---------------------------------------------------------------------------
 
 
-def _max_convolution(prior: ProductPrior, key: Callable[[tuple], Number]):
-    """The law of max_t key(sigma^(t)) on the prior's view, as (law, exact,
-    L, prod D_t): values over L and weights over prod D_t (both 1 in the
-    identity view); the first step's law, then one max-convolution per
-    later step."""
+def _cdf_sweeps(prior: ProductPrior, keys) -> tuple:
+    """The laws of max_t key(sigma^(t)) on the prior's view, for each key
+    in `keys` (None: the L1 value; j: coordinate j), as ([(values, below)
+    per key], exact, L).  `values` holds a law's distinct keys from the top
+    down, and `below` each one's Pr[max <= x] = prod_t F_t(x), the first of
+    them the scale S (prod D_t on the integer view): ints over S on the
+    integer view.  Pr[max = x] is the fall of `below` to the next lower key
+    (`_weights`), and Pr[max > x] is S less x's entry.
+
+    Two passes per key over every (step, atom), sorted by key.  The first,
+    from the bottom key up, sums each step's CDF: F_t just below each atom
+    (0 below its lowest) and, at the top, the step's total weight (D_t on
+    the integer view, its probabilities' sum in the identity view).  The
+    second, from the top down, starts at P = S, the product of those
+    totals, and passing an atom sets P to P / F * F' (an exact int
+    division on the integer view), F and F' its step's CDF at and just
+    below it; it stops at the first step whose lowest atom it passes, as
+    below that key P is 0.  So a float P neither cancels nor divides by 0
+    and only underflows where the law is below the float range.  A key's
+    atoms are read in step order from the top down, so the first in step
+    order names the value.  Steps that are one object (`_OneRow`) are one
+    factor, raised to n.  The keys share one set-up, which is most of a
+    tiny prior's cost.  A sweep holds two entries per (step, atom), linear
+    in the input, so it charges no budget."""
     rows, _, scaled, unit = prior.memoized(_rank_table)
-    exact = scaled is not None
-    dist: Optional[Dict[Number, Number]] = None
-    scale = 1  # the weights' denominator: prod D_u over the steps so far
-    for row in rows:
-        atoms, den = _view(row, exact)
-        scale *= den
-        law: Dict[Number, Number] = {}
-        for entries, _, p, _, _ in atoms:
-            x = key(entries)
-            law[x] = law.get(x, 0) + p
-        if dist is None:
-            dist = law
-            continue
-        new: Dict[Number, Number] = {}
-        for m, pm in dist.items():
-            for x, px in law.items():
-                y = m if m >= x else x
-                new[y] = new.get(y, 0) + pm * px
-        dist = new
-    return dist, exact, unit, scale
+    exact, power, laws = scaled is not None, 1, []
+    if rows.__class__ is _OneRow:
+        rows, power = (rows.row,), rows.n
+    views = [row.exact if exact else row.plain for row in rows]
+    for j in keys:
+        events = [(val if j is None else entries[j], t, w)
+                  for t, view in enumerate(views)
+                  for entries, val, w, _, _ in view]
+        events.sort(key=itemgetter(0), reverse=True)
+        cdf, lows = [0] * len(views), []
+        for _, t, w in reversed(events):  # the CDFs from the bottom up
+            lows.append(cdf[t])
+            cdf[t] += w
+        lows.reverse()
+        prod, values, below, last = math.prod(cdf), [], [], None
+        for (x, t, w), low in zip(events, lows):
+            if x != last:  # a new key x: prod is Pr[max <= x]
+                values.append(x)
+                below.append(prod ** power)
+                last = x
+            if not low:  # step t's lowest atom: nothing lies below x
+                break
+            prod = (prod // (low + w) if exact else prod / (low + w)) * low
+        laws.append((values, below))
+    return laws, exact, unit
 
 
-def _laws_expectation(laws) -> Number:
-    """The summed expectations of `_max_convolution` laws on one view, each
-    law summed first (the identity view's floats add in that order), decoded
-    once: on the integer view every law has one scale, L * prod D_t."""
-    _, exact, unit, scale = laws[0]
-    return _unscaled(exact, sum(sum(x * p for x, p in law.items())
-                                for law, *_ in laws), unit * scale)
+def _weights(below) -> list:
+    """A swept law's Pr[max = x] per key, from the top down: its entry of
+    `below` less the next lower key's (0 below the lowest)."""
+    return list(map(sub, below, [*below[1:], 0]))
+
+
+def _mean(values, below) -> Number:
+    """A swept law's sum of x * Pr[max = x], from the bottom key up."""
+    return sum(map(mul, reversed(values), reversed(_weights(below))))
 
 
 def _e_sum_dim_maxima(prior: ProductPrior) -> Number:
-    """E[sum_j S_j*]: each dimension's maximum law, summed by linearity."""
-    return _laws_expectation([_max_convolution(prior, itemgetter(j))
-                              for j in range(prior.k)])
+    """E[sum_j S_j*]: one sweep per dimension, summed by linearity, each
+    law's mean first, decoded once (every law's scale is L * prod D_t)."""
+    laws, exact, unit = _cdf_sweeps(prior, range(prior.k))
+    return _unscaled(exact, sum(starmap(_mean, laws)), unit * laws[0][1][0])
 
 
 def _e_best_value(prior: ProductPrior) -> Number:
-    """E[V*], from the kept V* law."""
-    return _laws_expectation([prior.memoized(_max_convolution, sum)])
+    """E[V*], the kept V* law's mean."""
+    [(values, below)], exact, unit = prior.memoized(_cdf_sweeps, (None,))
+    return _unscaled(exact, _mean(values, below), unit * below[0])
 
 
 def value_max_distribution(prior: ProductPrior) -> Dict[Number, Number]:
     """Exact distribution of V* = max_t ||sigma^(t)||_1, decoded from the
-    kept law into a dict of the caller's own."""
-    law, exact, unit, scale = prior.memoized(_max_convolution, sum)
-    return {_unscaled(exact, x, unit): _unscaled(exact, p, scale)
-            for x, p in law.items()}
-
-
-def _value_tails(prior: ProductPrior):
-    """The kept V* law's values from the top down, and each one's tail
-    Pr[V* > v], summed in that order at the law's scale (an int over
-    prod D_t on the integer view)."""
-    law = prior.memoized(_max_convolution, sum)[0]
-    values = sorted(law, reverse=True)
-    return values, list(accumulate(map(law.__getitem__, values[:-1]),
-                                   initial=0))
+    kept law into a dict of the caller's own, in ascending value order."""
+    [(values, below)], exact, unit = prior.memoized(_cdf_sweeps, (None,))
+    return {_unscaled(exact, x, unit): _unscaled(exact, p, below[0])
+            for x, p in zip(reversed(values), reversed(_weights(below)))}
 
 
 def threshold_from_alpha(prior: ProductPrior, alpha: Number,
@@ -849,22 +883,29 @@ def threshold_from_alpha(prior: ProductPrior, alpha: Number,
     """Threshold T plus atom-acceptance probability p with
     Pr[V* > T] + p * Pr[V* = T] = alpha, exactly.
 
-    T is the least value of V* whose tail Pr[V* > T] is at most alpha: one
-    bisection of the kept tails (`_value_tails`, rising as the values
-    fall).  On the integer view, with weights w over prod D_t and
-    (c, d) = alpha.as_integer_ratio(), tail <= alpha is
-    tail <= c * prod D_t // d, exact for a float alpha too; a Fraction
-    alpha then gets p = (c * prod D_t - tail * d) / (w * d).  Otherwise
-    p = (alpha - tail) / w on the decoded tail and weight.  A float prior
-    runs the same code on the identity view, comparing and subtracting its
-    own numbers."""
+    T is the least value of V* whose tail Pr[V* > T] = S - Pr[V* <= T] is
+    at most alpha: one bisection of the kept V* law, whose tails rise from
+    0 as the values fall.  On the integer view, with
+    (c, d) = alpha.as_integer_ratio(), tail <= alpha is tail <= c * S // d,
+    exact for a float alpha too, and a Fraction alpha gets
+    p = (c * S - tail * d) / (w * d), where w = Pr[V* = T] is the rise
+    from T's tail to the next lower value's (S below the lowest).
+    Otherwise p = (alpha - tail) / w on the decoded tail and weight.  A
+    float prior runs the same code on the identity view, comparing and
+    subtracting its own numbers: its tails are S less the sweep's float
+    products, so they round as products, not as convolution sums, and as
+    alpha lies below the next lower value's tail, p <= 1 survives the
+    rounding."""
     if not _in_unit(alpha, lt):
         raise InvalidInput("alpha must lie strictly between 0 and 1")
-    law, exact, unit, scale = prior.memoized(_max_convolution, sum)
-    values, tails = prior.memoized(_value_tails)
+    [(values, below)], exact, unit = prior.memoized(_cdf_sweeps, (None,))
+    scale = below[0]
     c, d = alpha.as_integer_ratio()
-    i = bisect_right(tails, c * scale // d if exact else alpha) - 1
-    v, above, w = values[i], tails[i], law[values[i]]
+    bar = c * scale // d if exact else alpha
+    # the lowest value whose tail, scale - p, is at most bar
+    i = bisect_right(below, bar, key=lambda p: scale - p) - 1
+    v, above = values[i], scale - below[i]
+    w = scale - (below[i + 1] if i + 1 < len(below) else 0) - above
     if exact and isinstance(alpha, Fraction):
         p = Fraction(c * scale - above * d, w * d)
     else:

@@ -1,12 +1,19 @@
 """The integer exact kernel against the Fraction formulas it replaced.
 
-`_biased_dp`, `_rational_dp` and `_max_convolution` run on scaled ints for
-exact priors and exact lambda, and on the prior's own numbers otherwise.
-The reference passes below are the earlier formulas, kept here on value
-tuples: every comparison and sum in the order the library used to make it,
-so exact results must be equal and float results bit-identical, with the
-same types, table keys and table order."""
+`_biased_dp`, `_rational_dp` and the CDF-product sweep `_cdf_sweeps` run on
+scaled ints for exact priors and exact lambda, and on the prior's own
+numbers otherwise.  The reference passes below are the earlier formulas,
+kept here on value tuples: every comparison and sum in the order the
+library used to make it, so exact results must be equal and float results
+bit-identical, with the same types, table keys and table order.  The laws
+of V* and of each dimension's maximum have two references: the
+max-convolution the library ran before (`ref_max_distribution`, which an
+exact law must equal, in ascending value order) and the product form the
+sweep computes (`ref_cdf_product`), whose float operations a float prior's
+laws, E[V*], E[sum_j S_j*] and alpha thresholds must repeat bit for bit:
+a product of float CDFs rounds differently from a convolution's sums."""
 
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -109,6 +116,60 @@ def ref_max_distribution(steps, key):
     return list(dist.items())
 
 
+def ref_cdf_product(steps, key, power=1):
+    """The law of max_t key(v_t) in product form, on the steps' own
+    numbers, as [(x, Pr[max <= x], Pr[max = x])] from the bottom key up.
+    Pr[max <= x] = P(x) = prod_t F_t(x).  The atoms are ordered by key from
+    the top down, equal keys in step order.  Read from the bottom up, each
+    atom adds its probability p to its step's F, which starts at 0; P
+    starts at the product of the steps' final F.  Read from the top down,
+    P at each new key is that key's P(x) (its first atom names the value),
+    and an atom whose step's F just below it is lo sets P to
+    P / (lo + p) * lo; at lo = 0 the law ends.  A weight is P(x) less the
+    next lower value's P (0 below the bottom value).  An iid prior is its
+    one step with `power` n: each P raised to n."""
+    events = sorted([(key(v), t, p) for t, step in enumerate(steps)
+                     for v, p in step], key=itemgetter(0), reverse=True)
+    cdf, lows = [0] * len(steps), [0] * len(events)
+    for i in range(len(events) - 1, -1, -1):
+        _, t, p = events[i]
+        lows[i] = cdf[t]
+        cdf[t] = cdf[t] + p
+    prod, at = math.prod(cdf), {}
+    for (x, t, p), lo in zip(events, lows):
+        at.setdefault(x, prod ** power)
+        if not lo:
+            break
+        prod = prod / (lo + p) * lo
+    rows, lower = [], 0
+    for x in reversed(list(at)):
+        rows.append((x, at[x], at[x] - lower))
+        lower = at[x]
+    return rows
+
+
+def ref_law(steps, key, power=1):
+    """The product-form law's (x, Pr[max = x]) items, ascending."""
+    return [(x, w) for x, _, w in ref_cdf_product(steps, key, power)]
+
+
+def ref_threshold_product(steps, alpha, seed):
+    """The least V* value x whose tail S - P(x) is at most alpha (S the
+    top value's P), and the coin p = (alpha - tail) / (the next lower
+    value's tail, S below the bottom value, less x's tail)."""
+    rows = ref_cdf_product(steps, sum)
+    scale, lower = rows[-1][1], 0
+    for x, below, _ in rows:
+        tail = scale - below
+        if tail <= alpha:
+            return policies.Policy(
+                kind="threshold", threshold=x,
+                atom_accept_prob=(alpha - tail) / (scale - lower - tail),
+                seed=seed)
+        lower = below
+    raise AssertionError("unreachable")
+
+
 def typed(obj):
     """Numbers as (type, repr), so that 1.0 != Fraction(1) and a float
     must match to the last bit; containers keep their shape and order."""
@@ -162,10 +223,12 @@ def check(prior, lam, allow_no_selection=True):
     assert typed(list(rational.policy_table.items())) == typed(ref_table)
     # cont decodes the value on reaching t when read
     assert typed([cont(t) for t in range(len(ref_cont))]) == typed(ref_cont)
-    assert typed(list(policies.value_max_distribution(prior).items())) == \
-        typed(ref_max_distribution(steps, sum))
-    e_sum = sum((sum((x * p for x, p in ref_max_distribution(
-        steps, itemgetter(j))), F(0)) for j in range(prior.k)), F(0))
+    law = list(policies.value_max_distribution(prior).items())
+    assert typed(law) == typed(ref_law(steps, sum))
+    if all(type(x) is F for step in steps for v, p in step for x in (p, *v)):
+        assert typed(law) == typed(sorted(ref_max_distribution(steps, sum)))
+    e_sum = sum((expectation_of(dict(ref_law(steps, itemgetter(j))))
+                 for j in range(prior.k)), F(0))
     assert typed(_e_sum_dim_maxima(prior)) == typed(e_sum)
     return res.expected_utility
 
@@ -201,7 +264,9 @@ def test_kernel_matches_the_fraction_formulas(flavor):
 @pytest.mark.parametrize("flavor", ["exact", "float-prior",
                                     "float-probabilities"])
 def test_e_sum_dim_maxima_is_the_fraction_sum(flavor):
-    # one int sum decoded once equals the k reference laws summed as numbers
+    # one int sum decoded once equals the k reference laws summed as
+    # numbers, each from the bottom up: the product-form laws, and for an
+    # exact prior the convolution's too
     rng = random.Random(f"e-sum/{flavor}")
     for _ in range(200):
         steps = random_steps(rng)
@@ -209,10 +274,13 @@ def test_e_sum_dim_maxima_is_the_fraction_sum(flavor):
                          else lambda p: p)
         if flavor == "float-prior":
             prior = prior_from_json(prior_to_json(prior), exact=False)
-        old = sum((sum((x * p for x, p in ref_max_distribution(
-            own_steps(prior), itemgetter(j))), F(0))
-            for j in range(prior.k)), F(0))
-        assert typed(_e_sum_dim_maxima(prior)) == typed(old)
+        product = sum((expectation_of(dict(ref_law(
+            own_steps(prior), itemgetter(j)))) for j in range(prior.k)), F(0))
+        assert typed(_e_sum_dim_maxima(prior)) == typed(product)
+        if flavor == "exact":
+            assert _e_sum_dim_maxima(prior) == sum((sum((x * p for x, p in (
+                ref_max_distribution(steps, itemgetter(j)))), F(0))
+                for j in range(prior.k)), F(0))
 
 
 @pytest.mark.parametrize("lam", [F(1, 3), 0.25])
@@ -221,6 +289,105 @@ def test_long_iid_prior(lam):
     step = [((F(1), F(0)), F(1, 3)), ((F(0), F(5, 2)), F(2, 3))]
     prior = ProductPrior.iid_prior(prior_of([step]).steps[0], 300)
     assert type(check(prior, lam)) is type(lam)
+
+
+def shaped_steps(rng, shape, k):
+    """Steps of shapes `random_steps` seldom draws: one-atom deterministic
+    steps, entries from {0, 1, 2} (keys tied within and across steps), or
+    the zero vector among every step's atoms."""
+    steps = []
+    for _ in range(rng.randint(1, 5)):
+        if shape == "deterministic":
+            steps.append([(tuple(rng.choice(GRID) for _ in range(k)), F(1))])
+            continue
+        pool = (F(0), F(1), F(2)) if shape == "tied" else GRID
+        support = [(F(0),) * k] if shape == "zeros" else []
+        size = rng.randint(len(support) or 1, 3)
+        while len(support) < size:
+            v = tuple(rng.choice(pool) for _ in range(k))
+            if v not in support:
+                support.append(v)
+        weights = [rng.randint(1, 5) for _ in support]
+        steps.append([(v, F(w, sum(weights)))
+                      for v, w in zip(support, weights)])
+    return steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["deterministic", "tied", "zeros"])
+def test_sweep_matches_the_oracle_on_rare_shapes(shape, k):
+    # the V* law (ascending), E[V*], E[sum_j S_j*] and the alpha
+    # thresholds against the oracle's enumeration of every realization
+    rng = random.Random(f"shapes/{shape}/{k}")
+    for _ in range(40):
+        steps = shaped_steps(rng, shape, k)
+        prior = prior_of(steps)
+        e_vstar, e_sum, dist = oracles.vstar_stats(steps)
+        law = policies.value_max_distribution(prior)
+        assert law == dist and list(law) == sorted(dist)
+        assert typed(policies._e_best_value(prior)) == typed(e_vstar)
+        assert typed(_e_sum_dim_maxima(prior)) == typed(e_sum)
+        for alpha in ALPHAS:
+            assert repr(policies.threshold_from_alpha(prior, alpha, 7)) == \
+                repr(ref_threshold_from_alpha(dist, alpha, 7))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_long_iid_law_is_one_factor_to_the_n(exact):
+    # the 300-step iid prior of `test_long_iid_prior` sweeps its one row
+    # and raises the products to n: exact, the convolution's law, E[V*]
+    # and E[sum_j S_j*]; in floats, the product form's bits
+    step = [((F(1), F(0)), F(1, 3)), ((F(0), F(5, 2)), F(2, 3))]
+    prior = ProductPrior.iid_prior(prior_of([step]).steps[0], 300)
+    if not exact:
+        prior = prior_from_json(prior_to_json(prior), exact=False)
+        step = own_steps(prior)[0]
+    law = list(policies.value_max_distribution(prior).items())
+    dims = [ref_law([step], itemgetter(j), 300) for j in range(2)]
+    want = ref_law([step], sum, 300)
+    if exact:
+        steps = [step] * 300
+        assert want == sorted(ref_max_distribution(steps, sum))
+        dims = [sorted(ref_max_distribution(steps, itemgetter(j)))
+                for j in range(2)]
+    assert typed(law) == typed(want)
+    assert typed(policies._e_best_value(prior)) == \
+        typed(expectation_of(dict(want)))
+    assert typed(_e_sum_dim_maxima(prior)) == typed(sum(
+        (expectation_of(dict(dim)) for dim in dims), F(0)))
+
+
+def test_float_law_keeps_atoms_far_below_the_top():
+    # a float step of probability 1.0 on its top value and 1e-20 on two
+    # lower ones: each step's CDF is summed from the bottom up, so the
+    # lower values keep their tiny weights (a CDF taken down from the
+    # step's total would cancel to 0.0 and then divide by it)
+    step = [((3.0,), 1.0), ((2.0,), 1e-20), ((1.0,), 1e-20)]
+    prior = prior_of([step, step], float)
+    law = list(policies.value_max_distribution(prior).items())
+    assert typed(law) == typed(ref_law(own_steps(prior), sum))
+    assert [x for x, _ in law] == [1.0, 2.0, 3.0]
+    assert all(p > 0 for _, p in law)
+    assert policies.threshold_from_alpha(prior, 0.5).threshold == 3.0
+
+
+def test_long_float_prior_keeps_its_law():
+    # 700 float steps of three atoms at 1/3: the product of the lowest
+    # atoms' CDFs, 3**-700, is below the float range, so a product built
+    # from the bottom up would read 0 at every value; from the top down
+    # the float law sums to 1 and E[V*] is the exact one, rounded
+    rng = random.Random(7)
+    steps = [[((F(0),), F(1, 3)), ((F(rng.randrange(1, 10 ** 7)),), F(1, 3)),
+              ((F(rng.randrange(1, 10 ** 7)),), F(1, 3))] for _ in range(700)]
+    exact = prior_of(steps)
+    prior = prior_from_json(prior_to_json(exact), exact=False)
+    law = list(policies.value_max_distribution(prior).items())
+    assert typed(law) == typed(ref_law(own_steps(prior), sum))
+    assert abs(sum(p for _, p in law) - 1) < 1e-12
+    want = policies._e_best_value(exact)
+    assert abs(policies._e_best_value(prior) - want) < 1e-12 * want
+    assert policies.threshold_from_alpha(prior, 0.5).threshold == \
+        policies.threshold_from_alpha(exact, F(1, 2)).threshold
 
 
 def test_one_row_per_distinct_step():
@@ -271,14 +438,18 @@ ALPHAS = [F(1, 3), F(2, 3), F(1, 7), F(9, 10), 0.3]
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_threshold_from_alpha_matches_the_decoded_law(flavor):
     # an exact prior and a Fraction alpha read the int law; the result has
-    # the repr the decoded-law algorithm gives, for every flavor
+    # the repr the product-form law gives, for every flavor, and with exact
+    # probabilities the repr the decoded-law algorithm gives too
     rng = random.Random(f"alpha/{flavor}")
     for _ in range(150):
         prior = flavored_prior(rng, flavor)
         dist = policies.value_max_distribution(prior)
         for alpha in ALPHAS:
-            assert repr(policies.threshold_from_alpha(prior, alpha, 7)) == \
-                repr(ref_threshold_from_alpha(dist, alpha, 7))
+            got = repr(policies.threshold_from_alpha(prior, alpha, 7))
+            assert got == repr(ref_threshold_product(own_steps(prior),
+                                                     alpha, 7))
+            if flavor in ("exact", "mixed"):
+                assert got == repr(ref_threshold_from_alpha(dist, alpha, 7))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

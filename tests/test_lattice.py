@@ -339,7 +339,7 @@ class TestPriorMemo:
             return wrapper
 
         for name, attr, key in (("ranks", "_rank_table", None),
-                                ("vstar", "_max_convolution", sum),
+                                ("vstar", "_cdf_sweeps", (None,)),
                                 ("biased", "_biased_dp", None),
                                 ("rational", "_rational_dp", None)):
             monkeypatch.setattr(policies, attr, counted(
@@ -386,16 +386,15 @@ class TestPriorMemo:
 
     def test_memo_keeps_only_tables_read_twice(self):
         # the rational DP and E[sum_j S_j*] have one reader per prior, so a
-        # long prior does not hold their tables after the pass; the V*
-        # law's tails have one reader per guarantee alpha
+        # long prior does not hold their tables after the pass; the one
+        # kept V* law has E[V*] and one threshold per guarantee alpha
         prior = prior_of(self.STEPS)
         params = AgentParams(F(1, 2), 2)
         verify_prophet_bound(prior, params)
         verify_online_bound(prior, params)
         ratio_report(prior, params)
         kept = {build.__name__ for build in prior.__dict__["_memo"]}
-        assert kept == {"_rank_table", "_max_convolution", "_value_tails",
-                        "_biased_dp"}
+        assert kept == {"_rank_table", "_cdf_sweeps", "_biased_dp"}
         prior = prior_of(self.STEPS)
         exact_expectation(prior, Policy.accept_last(), params)
         assert [build.__name__ for build in prior.__dict__["_memo"]] == \
