@@ -166,16 +166,26 @@ def exact_expectation(prior: ProductPrior, policy: Policy,
 def _expectations(prior: ProductPrior, policies, params: AgentParams,
                   budget: Optional[int] = None) -> list:
     """`exact_expectation` of each policy, the arms of all of them walked
-    in one pass and each policy's totals mixed as for it alone.  The walk
-    raises the error of the first arm to pass the budget once the arms
-    before it finish, which is what the calls in turn raise as long as
-    compiling a policy after the first raises no ResourceLimit (a
-    threshold's compile never does)."""
+    in one pass and each policy's totals mixed as for it alone.  Threshold
+    arms with equal mask keys (`_Arm.key`) stop alike, so only the first
+    of them is walked and the others read its total.  The walk raises the
+    error of the first arm to pass the budget once the arms before it
+    finish, which is what the calls in turn raise as long as compiling a
+    policy after the first raises no ResourceLimit (a threshold's compile
+    never does); an arm left out would fail where the arm it repeats,
+    which comes first, fails."""
     limit = resolve_budget(budget)
     arms = [compile_policy(policy, prior, params, limit).arms
             for policy in policies]
     rules = [rule for policy_arms in arms for _, rule in policy_arms]
-    exact, totals, scale = _expectation_walk(rules, prior, params.lam, limit)
+    walked = {}  # an arm's key (the arm, if it has none) -> its first arm
+    for rule in rules:
+        walked.setdefault(rule.key or rule, rule)
+    exact, totals, scale = _expectation_walk(list(walked.values()), prior,
+                                             params.lam, limit)
+    if len(walked) < len(rules):
+        total_of = dict(zip(walked, totals))
+        totals = [total_of[rule.key or rule] for rule in rules]
     values, start = [], 0
     for policy_arms in arms:
         weights = [w for w, _ in policy_arms]

@@ -35,6 +35,7 @@ from .core import (
     ValueVector,
     _parse_int,
     _parse_number,
+    _trusted,
     offline_optimal_biased,
     offline_optimal_prophet_utility,
     prior_from_json,
@@ -356,8 +357,8 @@ def _verify_paradoxes(rng, params, count) -> List[CheckResult]:
             "quality-gambler-better", rep.gambler_better_on_higher,
             rep.gambler_high, rep.gambler_low,
             {"q": q, "prophet_worse_on_higher": rep.prophet_worse_on_higher}))
-        full = Sequence(tuple(
-            ValueVector(support[0]) for support, _ in
+        full = _trusted(Sequence, candidates=tuple(
+            _trusted(ValueVector, entries=support[0]) for support, _ in
             random_prior_draws(rng, k=params.k, atoms_max=1)))
         base = full.prefix(rng.randint(1, full.n))
         pr_full = offline_optimal_prophet_utility(full, rational)

@@ -12,6 +12,15 @@ Rational (lambda = 0) agents just receive the value.  The offline optima
 here score every stop of a sequence; `policies.run_rule` scores the one
 stop an online rule makes, and the lattice passes score stops on a prior.
 
+Validation happens at the boundary: JSON parsing and every public
+constructor called with a caller's data check each entry, probability,
+dimension and flag.  What lap builds from numbers it made itself (its
+generators, `ProductPrior.deterministic`, `Sequence.prefix`, the
+reduction's step and the paradox suite's sequences) goes through
+`_trusted`, which sets the fields with no `__post_init__`; a prior's iid
+flag is computed there by `_is_iid`, the helper `ProductPrior.__post_init__`
+uses, so both paths build equal objects.
+
 Two arithmetic modes coexist: exact rationals (fractions.Fraction, the
 default; every closed-form identity is checked exactly) and plain floats for
 Monte Carlo work.  Integers are normalized to Fraction on entry so that
@@ -150,7 +159,7 @@ class Sequence:
         """The first t candidates; they read this sequence's scaled
         entries, if it has them, and build none of their own."""
         _check_index(self, t)
-        head = Sequence(self.candidates[:t])
+        head = _trusted(Sequence, candidates=self.candidates[:t])
         scaled = self._scaled
         if scaled is not None:  # kept where `cached_property` keeps it
             head.__dict__["_scaled"] = (scaled[0][:t], scaled[1])
@@ -270,16 +279,7 @@ class ProductPrior(_Memoizing):
         steps = tuple(self.steps)
         if not steps:
             raise InvalidInput("prior needs at least one step")
-        first = steps[0]
-        if steps[-1] is first and steps.count(first) == len(steps):
-            # an iid prior repeats one object: count's identity test makes
-            # this one C-level pass, with nothing to read per step
-            actual = True
-        else:
-            distinct = {id(d): d for d in steps}.values()
-            if len({d.k for d in distinct}) > 1:
-                raise InvalidInput("all steps must share one dimension")
-            actual = all(d == first for d in distinct)
+        actual = _is_iid(steps)
         if self.iid is None:
             object.__setattr__(self, "iid", actual)
         elif _json_bool(self.iid, "'iid'") != actual:
@@ -292,8 +292,11 @@ class ProductPrior(_Memoizing):
 
     @staticmethod
     def deterministic(sigma: Sequence) -> "ProductPrior":
-        return ProductPrior(tuple(
-            FiniteDistribution(((v, Fraction(1)),)) for v in sigma.candidates))
+        """One single-atom step per candidate of the (checked) sequence."""
+        one = Fraction(1)
+        return _trusted_prior(tuple(
+            _trusted(FiniteDistribution, atoms=((v, one),))
+            for v in sigma.candidates))
 
     @property
     def n(self) -> int:
@@ -312,6 +315,39 @@ class ProductPrior(_Memoizing):
         for combo in itertools.product(*(d.atoms for d in self.steps)):
             yield (Sequence(tuple(v for v, _ in combo)),
                    math.prod(q for _, q in combo))
+
+
+def _is_iid(steps: tuple) -> bool:
+    """Whether every step equals the first; steps of two dimensions are
+    refused.  An iid prior repeats one object: count's identity test makes
+    this one C-level pass, with nothing to read per step; otherwise each
+    distinct step object is asked for its k and compared once."""
+    first = steps[0]
+    if steps[-1] is first and steps.count(first) == len(steps):
+        return True
+    distinct = {id(d): d for d in steps}.values()
+    if len({d.k for d in distinct}) > 1:
+        raise InvalidInput("all steps must share one dimension")
+    return all(d == first for d in distinct)
+
+
+def _trusted(cls, **fields):
+    """A `cls` (one of this module's frozen dataclasses) holding `fields`
+    as given, built by object.__new__ and object.__setattr__ with no
+    `__post_init__`.  Only for values lap built itself that the checked
+    constructor would keep unchanged: tuples of Fractions or finite floats,
+    non-negative entries, positive probabilities summing to 1, distinct
+    support points and one dimension throughout."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _trusted_prior(steps: tuple) -> ProductPrior:
+    """`_trusted`'s ProductPrior of `steps`, its iid flag by `_is_iid`, as
+    the checked constructor sets it."""
+    return _trusted(ProductPrior, steps=steps, iid=_is_iid(steps))
 
 
 @dataclass(frozen=True)

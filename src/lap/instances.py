@@ -8,6 +8,12 @@ value grows; the mixed prior bolts a rare huge last candidate on top of it.
 The remaining generators are small fixed scenes used by the behavioral
 checks, and det_to_iid turns any succinct sequence into an i.i.d. prior whose
 realized representation reproduces that sequence with high probability.
+
+The flags are checked here; what a family then builds from them is lap's
+own numbers, built through `core._trusted` with no per-entry checks.  A
+float flag can still make a value past the float range (a sum of finite
+floats can overflow to inf), so each value a family places on an axis is
+checked once, with the message the checked constructor gives.
 """
 
 from __future__ import annotations
@@ -30,9 +36,12 @@ from .core import (
     Sequence,
     ValueVector,
     _coerce,
+    _coerce_nonnegative,
     _count,
     _digit_limit,
     _shown,
+    _trusted,
+    _trusted_prior,
     is_succinct,
     max_value,
     offline_optimal_biased,
@@ -42,8 +51,8 @@ from .policies import resolve_budget
 
 def _single_axis(value: Number, dim: int, k: int) -> ValueVector:
     entries = [Fraction(0)] * k
-    entries[dim - 1] = value
-    return ValueVector(tuple(entries))
+    entries[dim - 1] = _coerce_nonnegative(value, "entry")
+    return _trusted(ValueVector, entries=tuple(entries))
 
 
 def _check_counts(n: int, k: int) -> None:
@@ -55,8 +64,8 @@ def _alternating(n: int, k: int, value: Callable[[int], Number]
                  ) -> Sequence:
     """n candidates, row r (from 0) worth value(r) on one axis, cycling the
     dimensions."""
-    return Sequence(tuple(_single_axis(value(t // k), t % k + 1, k)
-                          for t in range(n)))
+    return _trusted(Sequence, candidates=tuple(
+        _single_axis(value(t // k), t % k + 1, k) for t in range(n)))
 
 
 def gen_alternating_geometric(n: int, k: int, beta: Number) -> Sequence:
@@ -108,12 +117,14 @@ def gen_worstcase_mixed(w: int, k: int, lam: Number,
                            initial=Fraction(1)))
     psum = rows[-1]
     big = (1 - epsilon) * (1 + lam) * psum / epsilon
-    steps = [FiniteDistribution(((_single_axis(rows[i], dim, k), Fraction(1)),))
+    one = Fraction(1)
+    steps = [_trusted(FiniteDistribution,
+                      atoms=((_single_axis(rows[i], dim, k), one),))
              for i in range(w) for dim in range(1, k + 1)]
-    steps.append(FiniteDistribution((
+    steps.append(_trusted(FiniteDistribution, atoms=(
         (_single_axis(big, 1, k), epsilon),
         (ValueVector.zero(k), 1 - epsilon))))
-    return ProductPrior(tuple(steps))
+    return _trusted_prior(tuple(steps))
 
 
 def gen_identical_value(k: int, q: Number) -> Sequence:
@@ -122,7 +133,8 @@ def gen_identical_value(k: int, q: Number) -> Sequence:
     q = _coerce(q, "q")
     if q <= 0:
         raise InvalidInput("q must be positive")
-    return Sequence(tuple(_single_axis(q, i, k) for i in range(1, k + 1)))
+    return _trusted(Sequence, candidates=tuple(
+        _single_axis(q, i, k) for i in range(1, k + 1)))
 
 
 def gen_salient_feature(k: int, a: Number, q: Number) -> Sequence:
@@ -134,12 +146,13 @@ def gen_salient_feature(k: int, a: Number, q: Number) -> Sequence:
         raise InvalidInput("a must be positive")
     if q <= 1:
         raise InvalidInput("q must exceed 1")
+    top = _coerce_nonnegative(a + q, "entry")
     rows = []
     for i in range(1, k + 1):
         entries = [a] * k
-        entries[i - 1] = a + q
-        rows.append(ValueVector(tuple(entries)))
-    return Sequence(tuple(rows))
+        entries[i - 1] = top
+        rows.append(_trusted(ValueVector, entries=tuple(entries)))
+    return _trusted(Sequence, candidates=tuple(rows))
 
 
 def gen_quality_pair(k: int, q: Number) -> Tuple[Sequence, Sequence]:
@@ -173,7 +186,8 @@ def gen_dominance_pair(k: int, n: int, lam: Number,
         (_single_axis(1 + epsilon, 1, k),)
     dom = tuple(_single_axis(Fraction(1), (t - 1) % k + 1, k)
                 for t in range(1, n)) + (_single_axis(1 + beta, 1, k),)
-    return Sequence(base), Sequence(dom)
+    return _trusted(Sequence, candidates=base), \
+        _trusted(Sequence, candidates=dom)
 
 
 _RANDOM_VALUE_GRID = tuple(Fraction(i, 2) for i in range(7))
@@ -211,10 +225,10 @@ def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
     steps = []
     for support, weights in random_prior_draws(rng, k, n_max, atoms_max):
         total = sum(weights)
-        steps.append(FiniteDistribution(tuple(
-            (ValueVector(vec), Fraction(wt, total))
+        steps.append(_trusted(FiniteDistribution, atoms=tuple(
+            (_trusted(ValueVector, entries=vec), Fraction(wt, total))
             for vec, wt in zip(support, weights))))
-    return ProductPrior(tuple(steps))
+    return _trusted_prior(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +356,9 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
         raise ResourceLimit(_digit_limit())
 
     probs = reduction_probabilities(m, x)
-    dist = FiniteDistribution(tuple(zip(sigma.candidates, probs)))
+    # sigma is succinct, so its candidates are distinct support points
+    dist = _trusted(FiniteDistribution,
+                    atoms=tuple(zip(sigma.candidates, probs)))
     return ProductPrior.iid_prior(dist, n), meta
 
 

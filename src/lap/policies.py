@@ -445,12 +445,16 @@ def _joins(states, row: _Row) -> tuple:
 class _Arm:
     """One deterministic arm of a compiled policy: a `Rule` on values, and
     on `prior`, the prior it was compiled on, `masks(t, ranks)`: the bits
-    of step t's atoms it stops on from the rank state `ranks`."""
+    of step t's atoms it stops on from the rank state `ranks`.  A
+    threshold arm's `key` is its masks per distinct row, in the order of
+    the prior's distinct rows, so two arms on one prior with equal keys
+    stop alike everywhere; any other arm's is None."""
 
-    __slots__ = ("decide", "prior", "masks")
+    __slots__ = ("decide", "prior", "masks", "key")
 
-    def __init__(self, decide: Rule, prior: ProductPrior, masks):
+    def __init__(self, decide: Rule, prior: ProductPrior, masks, key=None):
         self.decide, self.prior, self.masks = decide, prior, masks
+        self.key = key
 
     def __call__(self, t, s, entries, val) -> bool:
         return self.decide(t, s, entries, val)
@@ -525,7 +529,8 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                                if stops(atom[1] * den, bar))
                   for row in distinct}
             return _Arm(lambda t, s, entries, val: stops(val, t_value), prior,
-                        lambda t, ranks: at[id(rows[t - 1])])
+                        lambda t, ranks: at[id(rows[t - 1])],
+                        tuple(at.values()))
         p_num, p_den = _ratio(p)
         if p_num == p_den:
             arms = ((Fraction(1), arm(ge)),)

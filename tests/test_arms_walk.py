@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from lap import analysis
 from lap.analysis import _expectations, exact_expectation
 from lap.core import AgentParams, ResourceLimit
 from lap.policies import (Policy, compile_policy, guarantee_alphas,
@@ -99,3 +100,51 @@ def test_guarantee_pair_walks_as_the_two_calls_in_turn():
                         all(isinstance(x, tuple) for x in alone)
     assert budgets > 500
     assert differ > 10
+
+
+def test_arms_with_equal_masks_share_one_walk(monkeypatch):
+    # two coin-mixed thresholds inside one gap between the prior's L1
+    # values: ge and gt stop alike at both, so four arms share one key.
+    # `_expectations` walks the distinct arms only, and returns and raises
+    # what the arms walked in turn return and raise
+    walked = []
+    real = analysis._expectation_walk
+
+    def spy(rules, *args):
+        walked.append(len(rules))
+        return real(rules, *args)
+    monkeypatch.setattr(analysis, "_expectation_walk", spy)
+    shared = refused = 0
+    for flavor in FLAVORS:
+        rng = random.Random(f"shared-walk/{flavor}")
+        for _ in range(10):
+            prior = random_prior(rng, flavor)
+            vals = sorted({F(v.l1) for step in prior.steps
+                           for v, _ in step.atoms} | {F(0)})
+            lo, hi = (vals[-1], vals[-1] + 1) if len(vals) == 1 else \
+                vals[rng.randrange(len(vals) - 1):][:2]
+            pair = [Policy.threshold(lo + (hi - lo) * i / 3, F(1, 3))
+                    for i in (1, 2)]
+            exact_lam = F(rng.randint(0, 8), rng.choice((1, 2, 3)))
+            for lam in (exact_lam, float(exact_lam)):
+                params = AgentParams(lam, prior.k)
+                budget = 0
+                while True:
+                    budget += 1
+                    walked.clear()
+                    want = outcome(lambda: [arms_in_turn(
+                        policy, prior, params, budget) for policy in pair])
+                    got = outcome(lambda: _expectations(prior, pair, params,
+                                                        budget))
+                    assert got == want, (flavor, pair, budget)
+                    assert walked[-1] == 1
+                    alone = outcome(lambda: [exact_expectation(
+                        prior, policy, params, budget=budget)
+                        for policy in pair])
+                    assert got == alone
+                    if not isinstance(want, tuple):
+                        break
+                    refused += 1
+                shared += 1
+    assert shared == 80
+    assert refused > 50
