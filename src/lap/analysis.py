@@ -2,24 +2,24 @@
 and reduction diagnostics.
 
 Exact arithmetic is the default everywhere: expectations are int sums over
-one scale across the reachable (step, super candidate) states, decoded
-once at the end, and the arms of a compiled policy share one walk and are
-decoded once, as one mixed sum (the prophet bound's two thresholds share
-one walk too); the two headline inequalities are checked
-without rounding, from constants kept on the params for every prior of a
-command, and the reduction's two diagnostics (does a draw represent
-sigma, does an adjacent pair invert) are forward chains over the prior's
-steps.  The one sampler, monte_carlo, exists for the priors whose reachable
-states exceed the budget; it is seeded and replayable.  It keeps the rng,
-the arm draws and the statistics; `policies._trial_walk` draws each
-step's uniform as a trial walks over interned rank states, picks that
-step's atom from the rank table's row, and draws the uniforms after the
-trial's stop unread.  Each (step, state, atom) outcome is computed once: a
-stop's float is the correctly rounded quotient of its scaled ints.  The rng
-makes the calls a scan of sampled sequences would make, in the same order,
-so estimates are the same to the last bit.  E[V*] and
-E[sum_j S_j*] come from `policies`, beside the CDF-product sweep they
-read, each one int sum on an exact prior.
+one scale across the reachable (step, super candidate) states, decoded once
+at the end, and the arms of a compiled policy are walked in turn, sharing
+one stop view and one norm table, and decoded once, as one mixed sum (the
+prophet bound's two thresholds share one walk call too); the two headline
+inequalities are checked without rounding, from constants kept on the
+params for every prior of a command, and the reduction's two diagnostics
+(does a draw represent sigma, does an adjacent pair invert) are forward
+chains over the prior's steps.  The one sampler, monte_carlo, exists for
+the priors whose reachable states exceed the budget; it is seeded and
+replayable.  It keeps the rng, the arm draws and the statistics;
+`policies._trial_walk` draws each step's uniform as a trial walks over
+interned rank states, picks that step's atom from the rank table's row, and
+draws the uniforms after the trial's stop unread.  Each (step, state, atom)
+outcome is computed once: a stop's float is the correctly rounded quotient
+of its scaled ints.  The rng makes the calls a scan of sampled sequences
+would make, in the same order, so estimates are the same to the last bit.
+E[V*] and E[sum_j S_j*] come from `policies`, beside the CDF-product sweep
+they read, each one int sum on an exact prior.
 """
 
 import math
@@ -34,6 +34,7 @@ from .core import (
     Number,
     ProductPrior,
     Sequence,
+    _check_dims,
     _count,
     _shown,
     higher_quality,
@@ -154,26 +155,22 @@ class QualityParadoxReport:
 def exact_expectation(prior: ProductPrior, policy: Policy,
                       params: AgentParams,
                       budget: Optional[int] = None) -> Number:
-    """Exact expected utility of a policy: its arms, walked together over
+    """Exact expected utility of a policy: its arms, walked in turn over
     the reachable (step, super candidate) states (`_expectation_walk`),
-    each holding at most the budget's states.  On the integer view with
-    Fraction weights their int totals are mixed and decoded once; else
-    each arm is decoded and weighted in turn, as the Fraction formula
-    did."""
+    sharing one stop view and one norm table, each holding at most the
+    budget's states.  On the integer view with Fraction weights their int
+    totals are mixed and decoded once; else each arm is decoded and
+    weighted in turn, as the Fraction formula did."""
     return _expectations(prior, (policy,), params, budget)[0]
 
 
 def _expectations(prior: ProductPrior, policies, params: AgentParams,
                   budget: Optional[int] = None) -> list:
     """`exact_expectation` of each policy, the arms of all of them walked
-    in one pass and each policy's totals mixed as for it alone.  Threshold
+    in turn by one `_expectation_walk` call, sharing one stop view and one
+    norm table, and each policy's totals mixed as for it alone.  Threshold
     arms with equal mask keys (`_Arm.key`) stop alike, so only the first
-    of them is walked and the others read its total.  The walk raises the
-    error of the first arm to pass the budget once the arms before it
-    finish, which is what the calls in turn raise as long as compiling a
-    policy after the first raises no ResourceLimit (a threshold's compile
-    never does); an arm left out would fail where the arm it repeats,
-    which comes first, fails."""
+    of them is walked and the others read its total."""
     limit = resolve_budget(budget)
     arms = [compile_policy(policy, prior, params, limit).arms
             for policy in policies]
@@ -181,11 +178,10 @@ def _expectations(prior: ProductPrior, policies, params: AgentParams,
     walked = {}  # an arm's key (the arm, if it has none) -> its first arm
     for rule in rules:
         walked.setdefault(rule.key or rule, rule)
-    exact, totals, scale = _expectation_walk(list(walked.values()), prior,
+    exact, totals, scale = _expectation_walk(walked.values(), prior,
                                              params.lam, limit)
-    if len(walked) < len(rules):
-        total_of = dict(zip(walked, totals))
-        totals = [total_of[rule.key or rule] for rule in rules]
+    total_of = dict(zip(walked, totals))
+    totals = [total_of[rule.key or rule] for rule in rules]
     values, start = [], 0
     for policy_arms in arms:
         weights = [w for w, _ in policy_arms]
@@ -308,8 +304,7 @@ def gamma_of(prior: ProductPrior) -> Number:
 
 
 def _require_subcritical(prior: ProductPrior, params: AgentParams) -> None:
-    if prior.k != params.k:
-        raise InvalidInput("prior and params dimensions differ")
+    _check_dims(prior, params)
     if params.bias >= 1:
         raise InvalidInput(
             f"bound needs subcritical bias, got {_shown(params.bias)}")
@@ -421,8 +416,7 @@ def detect_paradox_of_choice(base: Sequence, extended: Sequence,
     """
     if agent not in ("prophet", "gambler"):
         raise InvalidInput(f"unknown agent {agent!r}")
-    if base.k != params.k:
-        raise InvalidInput("sequence and params dimensions differ")
+    _check_dims(base, params)
     if not _extends(base, extended):
         raise InvalidInput(
             "second sequence must extend the first at one end")
@@ -443,8 +437,8 @@ def detect_quality_paradox(low: Sequence, high: Sequence,
     beats the other's best).  The paradox is a prophet that does worse on
     the better slate while the gambler does better.
     """
-    if low.k != params.k or high.k != params.k:
-        raise InvalidInput("sequence and params dimensions differ")
+    _check_dims(low, params)
+    _check_dims(high, params)
     if not higher_quality(high, low):
         raise InvalidInput(
             "second sequence must be strictly higher quality")

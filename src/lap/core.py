@@ -366,9 +366,11 @@ def _check_index(sigma: Sequence, t: int) -> None:
         raise InvalidInput(message)
 
 
-def _check_dims(sigma: Sequence, params: AgentParams) -> None:
-    if sigma.k != params.k:
-        raise InvalidInput("sequence and params dimensions differ")
+def _check_dims(x, params: AgentParams) -> None:
+    """A prior or a sequence, named by its type, has the params' k."""
+    if x.k != params.k:
+        name = "prior" if isinstance(x, ProductPrior) else "sequence"
+        raise InvalidInput(f"{name} and params dimensions differ")
 
 
 def max_value(sigma: Sequence) -> Number:

@@ -35,6 +35,7 @@ from .core import (
     ResourceLimit,
     Sequence,
     ValueVector,
+    _check_dims,
     _coerce,
     _coerce_nonnegative,
     _count,
@@ -310,8 +311,7 @@ def det_to_iid(sigma: Sequence, params: AgentParams, epsilon: Number,
     the nominal candidate count; either must fit the state budget.  A
     probability too long to print is refused before it is computed.
     """
-    if sigma.k != params.k:
-        raise InvalidInput("sequence and params dimensions differ")
+    _check_dims(sigma, params)
     if not is_succinct(sigma):
         raise InvalidInput("reduction needs a succinct sequence")
     m = sigma.n

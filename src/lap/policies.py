@@ -16,9 +16,10 @@ Three families of rules live here:
   -lambda * ||s^(n)||_1, and taking the last offer never scores less.
 * exact expectations, patience comparison and Monte Carlo trial walks of
   compiled rules, over the reachable (step, super candidate) states instead
-  of every realization; one expectation walk carries every arm of a
-  compiled policy.  The state budget caps the states each exact pass
-  holds (`_charge`) and the number of states a Monte Carlo walk interns.
+  of every realization; one expectation walk takes a compiled policy's
+  arms in turn, sharing one stop view and one norm table.  The state
+  budget caps the states each exact pass holds (`_charge`) and the number
+  of states a Monte Carlo walk interns.
 
 All of these run on one lattice core: one per-prior rank table, one join
 kernel and one stop view.  `_joins` joins a step's (state, atom) pairs a
@@ -112,6 +113,7 @@ from .core import (
     ResourceLimit,
     Sequence,
     StoppingOutcome,
+    _check_dims,
     _coerce,
     _json_int,
     _parse_int,
@@ -509,8 +511,7 @@ def compile_policy(policy: Policy, prior: ProductPrior, params: AgentParams,
                    budget: Optional[int] = None) -> CompiledPolicy:
     """Bind a policy to `prior`.  Masks: a threshold's per distinct row,
     a fixed index's all bits at its step, the DPs' their own."""
-    if prior.k != params.k:
-        raise InvalidInput("prior and params dimensions differ")
+    _check_dims(prior, params)
     rows, _, scaled, unit = prior.memoized(_rank_table)
     if policy.kind == "threshold":
         if policy.alpha is not None:
@@ -570,8 +571,7 @@ def run_rule(rule: Rule, sigma: Sequence,
     Fraction(0)s; a stop is scored on the join from the first candidate's
     own entries, as the offline optima score it, so a 0.0 entry keeps its
     type."""
-    if sigma.k != params.k:
-        raise InvalidInput("sequence and params dimensions differ")
+    _check_dims(sigma, params)
     lam = params.lam
     s = (Fraction(0),) * sigma.k
     top = sigma.candidates[0].entries
@@ -587,12 +587,10 @@ def run_rule(rule: Rule, sigma: Sequence,
 def rule_expectation(rule: Rule, prior: ProductPrior, params: AgentParams,
                      budget: Optional[int] = None) -> Number:
     """Exact expected utility of one deterministic rule over the prior:
-    the one-rule case of `_expectation_walk`."""
-    if prior.k != params.k:
-        raise InvalidInput("prior and params dimensions differ")
-    limit = resolve_budget(budget)
-    exact, (total,), den = _expectation_walk((rule,), prior, params.lam,
-                                             limit)
+    `_expectation_walk` of that rule alone."""
+    _check_dims(prior, params)
+    exact, (total,), den = _expectation_walk(
+        (rule,), prior, params.lam, resolve_budget(budget))
     return _unscaled(exact, total, den)
 
 
@@ -607,40 +605,32 @@ _COLUMN_JOINS = 4
 
 
 def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
-    """Exact expected utilities of deterministic rules in one forward
-    pass, as (exact, totals, scale): rule i's is `_unscaled(exact,
-    totals[i], scale)`.
+    """Exact expected utilities of deterministic rules, as (exact, totals,
+    scale): rule i's is `_unscaled(exact, totals[i], scale)`.
 
-    Each rule's probability mass moves forward keyed by the super
+    The rules are walked in turn, sharing one stop view and its norm
+    table.  A rule's probability mass moves forward keyed by the super
     candidate's ranks before each step; where its mask stops, mass times
     the stop's utility is banked, and mass unstopped after step n scores
     -lambda * ||s^(n)||_1.  In the integer view, with lambda = a/b, mass
     before step t is an int over prod_{u<t} D_u and a total one int over
-    b*L*prod_{u<t} D_u.  The rules share the stop view, its norm table and
-    each step's view; each keeps its own mass dict, so the identity view
-    sums in the order the Fraction formulas did.  A rule's step that holds
-    at least `_COLUMN_JOINS` states takes its pairs' joins from `_joins`,
-    state-major, and zips each state's run with the atoms; a smaller one
-    calls `_join` per pair.  Each rule's states count against the budget
-    as the DP's layers do, and the error raised is the one walking the
-    rules in turn raises: a rule past the budget stops the rules after it,
-    and the rules before it walk on."""
+    b*L*prod_{u<t} D_u.  Each rule keeps its own mass dict, so the
+    identity view sums in the order the Fraction formulas did.  A step
+    that holds at least `_COLUMN_JOINS` states takes its pairs' joins from
+    `_joins`, state-major, and zips each state's run with the atoms; a
+    smaller one calls `_join` per pair.  A rule's states count against the
+    budget as the DP's layers do, so the first rule to pass it raises."""
     rows, exact, a, b, norms, unit = _stop_view(prior, lam)
-    root = (0,) * prior.k
-    # per rule: masks, mass before the step, total, states counted
-    walks = [[_accept_masks(rule, prior), {root: 1}, 0, 0] for rule in rules]
-    live, failed = len(walks), None  # walks[:live] go on
-    scale = 1  # prod D_u over the steps so far
-    for t, row in enumerate(rows, 1):
-        atoms, den = _view(row, exact)
-        scale *= den
-        for i in range(live):
-            walk = walks[i]
-            accept, mass, total, count = walk
+    totals = []
+    for rule in rules:
+        accept = _accept_masks(rule, prior)
+        mass: Dict[tuple, Number] = {(0,) * prior.k: 1}
+        total, count, scale = 0, 0, 1  # scale: prod D_u over the steps so far
+        for t, row in enumerate(rows, 1):
             count += len(mass)
-            if count > limit:
-                live, failed = i, (count, t)
-                break
+            _charge(count, limit, t)
+            atoms, den = _view(row, exact)
+            scale *= den
             total *= den
             nxt: Dict[tuple, Number] = {}
             if len(mass) < _COLUMN_JOINS:
@@ -665,13 +655,7 @@ def _expectation_walk(rules, prior: ProductPrior, lam: Number, limit: int):
                         else:
                             nxt[to] = nxt.get(to, 0) + m * p
                     total += m * banked
-            walk[1:] = nxt, total, count
-        if not live:
-            break
-    if failed is not None:
-        _charge(failed[0], limit, failed[1])
-    totals = []
-    for _, mass, total, _ in walks:
+            mass = nxt
         for s, m in mass.items():
             total += m * (0 - a * norms[s])
         totals.append(total)
@@ -785,8 +769,7 @@ def run_policy(policy: Policy, sigma: Sequence, params: AgentParams,
     """Realize a policy online on one sequence (no lookahead).  Optimal and
     alpha-threshold kinds are compiled against `prior` when given, else
     against the deterministic prior that always plays `sigma`."""
-    if sigma.k != params.k:
-        raise InvalidInput("sequence and params dimensions differ")
+    _check_dims(sigma, params)
     if prior is None:
         prior = ProductPrior.deterministic(sigma)
     compiled = compile_policy(policy, prior, params)
@@ -1007,8 +990,7 @@ def optimal_biased_policy(prior: ProductPrior, params: AgentParams,
     -lambda * ||s^(n)||_1, which taking the last offer never scores below,
     so the value is the same whether or not walking away is offered.
     """
-    if prior.k != params.k:
-        raise InvalidInput("prior and params dimensions differ")
+    _check_dims(prior, params)
     limit = resolve_budget(budget)
     res = prior.memoized(_biased_dp, params.lam, budget=limit)
     if res.state_count > limit:  # kept under a larger budget
@@ -1087,8 +1069,7 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     again, so the states entered, which the budget caps, are distinct.
     Once `b` has stopped, `a` is still followed until it stops, so a rule
     that leaves its compiled support raises as on a realization scan."""
-    if prior.k != params.k:
-        raise InvalidInput("prior and params dimensions differ")
+    _check_dims(prior, params)
     limit = resolve_budget(budget)
     accept_a = _accept_masks(_single_rule(a, prior, params, limit), prior)
     accept_b = _accept_masks(_single_rule(b, prior, params, limit), prior)
