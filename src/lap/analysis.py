@@ -174,19 +174,17 @@ def _expectations(prior: ProductPrior, policies, params: AgentParams,
     limit = resolve_budget(budget)
     arms = [compile_policy(policy, prior, params, limit).arms
             for policy in policies]
-    rules = [rule for policy_arms in arms for _, rule in policy_arms]
     walked = {}  # an arm's key (the arm, if it has none) -> its first arm
-    for rule in rules:
-        walked.setdefault(rule.key or rule, rule)
+    for policy_arms in arms:
+        for _, rule in policy_arms:
+            walked.setdefault(rule.key or rule, rule)
     exact, totals, scale = _expectation_walk(walked.values(), prior,
                                              params.lam, limit)
     total_of = dict(zip(walked, totals))
-    totals = [total_of[rule.key or rule] for rule in rules]
-    values, start = [], 0
+    values = []
     for policy_arms in arms:
         weights = [w for w, _ in policy_arms]
-        own = totals[start:start + len(weights)]
-        start += len(weights)
+        own = [total_of[rule.key or rule] for _, rule in policy_arms]
         if exact and all(isinstance(w, Fraction) for w in weights):
             den = math.lcm(*(w.denominator for w in weights))
             values.append(Fraction(
@@ -270,24 +268,33 @@ def ratio_report(prior: ProductPrior, params: AgentParams,
     )
 
 
+def _blank_row(params: AgentParams, instance_id: str, seed,
+               as_float: bool) -> Dict[str, Any]:
+    """A row in ROW_FIELDS order with the cell's params, id and seed set
+    and every report field blank: a sweep's row for a cell whose instance
+    cannot be built, and the start of every ratio row."""
+    return {**dict.fromkeys(ROW_FIELDS, ""),
+            "lambda": render(params.lam, as_float),
+            "k": params.k,
+            "bias": render(params.bias, as_float),
+            "regime": params.regime,
+            "instance_id": instance_id,
+            "seed": seed}
+
+
 def ratio_row(report: RatioReport, params: AgentParams, n: int,
               instance_id: str, seed: Optional[int] = None,
               as_float: bool = False) -> Dict[str, Any]:
     """Flatten a report into the one row shape shared by CSV and JSON."""
-    return {
-        "lambda": render(params.lam, as_float),
-        "k": params.k,
-        "bias": render(report.bias, as_float),
-        "n": n,
-        "e_upr": render(report.e_prophet_rational, as_float),
-        "e_ugr": render(report.e_gambler_rational_opt, as_float),
-        "e_ugb": render(report.e_gambler_biased_opt, as_float),
-        "prophet_ratio": render(report.prophet_ratio, as_float),
-        "online_ratio": render(report.online_ratio, as_float),
-        "regime": report.regime,
-        "instance_id": instance_id,
-        "seed": seed,
-    }
+    return {**_blank_row(params, instance_id, seed, as_float),
+            "bias": render(report.bias, as_float),
+            "n": n,
+            "e_upr": render(report.e_prophet_rational, as_float),
+            "e_ugr": render(report.e_gambler_rational_opt, as_float),
+            "e_ugb": render(report.e_gambler_biased_opt, as_float),
+            "prophet_ratio": render(report.prophet_ratio, as_float),
+            "online_ratio": render(report.online_ratio, as_float),
+            "regime": report.regime}
 
 
 def gamma_of(prior: ProductPrior) -> Number:
@@ -319,6 +326,15 @@ def _bound_constants(params: AgentParams):
     alphas = tuple(sorted(guarantee_alphas(params)))
     return (alphas, tuple(map(Policy.from_alpha, alphas)), 1 - params.bias,
             1 + lam + k, 2 + lam, 1 + lam)
+
+
+def _counterexample(prior: ProductPrior, params: AgentParams,
+                    **sides: Number) -> Dict[str, Any]:
+    """A failed bound's counterexample: the prior, lambda and k, then the
+    check's sides in the order given."""
+    return {"prior": prior_to_json(prior),
+            "lambda": number_to_json(params.lam), "k": params.k,
+            **{name: number_to_json(x) for name, x in sides.items()}}
 
 
 def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
@@ -353,18 +369,10 @@ def verify_prophet_bound(prior: ProductPrior, params: AgentParams,
         "rhs_dims_route": route_dims,
         "rhs_value_route": route_value,
     }
-    counterexample = None
-    if not passed:
-        counterexample = {
-            "prior": prior_to_json(prior),
-            "lambda": number_to_json(params.lam),
-            "k": params.k,
-            "best_threshold_expectation": number_to_json(best),
-            "optimal_biased_expectation": number_to_json(opt),
-            "rhs": number_to_json(rhs),
-        }
     return CheckResult("prophet-bound", passed, opt, rhs, detail,
-                       counterexample)
+                       None if passed else _counterexample(
+                           prior, params, best_threshold_expectation=best,
+                           optimal_biased_expectation=opt, rhs=rhs))
 
 
 def verify_online_bound(prior: ProductPrior, params: AgentParams,
@@ -380,17 +388,9 @@ def verify_online_bound(prior: ProductPrior, params: AgentParams,
     rhs = one_plus_lam * e_gb
     passed = lhs <= rhs
     detail = {"e_gambler_rational_opt": e_gr, "e_gambler_biased_opt": e_gb}
-    counterexample = None
-    if not passed:
-        counterexample = {
-            "prior": prior_to_json(prior),
-            "lambda": number_to_json(params.lam),
-            "k": params.k,
-            "lhs": number_to_json(lhs),
-            "rhs": number_to_json(rhs),
-        }
     return CheckResult("online-bound", passed, lhs, rhs, detail,
-                       counterexample)
+                       None if passed else _counterexample(
+                           prior, params, lhs=lhs, rhs=rhs))
 
 
 # ---------------------------------------------------------------------------

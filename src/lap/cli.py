@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: generate, evaluate, ratio, verify, sweep, monte-carlo, reduce.
-Each accepts only the flags it reads (see _SUBCOMMANDS); an unknown or
-abbreviated flag is a usage error.  --seed is taken by ratio, verify, sweep
-and monte-carlo; --format (json or csv) by ratio and sweep; --budget-states
+_SUBCOMMANDS is the one place a subcommand is defined: its handler, which
+main calls, and the only flags it accepts; an unknown or abbreviated flag
+is a usage error.  --seed is taken by ratio, verify, sweep and
+monte-carlo; --format (json or csv) by ratio and sweep; --budget-states
 and --float by every subcommand but generate.  All computation runs on exact
 rationals; --float only changes how report numbers are printed.  Exit codes:
 0 success, 1 a verification check failed (the report is still emitted), 2
@@ -65,6 +66,7 @@ from .policies import (
 from .analysis import (
     CheckResult,
     ROW_FIELDS,
+    _blank_row,
     detect_quality_paradox,
     exact_expectation,
     monte_carlo,
@@ -407,20 +409,6 @@ def _cmd_verify(args) -> Tuple[str, bool]:
     return _dump_json(payload), bool(failures)
 
 
-def _blank_row(params: AgentParams, ident: str, seed,
-               as_float: bool) -> Dict[str, Any]:
-    row = dict.fromkeys(ROW_FIELDS, "")
-    row.update({
-        "lambda": render(params.lam, as_float),
-        "k": params.k,
-        "bias": render(params.bias, as_float),
-        "regime": params.regime,
-        "instance_id": ident,
-        "seed": seed,
-    })
-    return row
-
-
 def _sweep_rows(args, values: tuple, ident: str,
                 cells: List[AgentParams]) -> List[Dict[str, Any]]:
     """The rows of the sweep cells that share one instance id, all read
@@ -516,17 +504,6 @@ def _cmd_reduce(args) -> Tuple[str, bool]:
     return _dump_json(payload), False
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "evaluate": _cmd_evaluate,
-    "ratio": _cmd_ratio,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "monte-carlo": _cmd_monte_carlo,
-    "reduce": _cmd_reduce,
-}
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -564,22 +541,23 @@ _GENERATOR = ("gen", "n", "k", "lambda", "beta", "eps", "w", "q", "a")
 _INSTANCE = _GENERATOR + ("in",)
 _REPORT = ("budget-states", "out", "float")
 
-# name, help, the flags its _cmd_* reads, defaults
+# name, handler, help, the flags the handler reads, defaults
 _SUBCOMMANDS = (
-    ("generate", "emit an instance as JSON", _GENERATOR + ("out",), {}),
-    ("evaluate", "exact expected utility of a policy",
+    ("generate", _cmd_generate, "emit an instance as JSON",
+     _GENERATOR + ("out",), {}),
+    ("evaluate", _cmd_evaluate, "exact expected utility of a policy",
      _INSTANCE + ("policy",) + _REPORT, {}),
-    ("ratio", "benchmark expectations and ratios",
+    ("ratio", _cmd_ratio, "benchmark expectations and ratios",
      _INSTANCE + ("seed", "format") + _REPORT, {"format": "json"}),
-    ("verify", "run seeded inequality sweeps",
+    ("verify", _cmd_verify, "run seeded inequality sweeps",
      ("suite", "k", "lambda", "trials", "seed") + _REPORT, {}),
-    ("sweep", "ratio table over a parameter grid",
+    ("sweep", _cmd_sweep, "ratio table over a parameter grid",
      ("gen", "n", "beta", "eps", "w", "q", "a", "lambda-grid", "k-grid",
       "seed", "format") + _REPORT, {"format": "csv"}),
-    ("monte-carlo", "sampled expected utility",
+    ("monte-carlo", _cmd_monte_carlo, "sampled expected utility",
      _INSTANCE + ("policy", "trials", "seed") + _REPORT, {}),
-    ("reduce", "deterministic sequence to iid prior", _INSTANCE + _REPORT,
-     {}),
+    ("reduce", _cmd_reduce, "deterministic sequence to iid prior",
+     _INSTANCE + _REPORT, {}),
 )
 
 
@@ -590,12 +568,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lap",
         description="Loss-averse prophet instances, policies, and bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags, defaults in _SUBCOMMANDS:
+    for name, handler, help_text, flags, defaults in _SUBCOMMANDS:
         # no abbreviations: sweep --lambda must not mean --lambda-grid
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
-        sp.set_defaults(**defaults)
+        sp.set_defaults(handler=handler, **defaults)
     return parser
 
 
@@ -613,7 +591,7 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, failed = _COMMANDS[args.command](args)
+        text, failed = args.handler(args)
         _write_output(text, args.out)
     except InvalidInput as err:
         print(f"error: {err}", file=sys.stderr)

@@ -554,6 +554,15 @@ def _json_list(x, what: str) -> list:
     return x
 
 
+def _json_keys(obj, message: str, *keys: str) -> list:
+    """obj[key] for each required key, in order, or InvalidInput(message)
+    when obj is not an object or lacks one."""
+    try:
+        return [obj[key] for key in keys]
+    except (TypeError, KeyError) as err:
+        raise InvalidInput(message) from err
+
+
 class _Numbers(dict):
     """Number string -> number_from_json(string, exact), kept for one
     prior_from_json or sequence_from_json call, so that an instance is
@@ -578,11 +587,8 @@ def _vector_from_json(row, numbers: _Numbers, what: str) -> ValueVector:
 
 
 def sequence_from_json(obj: dict, exact: bool = True) -> Sequence:
-    try:
-        k = obj["k"]
-        rows = obj["candidates"]
-    except (TypeError, KeyError) as err:
-        raise InvalidInput("sequence JSON needs 'k' and 'candidates'") from err
+    k, rows = _json_keys(obj, "sequence JSON needs 'k' and 'candidates'",
+                         "k", "candidates")
     k = _json_int(k, "'k'")
     numbers = _Numbers(exact)
     cands = tuple(_vector_from_json(row, numbers, "a candidate")
@@ -599,10 +605,7 @@ def _dist_to_json(dist: FiniteDistribution) -> dict:
 
 
 def _dist_from_json(obj: dict, numbers: _Numbers) -> FiniteDistribution:
-    try:
-        atoms = obj["atoms"]
-    except (TypeError, KeyError) as err:
-        raise InvalidInput("step JSON needs 'atoms'") from err
+    atoms, = _json_keys(obj, "step JSON needs 'atoms'", "atoms")
     pairs = []
     for a in _json_list(atoms, "'atoms'"):
         if not isinstance(a, dict) or "v" not in a or "p" not in a:
@@ -623,14 +626,9 @@ def prior_to_json(prior: ProductPrior) -> dict:
 
 
 def prior_from_json(obj: dict, exact: bool = True) -> ProductPrior:
-    try:
-        k = obj["k"]
-        n = obj["n"]
-        iid = obj["iid"]
-        raw_steps = obj["steps"]
-    except (TypeError, KeyError) as err:
-        raise InvalidInput(
-            "prior JSON needs 'k', 'n', 'iid', and 'steps'") from err
+    k, n, iid, raw_steps = _json_keys(
+        obj, "prior JSON needs 'k', 'n', 'iid', and 'steps'",
+        "k", "n", "iid", "steps")
     k = _json_int(k, "'k'")
     n = _json_int(n, "'n'")
     iid = _json_bool(iid, "'iid'")

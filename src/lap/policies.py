@@ -1081,7 +1081,6 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
     root = (0,) * prior.k
     stack = [[1, root, accept_a(1, root), accept_b(1, root), 0]]
     count = 1  # states entered
-    path = []  # atom index taken at each step above the top frame
     while stack:
         frame = stack[-1]
         t, s, mask_a, mask_b, i = frame
@@ -1089,15 +1088,15 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
         if i == len(atoms):
             clear.add((t, s, mask_b is not None))
             stack.pop()
-            if path:
-                path.pop()
             continue
         frame[4] = i + 1
         ranks, bit = atoms[i][3:]
         b_running = mask_b is not None and not mask_b & bit
         if mask_a & bit:
             if b_running:
-                return _witness(accept_b, prior, path + [i], s, t)
+                # each frame's next atom is one past the atom it took
+                return _witness(accept_b, prior, [f[4] - 1 for f in stack],
+                                s, t)
             continue
         if t == n:
             continue
@@ -1107,7 +1106,6 @@ def patience_compare(a, b, prior: ProductPrior, params: AgentParams,
             continue
         count += 1
         _charge(count, limit, t + 1)
-        path.append(i)
         stack.append([t + 1, joined, accept_a(t + 1, joined),
                       accept_b(t + 1, joined) if b_running else None, 0])
     return PatienceVerdict("more-patient", None)

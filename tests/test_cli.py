@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lap import analysis, cli, policies
-from lap.analysis import CheckResult, detect_quality_paradox, ratio_report
+from lap.analysis import (CheckResult, ROW_FIELDS, detect_quality_paradox,
+                          ratio_report)
 from lap.core import AgentParams, prior_from_json
 from lap.instances import (gen_quality_pair, gen_random_prior,
                            gen_worstcase_mixed)
@@ -761,6 +762,10 @@ class TestVerify:
         example = check.counterexample
         assert prior_from_json(example["prior"]) == prior
         assert (example["lambda"], example["k"]) == ("1/2", 2)
+        # JSON prints keys in dict order: the prior, lambda, k, the sides
+        sides = (["best_threshold_expectation", "optimal_biased_expectation"]
+                 if name == "prophet-bound" else ["lhs"])
+        assert list(example) == ["prior", "lambda", "k", *sides, "rhs"]
         e_gb = policies.optimal_biased_policy(prior, params).expected_utility
         # prophet: (1 - 1/2) * 10^6 / (1 + 1/2 + 2); online: (3/2) * E[U_gb*]
         rhs = big / 7 if name == "prophet-bound" else F(3, 2) * e_gb
@@ -922,6 +927,20 @@ class TestSweep:
                 assert out.splitlines() == [header, line]
             else:
                 assert json.loads(out) == line
+
+    def test_json_rows_in_field_order(self, capsys):
+        # JSON prints keys in dict order, so ratio rows and unconstructible
+        # rows both list ROW_FIELDS in order
+        code, out, err = run_cli(capsys, "sweep", "--gen", "worstcase-mixed",
+                                 "--w", "2", "--eps", "1/5", "--lambda-grid",
+                                 "0:1:1/2", "--k-grid", "2:3",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        blank = ["unconstructible" in row["instance_id"] for row in rows]
+        assert blank == [False] * 3 + [True] * 3
+        for row in rows:
+            assert list(row) == list(ROW_FIELDS)
 
     # invalid input exits as `ratio` exits on the same input; only the
     # family refusing a cell, or a pair, blanks it
@@ -1163,10 +1182,10 @@ class TestEntryPoint:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_internal_error_exits_two(self, capsys, monkeypatch):
-        def broken(args):
+        def broken(*args):
             raise RuntimeError("no such state")
 
-        monkeypatch.setitem(cli._COMMANDS, "ratio", broken)
+        monkeypatch.setattr(cli, "ratio_report", broken)
         code, out, err = run_cli(capsys, "ratio", *WCM_ARGS)
         assert code == 2
         assert out == ""
