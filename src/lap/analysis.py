@@ -24,7 +24,6 @@ they read, each one int sum on an exact prior.
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
@@ -34,8 +33,10 @@ from .core import (
     Number,
     ProductPrior,
     Sequence,
+    _Field,
     _check_dims,
     _count,
+    _record,
     _shown,
     higher_quality,
     number_to_json,
@@ -92,7 +93,7 @@ def render(x, as_float: bool = False):
     return number_to_json(x)
 
 
-@dataclass(frozen=True)
+@_record
 class EstimateWithCI:
     """Monte Carlo mean with a CI_Z-sigma half width; fully replayable."""
 
@@ -102,7 +103,7 @@ class EstimateWithCI:
     seed: Optional[int]
 
 
-@dataclass(frozen=True)
+@_record
 class RatioReport:
     """The three benchmark expectations and their competitive ratios.
 
@@ -122,7 +123,7 @@ class RatioReport:
     regime: str
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     """Outcome of one inequality check, with enough detail to audit it."""
 
@@ -130,11 +131,11 @@ class CheckResult:
     passed: bool
     lhs: Number
     rhs: Number
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any] = _Field(default_factory=dict)
     counterexample: Optional[Dict[str, Any]] = None
 
 
-@dataclass(frozen=True)
+@_record
 class QualityParadoxReport:
     """Offline optima of a lower- and a higher-quality sequence side by
     side, plus the two comparisons that make the quality paradox."""
@@ -295,14 +296,6 @@ def ratio_row(report: RatioReport, params: AgentParams, n: int,
             "prophet_ratio": render(report.prophet_ratio, as_float),
             "online_ratio": render(report.online_ratio, as_float),
             "regime": report.regime}
-
-
-def gamma_of(prior: ProductPrior) -> Number:
-    """E[sum_j S_j*] / E[V*], the dimension-spread factor in [1, k]."""
-    e_v = _e_best_value(prior)
-    if e_v <= 0:
-        raise InvalidInput("gamma needs a positive expected best value")
-    return _e_sum_dim_maxima(prior) / e_v
 
 
 # ---------------------------------------------------------------------------

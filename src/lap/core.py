@@ -21,6 +21,15 @@ reduction's step and the paradox suite's sequences) goes through
 flag is computed there by `_is_iid`, the helper `ProductPrior.__post_init__`
 uses, so both paths build equal objects.
 
+The domain types here, and the result types of the other modules, are
+records: frozen value classes made by `_record` from their annotated
+fields, as `dataclasses.dataclass(frozen=True)` would make them, with the
+same `__init__`, `repr`, `==`, `hash` and `__match_args__`, and assignment
+and deletion refused.  `_record` writes one small source per class for
+the hot methods and shares the rest, so importing lap loads neither
+`dataclasses` nor `inspect`; a `_Field` class attribute gives a field's
+other options (left out of repr or comparison, a default factory).
+
 Two arithmetic modes coexist: exact rationals (fractions.Fraction, the
 default; every closed-form identity is checked exactly) and plain floats for
 Monte Carlo work.  Integers are normalized to Fraction on entry so that
@@ -35,7 +44,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Tuple, Union
@@ -100,7 +108,75 @@ def _coerce_nonnegative(x: Number, what: str = "value") -> Number:
     return x
 
 
-@dataclass(frozen=True)
+class _Field:
+    """A record field's options past a plain default: shown by repr,
+    compared by == and hash, and a default built per instance."""
+
+    def __init__(self, repr=True, compare=True, default_factory=None):
+        self.repr, self.compare = repr, compare
+        self.default_factory = default_factory
+
+
+class _Factory:
+    """The default a factory field's `__init__` parameter shows."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+_PLAIN, _FACTORY = _Field(), _Factory()
+
+
+def _record_repr(self):
+    shown = (f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+    return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def _frozen(self, name, *value):  # __setattr__ and __delattr__
+    verb = "assign to" if value else "delete"
+    raise AttributeError(f"cannot {verb} field {name!r}")
+
+
+def _record(cls):
+    """`cls` made a record of its annotated fields: `__init__` (calling
+    `__post_init__` when the class has one), `__eq__` and `__hash__` from
+    one source per class; `__repr__`, `__setattr__` and `__delattr__`
+    shared.  A field's class attribute is its default, or a `_Field`."""
+    names = cls.__match_args__ = tuple(cls.__dict__["__annotations__"])
+    marks = [cls.__dict__.get(name, _PLAIN) for name in names]
+    fields = [m if isinstance(m, _Field) else _PLAIN for m in marks]
+    params, body = [], []
+    for i, (name, mark) in enumerate(zip(names, marks)):
+        param, value = name, name
+        if not isinstance(mark, _Field):  # a plain default
+            param = f"{name}=_marks[{i}]"
+        elif mark is not _PLAIN:  # a `_Field`, which leaves the class
+            delattr(cls, name)
+            if mark.default_factory:
+                param = f"{name}=_F"
+                value = f"_marks[{i}].default_factory() if {name} is _F " \
+                        f"else {name}"
+        params.append(param)
+        body.append(f"\n    _set(self, {name!r}, {value})")
+    body += ["\n    self.__post_init__()"] * hasattr(cls, "__post_init__")
+    own = "".join(f"self.{n}, " for n, f in zip(names, fields) if f.compare)
+    ns = {"_set": object.__setattr__, "_F": _FACTORY, "_marks": marks}
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}\n"
+         "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         f"        return ({own}) == ({own.replace('self.', 'other.')})\n"
+         "    return NotImplemented\n"
+         f"def __hash__(self):\n    return hash(({own}))\n", ns)
+    for method in ("__init__", "__eq__", "__hash__"):
+        ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, ns[method])
+    cls._repr_fields = tuple(n for n, f in zip(names, fields) if f.repr)
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@_record
 class ValueVector:
     """A k-dimensional non-negative candidate value."""
 
@@ -118,7 +194,7 @@ class ValueVector:
 
     @cached_property
     def l1(self) -> Number:
-        # computed on first read and kept in the instance dict; dataclass
+        # computed on first read and kept in the instance dict; record
         # equality, hash and repr see only `entries`
         return sum(self.entries)
 
@@ -131,7 +207,7 @@ class ValueVector:
         return ValueVector((Fraction(0),) * k)
 
 
-@dataclass(frozen=True)
+@_record
 class Sequence:
     """An ordered realization of n candidates sharing one dimension k."""
 
@@ -195,7 +271,7 @@ class _Memoizing:
         return memo[build][1]
 
 
-@dataclass(frozen=True)
+@_record
 class AgentParams(_Memoizing):
     """Loss-aversion weight lambda plus the ambient dimension k; what a
     command derives from them alone it keeps with `memoized`."""
@@ -223,7 +299,7 @@ class AgentParams(_Memoizing):
         return "supercritical"
 
 
-@dataclass(frozen=True)
+@_record
 class FiniteDistribution:
     """Finite-support distribution over value vectors for one step."""
 
@@ -268,7 +344,7 @@ class FiniteDistribution:
         return self.atoms[0][0].k
 
 
-@dataclass(frozen=True)
+@_record
 class ProductPrior(_Memoizing):
     """n independent per-step distributions; iid flags identical steps."""
 
@@ -332,7 +408,7 @@ def _is_iid(steps: tuple) -> bool:
 
 
 def _trusted(cls, **fields):
-    """A `cls` (one of this module's frozen dataclasses) holding `fields`
+    """A `cls` (one of this module's records) holding `fields`
     as given, built by object.__new__ and object.__setattr__ with no
     `__post_init__`.  Only for values lap built itself that the checked
     constructor would keep unchanged: tuples of Fractions or finite floats,
@@ -350,7 +426,7 @@ def _trusted_prior(steps: tuple) -> ProductPrior:
     return _trusted(ProductPrior, steps=steps, iid=_is_iid(steps))
 
 
-@dataclass(frozen=True)
+@_record
 class StoppingOutcome:
     """Result of running a stopping rule: chosen index (None means no
     selection), the rational value received, and the biased utility."""

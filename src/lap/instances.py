@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -40,6 +39,7 @@ from .core import (
     _coerce_nonnegative,
     _count,
     _digit_limit,
+    _record,
     _shown,
     _trusted,
     _trusted_prior,
@@ -237,7 +237,7 @@ def gen_random_prior(rng, k: int = 2, n_max: int = 4, atoms_max: int = 3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ReductionMeta:
     """Parameters of one reduction run.  nominal_n is the candidate count the
     asymptotic argument calls for; it is documentation, simulation always

@@ -98,7 +98,6 @@ import os
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat, starmap
@@ -113,11 +112,12 @@ from .core import (
     ResourceLimit,
     Sequence,
     StoppingOutcome,
+    _Field,
     _check_dims,
     _coerce,
     _json_int,
     _parse_int,
-    number_from_json,
+    _record,
     number_to_json,
 )
 
@@ -165,7 +165,7 @@ def _in_unit(x: Number, below) -> bool:
     return below(0, num) and below(num, den)
 
 
-@dataclass(frozen=True)
+@_record
 class Policy:
     """A stopping-rule description (not yet bound to any prior)."""
 
@@ -237,7 +237,7 @@ def _threshold_policy(t_value: Number, atom_accept_prob: Number = Fraction(1),
 Policy.threshold = staticmethod(_threshold_policy)
 
 
-@dataclass(frozen=True)
+@_record
 class DPResult:
     """Backward-induction output: the value, the state count, and per step
     t the accept masks over the prior's `rank_table` rows, `masks[t - 1]`,
@@ -247,7 +247,7 @@ class DPResult:
     expected_utility: Number
     state_count: int
     masks: List[Tuple[int, ...]]
-    rank_table: tuple = field(repr=False, compare=False)
+    rank_table: tuple = _Field(repr=False, compare=False)
     layers: Optional[List[collections.abc.Sequence]] = None
 
     def mask(self, t: int, ranks: tuple) -> int:
@@ -272,8 +272,11 @@ class DPResult:
             for s, mask in zip(layers[t - 1], self.masks[t - 1])}
 
 
-@dataclass(frozen=True)
+@_record
 class PatienceVerdict:
+    """Whether one rule is more patient than another, with a witness
+    when it is not."""
+
     verdict: str  # "more-patient" | "incomparable"
     witness: Optional[tuple]  # (sequence, index_a, index_b) when incomparable
 
@@ -477,7 +480,7 @@ def _accept_masks(rule: Rule, prior: ProductPrior):
     return masks
 
 
-@dataclass(frozen=True)
+@_record
 class CompiledPolicy:
     """A policy bound to a prior: one or two deterministic arms with mixing
     probabilities (two only for atom-splitting thresholds)."""
@@ -1149,29 +1152,3 @@ def policy_to_json(policy: Policy) -> dict:
         obj["seed"] = policy.seed
     return obj
 
-
-def policy_from_json(obj: dict, exact: bool = True) -> Policy:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidInput("policy JSON needs a 'kind'")
-    kind = obj["kind"]
-    if kind not in _KINDS:
-        raise InvalidInput(f"unknown policy kind {kind!r}")
-    num = lambda key: (number_from_json(obj[key], exact)
-                       if key in obj and obj[key] is not None else None)
-    whole = lambda key: (_json_int(obj[key], f"'{key}'")
-                         if obj.get(key) is not None else None)
-    return Policy(kind=kind, threshold=num("threshold"),
-                  atom_accept_prob=num("atom_accept_prob"),
-                  alpha=num("alpha"), index=whole("index"),
-                  lam=num("lambda"), seed=whole("seed"))
-
-
-def dp_result_to_json(res: DPResult) -> dict:
-    table = res.policy_table
-    rows = [{"step": t, "state": [number_to_json(e) for e in state],
-             "accept": [[number_to_json(e) for e in vec]
-                        for vec in table[(t, state)]]}
-            for t, state in sorted(table)]
-    return {"expected_utility": number_to_json(res.expected_utility),
-            "state_count": res.state_count,
-            "policy_table": rows}

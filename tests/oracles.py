@@ -1,6 +1,6 @@
 """Independent oracles used by the test suite.
 
-Everything in this file but the three helpers at its end is deliberately
+Everything in this file but the six helpers at its end is deliberately
 package-free (stdlib only) and written in the most direct way possible:
 plain tuples for value vectors, lists of (vector, probability) pairs for
 per-step distributions, and exhaustive recursion instead of any state
@@ -275,8 +275,10 @@ def random_sequence(rng, n_max=5, k=2, value_grid=VALUE_GRID):
 # ---------------------------------------------------------------------------
 # On the library's own objects: the paper's dominance predicates, which no
 # code in lap calls (the tests use them as references, and they raise the
-# library's InvalidInput on a dimension or length mismatch), and the
-# gambler's utility of one stop as the library scores it.
+# library's InvalidInput on a dimension or length mismatch), the
+# gambler's utility of one stop as the library scores it, the dimension-spread
+# factor gamma, a DP result's policy table as JSON, and the reader of
+# `policies.policy_to_json`'s form.
 # ---------------------------------------------------------------------------
 
 
@@ -302,3 +304,46 @@ def stop_utility(sigma, t, params):
     `run_policy` scores a fixed-index stop (`run_rule` is the scorer)."""
     from lap.policies import Policy, run_policy
     return run_policy(Policy.fixed_index(t), sigma, params).utility
+
+
+def gamma_of(prior):
+    """E[sum_j S_j*] / E[V*], the dimension-spread factor in [1, k]."""
+    from lap.core import InvalidInput
+    from lap.policies import _e_best_value, _e_sum_dim_maxima
+    e_v = _e_best_value(prior)
+    if e_v <= 0:
+        raise InvalidInput("gamma needs a positive expected best value")
+    return _e_sum_dim_maxima(prior) / e_v
+
+
+def dp_result_to_json(res):
+    """A DPResult's value, state count and decoded policy table, each
+    number as `number_to_json` writes it."""
+    from lap.core import number_to_json
+    table = res.policy_table
+    rows = [{"step": t, "state": [number_to_json(e) for e in state],
+             "accept": [[number_to_json(e) for e in vec]
+                        for vec in table[(t, state)]]}
+            for t, state in sorted(table)]
+    return {"expected_utility": number_to_json(res.expected_utility),
+            "state_count": res.state_count,
+            "policy_table": rows}
+
+
+def policy_from_json(obj, exact=True):
+    """The Policy that `policy_to_json` wrote as `obj`."""
+    from lap.core import InvalidInput, _json_int, number_from_json
+    from lap.policies import _KINDS, Policy
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise InvalidInput("policy JSON needs a 'kind'")
+    kind = obj["kind"]
+    if kind not in _KINDS:
+        raise InvalidInput(f"unknown policy kind {kind!r}")
+    num = lambda key: (number_from_json(obj[key], exact)
+                       if key in obj and obj[key] is not None else None)
+    whole = lambda key: (_json_int(obj[key], f"'{key}'")
+                         if obj.get(key) is not None else None)
+    return Policy(kind=kind, threshold=num("threshold"),
+                  atom_accept_prob=num("atom_accept_prob"),
+                  alpha=num("alpha"), index=whole("index"),
+                  lam=num("lambda"), seed=whole("seed"))

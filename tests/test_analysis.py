@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import stop_utility
+from oracles import gamma_of, stop_utility
 from lap import analysis
 from lap.core import (
     AgentParams,
@@ -37,7 +37,6 @@ from lap.analysis import (
     detect_paradox_of_choice,
     detect_quality_paradox,
     exact_expectation,
-    gamma_of,
     inversion_probability,
     monte_carlo,
     ratio_report,

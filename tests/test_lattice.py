@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import dp_result_to_json
 from lap import cli, policies
 from lap.analysis import (
     exact_expectation,
@@ -34,7 +35,6 @@ from lap.instances import gen_alternating_geometric, gen_random_prior
 from lap.policies import (
     Policy,
     compile_policy,
-    dp_result_to_json,
     optimal_biased_policy,
     patience_compare,
     threshold_from_alpha,

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import dp_result_to_json, policy_from_json
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -25,12 +26,10 @@ from lap.core import (
 from lap.policies import (
     Policy,
     compile_policy,
-    dp_result_to_json,
     guarantee_alphas,
     optimal_biased_policy,
     optimal_rational_policy,
     patience_compare,
-    policy_from_json,
     policy_to_json,
     run_policy,
     threshold_from_alpha,
