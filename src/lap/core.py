@@ -27,8 +27,8 @@ fields, as `dataclasses.dataclass(frozen=True)` would make them, with the
 same `__init__`, `repr`, `==`, `hash` and `__match_args__`, and assignment
 and deletion refused.  `_record` writes one small source per class for
 the hot methods and shares the rest, so importing lap loads neither
-`dataclasses` nor `inspect`; a `_Field` class attribute gives a field's
-other options (left out of repr or comparison, a default factory).
+`dataclasses` nor `inspect`; a `_Field` class attribute leaves a field
+out of repr, == and hash, or builds its default per instance.
 
 Two arithmetic modes coexist: exact rationals (fractions.Fraction, the
 default; every closed-form identity is checked exactly) and plain floats for
@@ -109,22 +109,15 @@ def _coerce_nonnegative(x: Number, what: str = "value") -> Number:
 
 
 class _Field:
-    """A record field's options past a plain default: shown by repr,
-    compared by == and hash, and a default built per instance."""
+    """A record field's options past a plain default: `hidden` leaves it
+    out of repr, == and hash; `default_factory` builds its default per
+    instance."""
 
-    def __init__(self, repr=True, compare=True, default_factory=None):
-        self.repr, self.compare = repr, compare
-        self.default_factory = default_factory
-
-
-class _Factory:
-    """The default a factory field's `__init__` parameter shows."""
-
-    def __repr__(self):
-        return "<factory>"
+    def __init__(self, hidden=False, default_factory=None):
+        self.hidden, self.default_factory = hidden, default_factory
 
 
-_PLAIN, _FACTORY = _Field(), _Factory()
+_PLAIN = _Field()
 
 
 def _record_repr(self):
@@ -142,25 +135,25 @@ def _record(cls):
     `__post_init__` when the class has one), `__eq__` and `__hash__` from
     one source per class; `__repr__`, `__setattr__` and `__delattr__`
     shared.  A field's class attribute is its default, or a `_Field`."""
-    names = cls.__match_args__ = tuple(cls.__dict__["__annotations__"])
+    names = cls.__match_args__ = tuple(cls.__annotations__)
     marks = [cls.__dict__.get(name, _PLAIN) for name in names]
-    fields = [m if isinstance(m, _Field) else _PLAIN for m in marks]
-    params, body = [], []
+    params, body, shown = [], [], []
     for i, (name, mark) in enumerate(zip(names, marks)):
-        param, value = name, name
-        if not isinstance(mark, _Field):  # a plain default
-            param = f"{name}=_marks[{i}]"
-        elif mark is not _PLAIN:  # a `_Field`, which leaves the class
-            delattr(cls, name)
-            if mark.default_factory:
-                param = f"{name}=_F"
-                value = f"_marks[{i}].default_factory() if {name} is _F " \
-                        f"else {name}"
-        params.append(param)
+        default, value = f"_marks[{i}]", name
+        if isinstance(mark, _Field):  # no plain default
+            if mark is not _PLAIN:  # a mark leaves the class
+                delattr(cls, name)
+            if mark.default_factory:  # the mark stands for no argument
+                value = f"{default}.default_factory() if {name} is " \
+                        f"{default} else {name}"
+            else:
+                default = None
+        params.append(f"{name}={default}" if default else name)
         body.append(f"\n    _set(self, {name!r}, {value})")
+        shown += [name] * (not (isinstance(mark, _Field) and mark.hidden))
     body += ["\n    self.__post_init__()"] * hasattr(cls, "__post_init__")
-    own = "".join(f"self.{n}, " for n, f in zip(names, fields) if f.compare)
-    ns = {"_set": object.__setattr__, "_F": _FACTORY, "_marks": marks}
+    own = "".join(f"self.{name}, " for name in shown)
+    ns = {"_set": object.__setattr__, "_marks": marks}
     exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}\n"
          "def __eq__(self, other):\n"
          "    if other.__class__ is self.__class__:\n"
@@ -170,7 +163,7 @@ def _record(cls):
     for method in ("__init__", "__eq__", "__hash__"):
         ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, ns[method])
-    cls._repr_fields = tuple(n for n, f in zip(names, fields) if f.repr)
+    cls._repr_fields = tuple(shown)
     cls.__repr__ = _record_repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

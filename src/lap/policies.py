@@ -118,6 +118,7 @@ from .core import (
     _json_int,
     _parse_int,
     _record,
+    number_from_json,
     number_to_json,
 )
 
@@ -247,7 +248,7 @@ class DPResult:
     expected_utility: Number
     state_count: int
     masks: List[Tuple[int, ...]]
-    rank_table: tuple = _Field(repr=False, compare=False)
+    rank_table: tuple = _Field(hidden=True)
     layers: Optional[List[collections.abc.Sequence]] = None
 
     def mask(self, t: int, ranks: tuple) -> int:
@@ -1152,3 +1153,18 @@ def policy_to_json(policy: Policy) -> dict:
         obj["seed"] = policy.seed
     return obj
 
+
+def policy_from_json(obj: dict, exact: bool = True) -> Policy:
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise InvalidInput("policy JSON needs a 'kind'")
+    kind = obj["kind"]
+    if kind not in _KINDS:
+        raise InvalidInput(f"unknown policy kind {kind!r}")
+    num = lambda key: (number_from_json(obj[key], exact)
+                       if key in obj and obj[key] is not None else None)
+    whole = lambda key: (_json_int(obj[key], f"'{key}'")
+                         if obj.get(key) is not None else None)
+    return Policy(kind=kind, threshold=num("threshold"),
+                  atom_accept_prob=num("atom_accept_prob"),
+                  alpha=num("alpha"), index=whole("index"),
+                  lam=num("lambda"), seed=whole("seed"))

@@ -277,8 +277,7 @@ def random_sequence(rng, n_max=5, k=2, value_grid=VALUE_GRID):
 # code in lap calls (the tests use them as references, and they raise the
 # library's InvalidInput on a dimension or length mismatch), the
 # gambler's utility of one stop as the library scores it, the dimension-spread
-# factor gamma, a DP result's policy table as JSON, and the reader of
-# `policies.policy_to_json`'s form.
+# factor gamma, and a DP result's policy table as JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -328,22 +327,3 @@ def dp_result_to_json(res):
     return {"expected_utility": number_to_json(res.expected_utility),
             "state_count": res.state_count,
             "policy_table": rows}
-
-
-def policy_from_json(obj, exact=True):
-    """The Policy that `policy_to_json` wrote as `obj`."""
-    from lap.core import InvalidInput, _json_int, number_from_json
-    from lap.policies import _KINDS, Policy
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidInput("policy JSON needs a 'kind'")
-    kind = obj["kind"]
-    if kind not in _KINDS:
-        raise InvalidInput(f"unknown policy kind {kind!r}")
-    num = lambda key: (number_from_json(obj[key], exact)
-                       if key in obj and obj[key] is not None else None)
-    whole = lambda key: (_json_int(obj[key], f"'{key}'")
-                         if obj.get(key) is not None else None)
-    return Policy(kind=kind, threshold=num("threshold"),
-                  atom_accept_prob=num("atom_accept_prob"),
-                  alpha=num("alpha"), index=whole("index"),
-                  lam=num("lambda"), seed=whole("seed"))

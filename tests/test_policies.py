@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import dp_result_to_json, policy_from_json
+from oracles import dp_result_to_json
 from lap.core import (
     AgentParams,
     FiniteDistribution,
@@ -30,6 +30,7 @@ from lap.policies import (
     optimal_biased_policy,
     optimal_rational_policy,
     patience_compare,
+    policy_from_json,
     policy_to_json,
     run_policy,
     threshold_from_alpha,
